@@ -2,8 +2,9 @@
 // anything runs. The default mode lints the full registered grid —
 // every algorithm in the registry plus the LU emitter, on single- and
 // dual-chip machines, square and ragged shapes — through the schedule
-// verifier, and re-checks every pipelined plan the planner builds for
-// them through the independent plan checker. Each staged program is
+// verifier, and re-checks every phase plan the executor can run for
+// them — ModeShared's serial plan (depth 0) and the pipelined plans up
+// to -depth — through the independent plan checker. Each staged program is
 // then rewritten by schedule.Optimize and the optimized program linted
 // to the same standard (zero findings, all plan depths, balanced elision
 // ledger), so a miscompiling optimizer pass is caught statically, before
@@ -67,8 +68,14 @@ var gridWorkloads = []algo.Workload{
 func grid() int {
 	programs, findings := 0, 0
 	plans := func(label string, p *schedule.Program, cs int) {
-		for d := 1; d <= *maxDepth; d++ {
-			plan, err := schedule.PlanPipelineDepth(p, cs, d)
+		for d := 0; d <= *maxDepth; d++ {
+			var plan *schedule.PipelinePlan
+			var err error
+			if d == 0 {
+				plan, err = schedule.PlanSerial(p, cs) // ModeShared's plan
+			} else {
+				plan, err = schedule.PlanPipelineDepth(p, cs, d)
+			}
 			if err != nil {
 				fmt.Printf("%s: depth %d: planner: %v\n", label, d, err)
 				findings++

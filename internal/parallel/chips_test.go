@@ -139,6 +139,79 @@ func TestMultiChipTrafficMatchesSimulator(t *testing.T) {
 	}
 }
 
+// TestMultiChipDistributedOptStaysOnChip backs the README's topology
+// note with exact counts: on the benchmark host model split over two
+// chips (p=4, q=16, n=128 — the machine `cmd/gemm -order 8 -q 16
+// -bench-cores 4 -bench-chips 2` runs), Distributed Opt.'s home policy
+// keeps every refill and merge on-chip, while Shared Opt., which homes
+// everything on chip 0, streams a fixed share of its refills and merges
+// over the interconnect — with the optimizer off and on.
+func TestMultiChipDistributedOptStaysOnChip(t *testing.T) {
+	const p, q, order = 4, 16, 8
+	mach := machine.Machine{
+		P:      p,
+		CS:     machine.BlocksFromBytes(8<<20, q, 1.0),
+		CD:     machine.BlocksFromBytes(256<<10, q, 2.0/3.0),
+		SigmaS: machine.DefaultSigmaS,
+		SigmaD: machine.DefaultSigmaD,
+		Q:      q,
+		Chips:  2,
+	}
+	if err := mach.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ic := func(name string, optimize bool) LevelTraffic {
+		t.Helper()
+		a, err := algo.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := a.Schedule(mach, algo.Square(order))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := matrix.NewTriple(order, order, order, q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		team, err := NewTeam(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer team.Close()
+		ex, err := NewExecutor(team, tr, nil, ModeShared, mach.CD, mach.CS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex.SetTuning(Tuning{Optimize: optimize})
+		if err := ex.Run(prog); err != nil {
+			t.Fatalf("%s optimize=%v: %v", name, optimize, err)
+		}
+		return ex.Traffic().IC
+	}
+	for _, c := range []struct {
+		optimize              bool
+		sharedStage, sharedWB uint64 // Shared Opt.'s IC bytes
+	}{
+		{false, 1310720, 524288},
+		{true, 393216, 65536},
+	} {
+		shared := ic("Shared Opt.", c.optimize)
+		dist := ic("Distributed Opt.", c.optimize)
+		if shared.StageBytes != c.sharedStage || shared.WriteBackBytes != c.sharedWB {
+			t.Fatalf("optimize=%v: Shared Opt. moved %d IC stage and %d IC write-back bytes, want %d and %d",
+				c.optimize, shared.StageBytes, shared.WriteBackBytes, c.sharedStage, c.sharedWB)
+		}
+		if dist.StageBytes >= shared.StageBytes {
+			t.Fatalf("optimize=%v: Distributed Opt. staged %d IC bytes, not below Shared Opt.'s %d",
+				c.optimize, dist.StageBytes, shared.StageBytes)
+		}
+		if dist.WriteBackBlocks != 0 || dist.WriteBackBytes != 0 {
+			t.Fatalf("optimize=%v: Distributed Opt. wrote back over the interconnect: %+v", c.optimize, dist)
+		}
+	}
+}
+
 // TestMultiChipRunTwiceReproducible: a reused executor whose arenas
 // were drained by the previous Run must reproduce a chips=2 execution
 // exactly — same numbers bit for bit, same traffic on all three

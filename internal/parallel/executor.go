@@ -27,13 +27,15 @@ const (
 	// tiles as strided views into the full matrices. It exists so the
 	// benchmarks can measure what physical staging buys.
 	ModeView
-	// ModeShared realises both cache levels: StageShared packs a block
-	// from the operand matrices into the Team-wide shared arena (CS
+	// ModeShared realises both cache levels: a shared stage packs a
+	// block from the operand matrices into the Team-wide shared arena (CS
 	// slots), per-core Stage refills each core's arena from the shared
 	// arena (an intra-chip copy), dirty core tiles merge upward into the
-	// shared copy on Unstage, and UnstageShared writes dirty shared
+	// shared copy on Unstage, and a shared release writes dirty shared
 	// tiles back to memory — so the memory↔shared (MS) and shared↔core
-	// (MD) streams are physically distinct and separately counted.
+	// (MD) streams are physically distinct and separately counted. The
+	// shared transfers run on the driving goroutine between regions, in
+	// program order (the schedule.PlanSerial phase plan).
 	ModeShared
 	// ModeSharedPipelined is ModeShared with the memory↔shared stream
 	// taken off the critical path: while the Team's cores compute a
@@ -135,19 +137,21 @@ type Traffic struct {
 // the same operation stream the cache simulator replays onto a Team of
 // worker goroutines computing on float64 blocks.
 //
-// Each parallel region of the schedule is recorded first — one
-// operation list per core, with any attached probe fed in each core's
-// program order, exactly matching the simulator probe's per-core
-// streams — and then executed by the Team. In ModePacked every core
-// owns an Arena sized from the declared machine's distributed-cache
-// capacity; Stage/Unstage move blocks between the operand matrices and
-// that arena, persisting across regions (a block staged in one region
-// is still arena-resident in the next, as in the simulated hierarchy).
-// ModeShared adds the Team-wide SharedArena between memory and the
-// core arenas; shared staging then happens on the driving goroutine,
-// strictly between regions, which the Team barrier orders against all
-// worker accesses. In ModeView staging is probe-only, as it was before
-// packed storage existed.
+// The program's own emission drives the replay in every mode: each
+// parallel region is recorded into per-core scratch — one operation
+// list per core, reused from region to region, with any attached probe
+// fed in each core's program order, exactly matching the simulator
+// probe's per-core streams — and then executed by the Team (see
+// Parallel). In ModePacked every core owns an Arena sized from the
+// declared machine's distributed-cache capacity; Stage/Unstage move
+// blocks between the operand matrices and that arena, persisting
+// across regions (a block staged in one region is still arena-resident
+// in the next, as in the simulated hierarchy). The shared-level modes
+// add the Team-wide SharedArena between memory and the core arenas;
+// its memory↔shared stream runs on the driving goroutine from the
+// program's phase plan — strictly between regions in ModeShared, partly
+// overlapped with the workers in ModeSharedPipelined. In ModeView
+// staging is probe-only, as it was before packed storage existed.
 type Executor struct {
 	team         *Team
 	operands     *matrix.Operands
@@ -157,8 +161,8 @@ type Executor struct {
 	sharedBlocks int
 	arenas       []*Arena       // allocated by Run for programs that stage
 	shared       []*SharedArena // one per chip; shared-level modes only, allocated with the arenas
-	staging      bool           // current program stages (set per Run)
-	ops          [][]execOp
+	ops          [][]execOp     // per-core scratch of the current region
+	finished     []time.Time    // per-core finish stamps of the current region
 	err          error
 
 	// Replay provenance: ctx is the active RunContext's context (nil
@@ -191,21 +195,17 @@ type Executor struct {
 
 	// stageWait and computeTime split the driving goroutine's critical
 	// path per Run: time spent moving blocks across the memory↔shared
-	// boundary (or, pipelined, blocked waiting for the stager) versus
-	// time inside parallel regions. Their ratio is the overlap story the
-	// benchmark records report.
+	// boundary on the critical path (or waiting for the stager after the
+	// workers finished) versus time inside parallel regions. Their ratio
+	// is the overlap story the benchmark records report.
 	stageWait   time.Duration
 	computeTime time.Duration
 
-	// validated caches the last successfully validated program (by
-	// pointer; a Program is immutable once built), so repeated Runs of
-	// the same program — the benchmark loop — measure it only once. The
-	// pipelined mode caches its phase plan, and (when no probe watches)
-	// its recorded regions, alongside.
-	validated        *schedule.Program
-	validatedStaging bool
-	plan             *schedule.PipelinePlan
-	recorded         [][][]execOp
+	// comp is the compiled form of the last program Run was handed,
+	// keyed by its source pointer (a Program is immutable once built), so
+	// repeated Runs of the same program — the benchmark loop — compile
+	// it only once. SetTuning and SetStrictVerify drop it.
+	comp *compiled
 
 	// kernels selects the register-blocking shape the kernel dispatch
 	// uses; its zero value is the historical 4×4 family. lookahead is
@@ -218,19 +218,23 @@ type Executor struct {
 	// before its first replay and refuses programs with findings — the
 	// belt-and-suspenders mode behind SetStrictVerify (default off; the
 	// registered emitters are verified statically in CI instead).
-	// verified caches the last program that passed, by pointer, like
-	// validated above.
 	strictVerify bool
-	verified     *schedule.Program
 
 	// optimize (a tunable, see Tuning.Optimize) rewrites every staged
 	// program through schedule.Optimize before validation and replay.
-	// The rewritten program and its ledger are cached by source pointer
-	// so benchmark loops pay the pass once; SetTuning invalidates.
 	optimize bool
-	optSrc   *schedule.Program
-	optProg  *schedule.Program
-	optRep   schedule.OptimizeReport
+}
+
+// compiled is everything Run derives from a source program before its
+// first replay. prog is the program actually replayed — src itself, or
+// its optimizer rewrite with rep as the ledger. staging records whether
+// prog moves data in this mode, and plan phases its memory↔shared
+// stream (shared-level modes with staging only; nil otherwise).
+type compiled struct {
+	src, prog *schedule.Program
+	rep       schedule.OptimizeReport
+	staging   bool
+	plan      *schedule.PipelinePlan
 }
 
 // Executor is the real backend of the schedule IR.
@@ -288,6 +292,7 @@ func NewExecutorOperands(team *Team, operands *matrix.Operands, probe *schedule.
 		arenaBlocks:  coreBlocks,
 		sharedBlocks: sharedBlocks,
 		ops:          make([][]execOp, team.Size()),
+		finished:     make([]time.Time, team.Size()),
 		md:           make([]LevelTraffic, team.Size()),
 	}
 	switch mode {
@@ -321,8 +326,9 @@ func NewExecutorOperands(team *Team, operands *matrix.Operands, probe *schedule.
 // clean (and with it Err to nil); a successful Run after Reset leaves
 // no trace of the previous failure. Pre-flight rejections — a
 // core-count mismatch, a working set that overflows the declared
-// resources — are returned without entering quarantine: nothing
-// executed, so the executor stays clean.
+// resources, a phase plan that cannot prove inclusion — are returned
+// without entering quarantine: nothing executed, so the executor stays
+// clean.
 func (ex *Executor) Err() error { return ex.err }
 
 func (ex *Executor) fail(err error) {
@@ -387,71 +393,52 @@ func (ex *Executor) InterChipPairs() [][]LevelTraffic {
 
 // StageWait returns the time the most recent Run's driving goroutine
 // spent on memory↔shared staging that could not be hidden behind
-// compute: in ModeShared the wall-time of all between-region staging,
-// in ModeSharedPipelined the barrier-phase ops plus any overlapped
-// staging that outlasted the region it ran under (hoisted and retired
-// ops fully covered by worker compute cost nothing here). The traffic
-// moved is identical in both modes; this is the critical-path share of
-// it.
+// compute: the phase plan's barrier and tail ops, plus each region's
+// join tail — the time from the last worker's finish to the join, which
+// is overlapped staging that outlasted its region in
+// ModeSharedPipelined and the join's own hand-back in ModeShared
+// (hoisted and retired ops fully covered by worker compute cost nothing
+// here). The traffic moved is identical in both modes; this is the
+// critical-path share of it.
 func (ex *Executor) StageWait() time.Duration { return ex.stageWait }
 
 // ComputeTime returns the wall-time the most recent Run spent inside
 // parallel regions (team barriers included).
 func (ex *Executor) ComputeTime() time.Duration { return ex.computeTime }
 
-// Plan returns the pipeline phase plan of the most recently validated
-// program, or nil outside ModeSharedPipelined — the overlap the region
-// lookahead found, for reporting.
-func (ex *Executor) Plan() *schedule.PipelinePlan { return ex.plan }
-
-// OptimizeReport returns the optimizer's ledger for the last program
-// Run rewrote (zero when the optimizer tunable is off, the mode is
-// ModeView, or no staged program has run yet). The report's counts are
-// in blocks; the executed byte difference shows up directly in
-// Traffic().MS / MD.
-func (ex *Executor) OptimizeReport() schedule.OptimizeReport { return ex.optRep }
-
-// optimizedFor runs p through schedule.Optimize, caching the rewrite by
-// source pointer so the benchmark loop's repeated Runs pay the pass
-// once. A program the pass skips (demand-driven reached here cannot
-// happen, but malformed or capacity-tight streams can) comes back as
-// itself — the optimizer's contract — and is cached the same way.
-func (ex *Executor) optimizedFor(p *schedule.Program) (*schedule.Program, error) {
-	if ex.optSrc == p && ex.optProg != nil {
-		return ex.optProg, nil
+// Plan returns the phase plan of the most recently compiled program,
+// or nil when it has none (ModePacked, ModeView, or a program that
+// stages nothing): in ModeSharedPipelined the overlap the region
+// lookahead found, in ModeShared the schedule.PlanSerial plan with
+// every shared op a barrier op.
+func (ex *Executor) Plan() *schedule.PipelinePlan {
+	if ex.comp == nil {
+		return nil
 	}
-	opt, rep, err := schedule.Optimize(p, schedule.OptimizeOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("parallel: program %q: optimizer: %w", p.Algorithm, err)
-	}
-	ex.optSrc = p
-	ex.optProg = opt
-	ex.optRep = rep
-	return opt, nil
+	return ex.comp.plan
 }
 
-// StageShared loads l into the shared level. The probe observes it in
-// every mode; the shared-level modes additionally pack the block into
-// the shared arena (one physical MS transfer). Other modes have no
-// shared level between the arenas and memory, so the hint carries no
-// data. (In ModeSharedPipelined staged programs are recorded and
-// replayed through the stager instead of emitting straight into the
-// executor, so this serial path only ever runs their probe feed.)
-func (ex *Executor) StageShared(l schedule.Line) {
-	if ex.err != nil {
-		return
+// OptimizeReport returns the optimizer's ledger for the most recently
+// compiled program (zero when the optimizer tunable is off, the mode is
+// ModeView, the program is demand-driven, or nothing has run yet). The
+// report's counts are in blocks; the executed byte difference shows up
+// directly in Traffic().MS / MD.
+func (ex *Executor) OptimizeReport() schedule.OptimizeReport {
+	if ex.comp == nil {
+		return schedule.OptimizeReport{}
 	}
-	if ex.probe != nil && ex.probe.SharedAccess != nil {
+	return ex.comp.rep
+}
+
+// StageShared feeds the probe the shared-level access, in program order
+// and in every mode. It moves no data: in the shared-level modes the
+// physical memory→shared transfer runs from the phase plan (see
+// Parallel), and the other modes have no shared level between the
+// arenas and memory.
+func (ex *Executor) StageShared(l schedule.Line) {
+	if ex.err == nil && ex.probe != nil && ex.probe.SharedAccess != nil {
 		ex.probe.SharedAccess(l)
 	}
-	if !ex.mode.SharedLevel() || !ex.staging {
-		return
-	}
-	start := time.Now()
-	if err := ex.stageShared(l); err != nil {
-		ex.fail(err)
-	}
-	ex.stageWait += time.Since(start)
 }
 
 // home resolves the home chip of l under the current Run's placement.
@@ -464,8 +451,8 @@ func (ex *Executor) home(l schedule.Line) int {
 
 // stageShared performs the physical memory→shared transfer of l into
 // its home chip's arena and counts it on the MS stream. It runs on the
-// driving goroutine in ModeShared and on the stager goroutine in
-// ModeSharedPipelined. It is a cancellation point (the context is
+// driving goroutine, between regions or — a pipelined prefetch — while
+// the workers compute. It is a cancellation point (the context is
 // polled before the transfer, so staging loops unwind promptly) and an
 // injection point; failures — organic, injected, or a panic recovered
 // right here — carry the driver op's provenance.
@@ -504,36 +491,17 @@ func (ex *Executor) stageShared(l schedule.Line) (err error) {
 	return nil
 }
 
-// UnstageShared releases l from the shared level. In the shared-level
-// modes it writes a dirty tile back to memory and frees the slot,
-// enforcing inclusion (a block still held by a core arena cannot leave
-// the shared level); elsewhere it is the omniscient policy's privilege:
-// a no-op, invisible to probes, exactly as in the simulator.
-func (ex *Executor) UnstageShared(l schedule.Line) {
-	if ex.err != nil || !ex.mode.SharedLevel() || !ex.staging {
-		return
-	}
-	start := time.Now()
-	for c, ar := range ex.arenas {
-		if ar.tile(l) != nil {
-			ref := schedule.OpRef{Region: ex.region, Core: schedule.DriverCore, Index: ex.drvIdx}
-			ex.fail(ex.driverError(ref, faultinject.UnstageShared, l,
-				fmt.Errorf("parallel: unstaging %v from the shared arena while core %d still holds it", l, c)))
-			return
-		}
-	}
-	if err := ex.unstageShared(l); err != nil {
-		ex.fail(err)
-	}
-	ex.stageWait += time.Since(start)
-}
+// UnstageShared is invisible to probes, exactly as in the simulator,
+// and moves no data: in the shared-level modes the write-back runs from
+// the phase plan, elsewhere a shared release is the omniscient policy's
+// privilege.
+func (ex *Executor) UnstageShared(schedule.Line) {}
 
 // unstageShared performs the physical shared→memory release of l,
-// counting a dirty write-back on the MS stream. Unlike the serial
-// UnstageShared it does not re-check core-arena residency: the serial
-// path checks at runtime between regions, while the pipelined stager —
-// which may run this concurrently with worker regions — relies on
-// schedule.PlanPipeline having proven inclusion statically. Like
+// counting a dirty write-back on the MS stream. It does not re-check
+// core-arena residency — a pipelined retire runs concurrently with the
+// workers, so the check would race them — but relies on the phase
+// planner having proven inclusion statically for every plan. Like
 // stageShared it is a cancellation and injection point with full
 // driver-op provenance.
 func (ex *Executor) unstageShared(l schedule.Line) (err error) {
@@ -626,17 +594,14 @@ func (s execSink) Compute(i, j, k int) {
 	s.Apply(schedule.MulAdd, schedule.LineC(i, j), schedule.LineA(i, k), schedule.LineB(k, j))
 }
 
-// sinkFor builds the recording sink for core c, targeting out — the
-// per-region scratch in the serial path, a pipeline recorder's region
-// storage in ModeSharedPipelined.
-func (ex *Executor) sinkFor(c int, out *[]execOp) execSink {
-	return execSink{ex: ex, core: c, out: out}
-}
-
-// Parallel records the per-core streams of one region, then runs them
-// concurrently on the team. The schedules guarantee that cores write
-// disjoint C blocks within a region — and that arena residency of a C
-// block never migrates between cores across regions — so no further
+// Parallel is the executor's one region loop: the program's emission
+// calls it once per region in every mode. It records the per-core
+// streams of the region into the reused per-core scratch, then runs
+// them concurrently on the team — under the region's phase-plan entry
+// when the program has a plan (see phasedRegion), with a plain team
+// barrier otherwise. The schedules guarantee that cores write disjoint
+// C blocks within a region — and that arena residency of a C block
+// never migrates between cores across regions — so no further
 // synchronisation is needed.
 func (ex *Executor) Parallel(body func(core int, ops schedule.CoreSink)) {
 	if ex.err != nil {
@@ -645,7 +610,7 @@ func (ex *Executor) Parallel(body func(core int, ops schedule.CoreSink)) {
 	work := false
 	for c := range ex.ops {
 		ex.ops[c] = ex.ops[c][:0]
-		body(c, ex.sinkFor(c, &ex.ops[c]))
+		body(c, execSink{ex: ex, core: c, out: &ex.ops[c]})
 		work = work || len(ex.ops[c]) > 0
 	}
 	// Regions with no recorded operations (probe-only in this mode)
@@ -653,13 +618,17 @@ func (ex *Executor) Parallel(body func(core int, ops schedule.CoreSink)) {
 	if !work {
 		return
 	}
-	// Region barriers are the serial path's cancellation points: the
-	// context is polled once per region, never inside worker replay.
+	ex.region++
+	// Region barriers are cancellation points: the context is polled
+	// once per region, never inside worker replay.
 	if err := ex.ctxErr(); err != nil {
 		ex.fail(err)
 		return
 	}
-	ex.region++
+	if plan := ex.comp.plan; plan != nil {
+		ex.phasedRegion(plan)
+		return
+	}
 	region := ex.region
 	start := time.Now()
 	ex.fail(ex.team.Run(func(c int) error { return ex.replayOps(c, region, ex.ops[c]) }))
@@ -690,7 +659,7 @@ func siteOf(op execOp) faultinject.OpKind {
 // recover is only ever a backstop for panics outside op replay.
 func (ex *Executor) replayOps(c, region int, ops []execOp) (err error) {
 	var ar *Arena
-	if ex.staging {
+	if ex.comp.staging {
 		ar = ex.arenas[c]
 	}
 	md := &ex.md[c]
@@ -890,12 +859,12 @@ func (ex *Executor) apply(ar *Arena, op execOp) error {
 // the arenas are the one cache level it materialises, while the shared
 // level stays a probe-only hint (some emitters overclaim CS by a block
 // or two on tiny machines, and rejecting execution on a resource that
-// is never allocated would regress workloads that run fine). ModeShared
-// materialises both levels and therefore validates both (Fits) — there
-// a shared overclaim is a real overflow of the CS-sized arena and must
-// be rejected up front. The validation replay costs one extra pass over
-// the operation stream — measured at ~0.4% of the packed run time for
-// n=1024, far below run-to-run noise.
+// is never allocated would regress workloads that run fine). The
+// shared-level modes materialise both levels and therefore validate
+// both (Fits) — there a shared overclaim is a real overflow of the
+// CS-sized arena and must be rejected up front. The validation replay
+// costs one extra pass over the operation stream — measured at ~0.4% of
+// the packed run time for n=1024, far below run-to-run noise.
 //
 // Run is RunContext with a background context; see RunContext for the
 // cancellation and failure contract.
@@ -953,48 +922,104 @@ func (ex *Executor) RunContext(ctx context.Context, prog *schedule.Program) (err
 	return ex.execute(prog)
 }
 
-// execute is the body of RunContext: validation, arena setup, replay
-// and the end-of-run drains.
-func (ex *Executor) execute(prog *schedule.Program) error {
-	if prog.Cores != ex.team.Size() {
-		return fmt.Errorf("parallel: program %q wants %d cores, team has %d",
-			prog.Algorithm, prog.Cores, ex.team.Size())
+// compile derives src's compiled form, or returns the cached one when
+// src is the program compiled last. In order: the optimizer rewrite
+// (staged programs, with the Optimize tunable on) — so strict
+// verification, validation, planning and replay all see the stream
+// that actually runs — then the strict verifier gate, then, for staged
+// programs, the measured working set validated against the resources
+// the program declares and the executor's arena capacities, and in the
+// shared-level modes the phase plan: schedule.PlanPipelineDepth at the
+// tuned lookahead in ModeSharedPipelined, schedule.PlanSerial in
+// ModeShared. Both planner entry points prove the inclusion discipline
+// and the footprint statically, before anything executes. (Run's doc
+// explains why ModePacked validates the core level only.)
+func (ex *Executor) compile(src *schedule.Program) (*compiled, error) {
+	if ex.comp != nil && ex.comp.src == src {
+		return ex.comp, nil
 	}
-	// The optimizer rewrite happens before everything else — validation,
-	// strict verification, pipeline planning and replay all see the
-	// optimized stream, so the plan phases the program that actually
-	// runs and the verifier gate covers the rewrite, not just its input.
-	if ex.optimize && ex.mode != ModeView && !prog.DemandDriven {
-		opt, err := ex.optimizedFor(prog)
+	ex.comp = nil
+	c := &compiled{src: src, prog: src}
+	staged := ex.mode != ModeView && !src.DemandDriven
+	if staged && ex.optimize {
+		opt, rep, err := schedule.Optimize(src, schedule.OptimizeOptions{})
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("parallel: program %q: optimizer: %w", src.Algorithm, err)
 		}
-		prog = opt
+		c.prog, c.rep = opt, rep
 	}
+	prog := c.prog
 	if err := ex.strictVerifyCheck(prog); err != nil {
-		return err
+		return nil, err
+	}
+	if staged {
+		ws, err := schedule.Measure(prog)
+		if err != nil {
+			return nil, err
+		}
+		if ex.mode.SharedLevel() {
+			if err := ws.Fits(prog.Resources); err != nil {
+				return nil, fmt.Errorf("parallel: program %q: %w", prog.Algorithm, err)
+			}
+			if ws.SharedPeak > ex.sharedBlocks {
+				return nil, fmt.Errorf("parallel: program %q needs %d shared arena blocks, have %d",
+					prog.Algorithm, ws.SharedPeak, ex.sharedBlocks)
+			}
+		} else if err := ws.FitsCore(prog.Resources); err != nil {
+			return nil, fmt.Errorf("parallel: program %q: %w", prog.Algorithm, err)
+		}
+		if ws.CorePeak > ex.arenaBlocks {
+			return nil, fmt.Errorf("parallel: program %q needs %d arena blocks per core, have %d",
+				prog.Algorithm, ws.CorePeak, ex.arenaBlocks)
+		}
+		c.staging = ws.Stages > 0 || (ex.mode.SharedLevel() && ws.SharedStages > 0)
+	}
+	if c.staging && ex.mode.SharedLevel() {
+		var err error
+		if ex.mode == ModeSharedPipelined {
+			c.plan, err = schedule.PlanPipelineDepth(prog, ex.sharedBlocks, ex.lookaheadDepth())
+		} else {
+			c.plan, err = schedule.PlanSerial(prog, ex.sharedBlocks)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("parallel: program %q: %w", prog.Algorithm, err)
+		}
+	}
+	ex.comp = c
+	return c, nil
+}
+
+// execute is the body of RunContext: compilation, arena setup, replay
+// and the end-of-run drains.
+func (ex *Executor) execute(src *schedule.Program) error {
+	if src.Cores != ex.team.Size() {
+		return fmt.Errorf("parallel: program %q wants %d cores, team has %d",
+			src.Algorithm, src.Cores, ex.team.Size())
 	}
 	ex.ms = LevelTraffic{}
 	for i := range ex.md {
 		ex.md[i] = LevelTraffic{}
 	}
-	// Chip topology follows the program: the shared-level modes split
-	// their arena per declared chip and route every line by its home;
-	// the other modes have no shared level, hence a single flat chip.
+	ex.stageWait = 0
+	ex.computeTime = 0
+	// Chip topology follows the program (the optimizer's rewrite keeps
+	// its resources and placement): the shared-level modes split their
+	// arena per declared chip and route every line by its home; the
+	// other modes have no shared level, hence a single flat chip.
 	ex.chips = 1
 	ex.homeOf = nil
 	if len(ex.chipOf) != ex.team.Size() {
 		ex.chipOf = make([]int, ex.team.Size())
 	}
 	if ex.mode.SharedLevel() {
-		ex.chips = prog.Resources.ChipCount()
+		ex.chips = src.Resources.ChipCount()
 		if ex.chips > ex.team.Size() || ex.team.Size()%ex.chips != 0 {
 			return fmt.Errorf("parallel: program %q declares %d chips, which cannot split %d cores evenly",
-				prog.Algorithm, ex.chips, ex.team.Size())
+				src.Algorithm, ex.chips, ex.team.Size())
 		}
-		ex.homeOf = prog.HomeOf
+		ex.homeOf = src.HomeOf
 		for c := range ex.chipOf {
-			ex.chipOf[c] = prog.ChipOfCore(c)
+			ex.chipOf[c] = src.ChipOfCore(c)
 		}
 	} else {
 		for c := range ex.chipOf {
@@ -1013,50 +1038,12 @@ func (ex *Executor) execute(prog *schedule.Program) error {
 			}
 		}
 	}
-	ex.stageWait = 0
-	ex.computeTime = 0
-	ex.staging = false
-	staged := ex.mode != ModeView && !prog.DemandDriven
-	if staged {
-		if prog == ex.validated {
-			ex.staging = ex.validatedStaging
-		} else {
-			ws, err := schedule.Measure(prog)
-			if err != nil {
-				return err
-			}
-			if ex.mode.SharedLevel() {
-				if err := ws.Fits(prog.Resources); err != nil {
-					return fmt.Errorf("parallel: program %q: %w", prog.Algorithm, err)
-				}
-				if ws.SharedPeak > ex.sharedBlocks {
-					return fmt.Errorf("parallel: program %q needs %d shared arena blocks, have %d",
-						prog.Algorithm, ws.SharedPeak, ex.sharedBlocks)
-				}
-			} else if err := ws.FitsCore(prog.Resources); err != nil {
-				return fmt.Errorf("parallel: program %q: %w", prog.Algorithm, err)
-			}
-			if ws.CorePeak > ex.arenaBlocks {
-				return fmt.Errorf("parallel: program %q needs %d arena blocks per core, have %d",
-					prog.Algorithm, ws.CorePeak, ex.arenaBlocks)
-			}
-			ex.staging = ws.Stages > 0 || (ex.mode.SharedLevel() && ws.SharedStages > 0)
-			ex.plan = nil
-			ex.recorded = nil
-			if ex.staging && ex.mode == ModeSharedPipelined {
-				// The region lookahead phases every staging gap and proves
-				// the overlapped footprint and the inclusion discipline
-				// before the stager is allowed to reorder anything.
-				plan, err := schedule.PlanPipelineDepth(prog, ex.sharedBlocks, ex.lookaheadDepth())
-				if err != nil {
-					return fmt.Errorf("parallel: program %q: %w", prog.Algorithm, err)
-				}
-				ex.plan = plan
-			}
-			ex.validated = prog
-			ex.validatedStaging = ex.staging
-		}
-		if ex.staging && ex.arenas == nil {
+	comp, err := ex.compile(src)
+	if err != nil {
+		return err
+	}
+	if comp.staging {
+		if ex.arenas == nil {
 			ex.arenas = make([]*Arena, ex.team.Size())
 			for c := range ex.arenas {
 				a, err := NewArena(ex.arenaBlocks, ex.operands.Q())
@@ -1066,7 +1053,7 @@ func (ex *Executor) execute(prog *schedule.Program) error {
 				ex.arenas[c] = a
 			}
 		}
-		if ex.staging && ex.mode.SharedLevel() && len(ex.shared) != ex.chips {
+		if ex.mode.SharedLevel() && len(ex.shared) != ex.chips {
 			// One CS-sized arena per chip. A reused executor whose new
 			// program declares a different topology reallocates; the old
 			// arenas were drained empty at the end of their last Run.
@@ -1104,12 +1091,11 @@ func (ex *Executor) execute(prog *schedule.Program) error {
 	for _, sa := range ex.shared {
 		sa.setVerify(ex.integrity)
 	}
-	if ex.staging && ex.mode == ModeSharedPipelined {
-		if err := ex.runPipelined(prog); err != nil {
-			return err
-		}
-	} else if err := prog.Emit(ex); err != nil {
+	if err := comp.prog.Emit(ex); err != nil {
 		return err
+	}
+	if comp.plan != nil {
+		ex.runTail(comp.plan)
 	}
 	if ex.err == nil && ex.mode == ModePacked {
 		for c, ar := range ex.arenas {

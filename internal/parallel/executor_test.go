@@ -435,4 +435,12 @@ func TestSharedUnstageWhileCoreResidentFails(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "still holds") {
 		t.Fatalf("inclusion violation not rejected: %v", err)
 	}
+	// The phase planner proves inclusion statically, so the violation is
+	// a pre-flight rejection: nothing moved and nothing is quarantined.
+	if err := ex.Err(); err != nil {
+		t.Fatalf("pre-flight rejection quarantined the executor: %v", err)
+	}
+	if got := ex.Traffic(); got != (Traffic{}) {
+		t.Fatalf("rejected program moved data: %+v", got)
+	}
 }

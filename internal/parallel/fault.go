@@ -150,9 +150,9 @@ func (ex *Executor) ctxErr() error {
 // — drops its resident tiles without merging and zeroes its backing
 // buffer (after a mid-kernel death or injected corruption the contents
 // are suspect, so nothing is written back and nothing survives), and
-// the provenance counters rewind. Program caches (validation, pipeline
-// plans, recordings, optimizer rewrites) are kept: programs are
-// immutable, so they remain valid across failures.
+// the provenance counters rewind. The compiled program (optimizer
+// rewrite, validation, phase plan) is kept: programs are immutable, so
+// it remains valid across failures.
 //
 // The operand matrices are the caller's: a failed run may have written
 // partial results back into them, so restore the inputs before

@@ -89,8 +89,8 @@ func runOptCell(t *testing.T, a algo.Algorithm, mach machine.Machine, mode Mode,
 		md[c] = ex.CoreTraffic(c)
 	}
 	replayed := prog
-	if ex.optProg != nil {
-		replayed = ex.optProg
+	if ex.comp != nil {
+		replayed = ex.comp.prog
 	}
 	return optCellResult{c: tr.C.Dense(), tra: ex.Traffic(), md: md, rep: ex.OptimizeReport(), plan: ex.Plan(), prog: replayed}
 }

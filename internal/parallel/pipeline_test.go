@@ -129,6 +129,55 @@ func TestPipelinedPlanFindsOverlap(t *testing.T) {
 	}
 }
 
+// ModeShared runs its memory↔shared stream from a schedule.PlanSerial
+// plan: after a staged run the executor exposes it, with every driver
+// op of the program a barrier op and nothing overlapped.
+func TestSharedPlanIsAllBarrier(t *testing.T) {
+	mach := testMachine(4)
+	w := algo.Workload{M: 6, N: 5, Z: 4}
+	for _, a := range algo.Extended() {
+		prog, err := a.Schedule(mach, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.DemandDriven {
+			continue
+		}
+		ws, err := schedule.Measure(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := matrix.NewTriple(w.M, w.N, w.Z, mach.Q, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		team, err := NewTeam(mach.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := NewExecutor(team, tr, nil, ModeShared, mach.CD, mach.CS)
+		if err != nil {
+			team.Close()
+			t.Fatal(err)
+		}
+		err = ex.Run(prog)
+		team.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", a.Name(), err)
+		}
+		plan := ex.Plan()
+		if plan == nil {
+			t.Fatalf("%s: no phase plan exposed after a staged ModeShared run", a.Name())
+		}
+		if plan.Hoisted != 0 || plan.Retired != 0 || plan.Overlapped() != 0 {
+			t.Fatalf("%s: ModeShared plan overlaps staging: %+v", a.Name(), plan)
+		}
+		if want := int(ws.SharedStages + ws.SharedUnstages); plan.Barriered != want {
+			t.Fatalf("%s: plan barriers %d ops, program has %d driver ops", a.Name(), plan.Barriered, want)
+		}
+	}
+}
+
 // The schedule bug the serial executor faults on at runtime — a shared
 // unstage while a core still holds the line — must fail in the
 // pipelined mode too, via the planner's static check, before anything

@@ -24,9 +24,9 @@ import (
 // memory.
 //
 // Concurrency contract: Stage, Unstage and Drain run on a single
-// goroutine — the driving goroutine between parallel regions in
-// ModeShared, the stager goroutine (possibly concurrent with worker
-// regions) in ModeSharedPipelined. Refill and Absorb run on worker
+// goroutine — the driving goroutine, between parallel regions in
+// ModeShared and also, as the stager, concurrently with worker regions
+// in ModeSharedPipelined. Refill and Absorb run on worker
 // goroutines inside regions. The slot index and free list are guarded
 // by a readers-writer lock so the pipelined stager may restage free
 // slots while workers look up resident ones; the tile *data* needs no

@@ -1,9 +1,6 @@
 package parallel
 
-import (
-	"repro/internal/matrix"
-	"repro/internal/schedule"
-)
+import "repro/internal/matrix"
 
 // Tuning bundles the executor's machine-local tunables: the kernel
 // register-blocking shape and the pipeline lookahead depth. The zero
@@ -33,21 +30,15 @@ type Tuning struct {
 // DefaultTuning is the untuned configuration.
 var DefaultTuning = Tuning{}
 
-// SetTuning reconfigures the executor's tunables. It invalidates the
-// validated-program cache (and with it the cached pipeline plan and
-// recording), because a new lookahead needs a new plan; the next Run
-// re-validates.
+// SetTuning reconfigures the executor's tunables. It drops the
+// compiled program (optimizer rewrite, validation and phase plan),
+// because a new lookahead needs a new plan and the optimizer switch a
+// new stream; the next Run recompiles.
 func (ex *Executor) SetTuning(t Tuning) {
 	ex.kernels = t.Kernels
 	ex.lookahead = t.Lookahead
 	ex.optimize = t.Optimize
-	ex.validated = nil
-	ex.validatedStaging = false
-	ex.plan = nil
-	ex.recorded = nil
-	ex.optSrc = nil
-	ex.optProg = nil
-	ex.optRep = schedule.OptimizeReport{}
+	ex.comp = nil
 }
 
 // Tuning returns the executor's current tunables.

@@ -9,10 +9,10 @@ import "fmt"
 // fits the declared shared capacity and that the reordering can never
 // change which blocks are resident when a core touches them.
 //
-// The serial executor realises the stream in program order: every
-// StageShared/UnstageShared between two parallel regions sits on the
-// critical path behind the team barrier. The lookahead classifies each
-// of those gap operations into one of three phases:
+// Executed in program order, every StageShared/UnstageShared between
+// two parallel regions sits on the critical path behind the team
+// barrier. The lookahead classifies each of those gap operations into
+// one of three phases:
 //
 //	Prefetch stages executed while an *earlier* region still computes
 //	         (the prefetch half of the double buffer); with lookahead
@@ -48,14 +48,16 @@ import "fmt"
 //
 // An unstage is retirable when it trails every deferred stage of its
 // gap and the next region never touches its line. Everything else
-// stays a barrier op, exactly where the serial executor runs it — so a
-// schedule with no slack degrades to the serial order, never to an
-// incorrect one.
+// stays a barrier op, at its program-order position — so a schedule
+// with no slack degrades to the serial order, never to an incorrect
+// one. At depth 0 (PlanSerial) nothing is hoisted or retired: every gap
+// op is a barrier op, which is how a backend without overlap runs the
+// stream.
 //
 // The pass also proves the inclusion discipline statically: a shared
 // unstage whose line is still resident in some core's distributed cache
-// is rejected here, because the pipelined backend retires write-backs
-// concurrently with worker regions and cannot re-check residency at
+// is rejected here, because a backend that retires write-backs
+// concurrently with worker regions cannot re-check residency at
 // runtime without racing the workers.
 
 // pipelineHidePerApply is the static time-hiding model: one Apply
@@ -73,9 +75,9 @@ type PipelinedOp struct {
 }
 
 // PipelineRegion phases the shared staging gap that precedes one
-// parallel region of the program (regions are counted as the serial
-// executor runs them: Parallel calls in which at least one core emits a
-// Stage, Unstage or Apply).
+// parallel region of the program (regions are counted as the executor
+// runs them: Parallel calls in which at least one core emits a Stage,
+// Unstage or Apply).
 type PipelineRegion struct {
 	// Prefetch holds the StageShared lines the driver stages while THIS
 	// region computes. At depth 1 every entry serves the next gap; at
@@ -102,7 +104,7 @@ type PipelinePlan struct {
 	Tail []PipelinedOp
 
 	// Depth is the lookahead the plan was built with: the maximum number
-	// of regions a stage may prefetch ahead of its gap.
+	// of regions a stage may prefetch ahead of its gap (0 for PlanSerial).
 	Depth int
 	// SerialPeak is the peak shared residency of the in-order schedule
 	// on the fullest chip — WorkingSet.SharedPeak, re-derived here.
@@ -142,17 +144,28 @@ func PlanPipeline(p *Program, sharedCap int) (*PipelinePlan, error) {
 // slots and the given lookahead depth (how many regions ahead of its
 // gap a stage may prefetch). It fails when the program violates the
 // inclusion discipline (a shared unstage of a line still staged in
-// some core) — the serial backend faults on the same schedule at
-// runtime — or when the planned overlapped footprint cannot fit
+// some core) or when the planned overlapped footprint cannot fit
 // sharedCap, which cannot happen for a program whose serial working
 // set fits (prefetching never exceeds the capacity by construction)
 // and is checked anyway as the pass's own invariant.
 func PlanPipelineDepth(p *Program, sharedCap, depth int) (*PipelinePlan, error) {
-	if sharedCap <= 0 {
-		return nil, fmt.Errorf("schedule: pipeline plan needs a positive shared capacity, got %d", sharedCap)
-	}
 	if depth < 1 {
 		return nil, fmt.Errorf("schedule: pipeline plan needs a lookahead depth ≥ 1, got %d", depth)
+	}
+	return planPipeline(p, sharedCap, depth)
+}
+
+// PlanSerial phases p for a backend that overlaps nothing: every gap op
+// is a Barrier op in program order, nothing is hoisted or retired, and
+// the plan's Depth is 0. It is the same pass as PlanPipelineDepth, so
+// the same static inclusion and capacity proofs gate the serial stream.
+func PlanSerial(p *Program, sharedCap int) (*PipelinePlan, error) {
+	return planPipeline(p, sharedCap, 0)
+}
+
+func planPipeline(p *Program, sharedCap, depth int) (*PipelinePlan, error) {
+	if sharedCap <= 0 {
+		return nil, fmt.Errorf("schedule: pipeline plan needs a positive shared capacity, got %d", sharedCap)
 	}
 	chips := p.Resources.ChipCount()
 	col := &pipeCollector{
@@ -260,8 +273,9 @@ func (pl *pipePlanner) plan(col *pipeCollector) *PipelinePlan {
 	regs := make([]PipelineRegion, R)
 	for g, gap := range pl.gaps {
 		reg := &regs[g]
-		if g == 0 {
-			// Nothing precedes the first region; its gap runs up front.
+		if g == 0 || pl.depth == 0 {
+			// Nothing precedes the first region, so its gap runs up front;
+			// at depth 0 every gap does.
 			reg.Barrier = gap
 			plan.Barriered += len(gap)
 			continue
@@ -488,7 +502,7 @@ func (pc *pipeCollector) Parallel(body func(core int, ops CoreSink)) {
 		}
 	}
 	if !work {
-		// The serial executor skips the team barrier for regions with no
+		// The executor skips the team barrier for regions with no
 		// recorded operations, so the surrounding gaps merge.
 		return
 	}

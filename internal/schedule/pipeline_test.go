@@ -372,3 +372,43 @@ func TestPlanPipelineRejectsBadCapacity(t *testing.T) {
 		t.Fatal("non-positive lookahead depth must be rejected")
 	}
 }
+
+// PlanSerial is the same pass at depth 0: with all the spare capacity
+// the pipelined plan overlaps, every gap op stays a barrier op in
+// program order, and the pass's static checks still gate the program.
+func TestPlanSerialKeepsEveryOpOnTheBarrier(t *testing.T) {
+	plan, err := PlanSerial(pipeProg(1), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Regions) != 2 || plan.Depth != 0 {
+		t.Fatalf("planned %d regions at depth %d, want 2 at depth 0", len(plan.Regions), plan.Depth)
+	}
+	want := [][]PipelinedOp{
+		{{Line: LineA(0, 0)}, {Line: LineA(0, 1)}},
+		{{Line: LineA(0, 0), Unstage: true}, {Line: LineA(0, 1), Unstage: true}, {Line: LineA(1, 0)}, {Line: LineA(1, 1)}},
+	}
+	for r, reg := range plan.Regions {
+		if len(reg.Prefetch) != 0 || len(reg.Retire) != 0 {
+			t.Fatalf("region %d overlaps staging: prefetch=%v retire=%v", r, reg.Prefetch, reg.Retire)
+		}
+		if len(reg.Barrier) != len(want[r]) {
+			t.Fatalf("region %d barrier %v, want %v", r, reg.Barrier, want[r])
+		}
+		for i, op := range reg.Barrier {
+			if op != want[r][i] {
+				t.Fatalf("region %d barrier %v, want %v", r, reg.Barrier, want[r])
+			}
+		}
+	}
+	if len(plan.Tail) != 2 || plan.Barriered != 8 || plan.Hoisted != 0 || plan.Retired != 0 {
+		t.Fatalf("tail %v, barriered/hoisted/retired = %d/%d/%d, want 2 tail ops and 8/0/0",
+			plan.Tail, plan.Barriered, plan.Hoisted, plan.Retired)
+	}
+	if plan.Peak != 2 || plan.SerialPeak != 2 || plan.Overlapped() != 0 {
+		t.Fatalf("peak %d (serial %d), overlap %g; want 2 (2), 0", plan.Peak, plan.SerialPeak, plan.Overlapped())
+	}
+	if _, err := PlanSerial(pipeProg(1), 0); err == nil {
+		t.Fatal("non-positive capacity must be rejected")
+	}
+}
