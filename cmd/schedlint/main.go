@@ -189,15 +189,8 @@ func fuzz(n int, seed int64) {
 		if len(fs) == 0 {
 			clean++
 		}
-		planable := true
 		for _, f := range fs {
 			counts[f.Kind]++
-			if f.Kind == verify.BadKernel {
-				planable = false // the planner's sinks panic on arity junk by design
-			}
-		}
-		if !planable {
-			continue
 		}
 		sharedCap := res.SharedBlocks
 		if sharedCap <= 0 {
@@ -205,7 +198,7 @@ func fuzz(n int, seed int64) {
 		}
 		plan, err := schedule.PlanPipelineDepth(p, sharedCap, 1+int(cores)%3)
 		if err != nil {
-			continue
+			continue // the stream does not lower, or the plan fails its proofs
 		}
 		for _, f := range verify.Plan(p, plan, sharedCap) {
 			counts[f.Kind]++

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	"repro/internal/faultinject"
@@ -137,12 +138,13 @@ type Traffic struct {
 // the same operation stream the cache simulator replays onto a Team of
 // worker goroutines computing on float64 blocks.
 //
-// The program's own emission drives the replay in every mode: each
-// parallel region is recorded into per-core scratch — one operation
-// list per core, reused from region to region, with any attached probe
-// fed in each core's program order, exactly matching the simulator
-// probe's per-core streams — and then executed by the Team (see
-// Parallel). In ModePacked every core owns an Arena sized from the
+// The program's trace drives the replay in every mode: Run lowers each
+// program once (schedule.Program.Lower) and keeps the trace with the
+// compiled program, and every Run walks it region by region — any
+// attached probe fed each core's accesses in the core's program order,
+// exactly matching the simulator probe's per-core streams — with the
+// Team running each region's per-core op slices directly (see replay).
+// In ModePacked every core owns an Arena sized from the
 // declared machine's distributed-cache capacity; Stage/Unstage move
 // blocks between the operand matrices and that arena, persisting
 // across regions (a block staged in one region is still arena-resident
@@ -161,7 +163,6 @@ type Executor struct {
 	sharedBlocks int
 	arenas       []*Arena       // allocated by Run for programs that stage
 	shared       []*SharedArena // one per chip; shared-level modes only, allocated with the arenas
-	ops          [][]execOp     // per-core scratch of the current region
 	finished     []time.Time    // per-core finish stamps of the current region
 	err          error
 
@@ -203,8 +204,8 @@ type Executor struct {
 
 	// comp is the compiled form of the last program Run was handed,
 	// keyed by its source pointer (a Program is immutable once built), so
-	// repeated Runs of the same program — the benchmark loop — compile
-	// it only once. SetTuning and SetStrictVerify drop it.
+	// repeated Runs of the same program — the benchmark loop — lower and
+	// compile it only once. SetTuning and SetStrictVerify drop it.
 	comp *compiled
 
 	// kernels selects the register-blocking shape the kernel dispatch
@@ -226,38 +227,18 @@ type Executor struct {
 }
 
 // compiled is everything Run derives from a source program before its
-// first replay. prog is the program actually replayed — src itself, or
-// its optimizer rewrite with rep as the ledger. staging records whether
-// prog moves data in this mode, and plan phases its memory↔shared
-// stream (shared-level modes with staging only; nil otherwise).
+// first replay. prog is the program actually replayed — src lowered, or
+// its optimizer rewrite with rep as the ledger — and trace the trace
+// prog carries. staging records whether prog moves data in this mode,
+// and plan phases its memory↔shared stream (shared-level modes with
+// staging only; nil otherwise).
 type compiled struct {
 	src, prog *schedule.Program
+	trace     *schedule.Trace
 	rep       schedule.OptimizeReport
 	staging   bool
 	plan      *schedule.PipelinePlan
 }
-
-// Executor is the real backend of the schedule IR.
-var _ schedule.Backend = (*Executor)(nil)
-
-// execOp is one recorded per-core operation: a staging transfer or a
-// typed kernel application. line is the staging target or the kernel's
-// destination; srcs carries the kernel's read operands (kernel.Arity()
-// of them — at most two across the whole op set).
-type execOp struct {
-	kind   execOpKind
-	kernel schedule.Kernel
-	line   schedule.Line
-	srcs   [2]schedule.Line
-}
-
-type execOpKind uint8
-
-const (
-	xApply execOpKind = iota
-	xStage
-	xUnstage
-)
 
 // NewExecutor binds a backend to a team and a product triple. probe may
 // be nil. coreBlocks is the per-core arena capacity in tiles of Q×Q
@@ -291,7 +272,6 @@ func NewExecutorOperands(team *Team, operands *matrix.Operands, probe *schedule.
 		mode:         mode,
 		arenaBlocks:  coreBlocks,
 		sharedBlocks: sharedBlocks,
-		ops:          make([][]execOp, team.Size()),
 		finished:     make([]time.Time, team.Size()),
 		md:           make([]LevelTraffic, team.Size()),
 	}
@@ -325,10 +305,10 @@ func NewExecutorOperands(team *Team, operands *matrix.Operands, probe *schedule.
 // fails fast without executing anything. Reset returns the executor to
 // clean (and with it Err to nil); a successful Run after Reset leaves
 // no trace of the previous failure. Pre-flight rejections — a
-// core-count mismatch, a working set that overflows the declared
-// resources, a phase plan that cannot prove inclusion — are returned
-// without entering quarantine: nothing executed, so the executor stays
-// clean.
+// core-count mismatch, a stream that does not lower, a working set that
+// overflows the declared resources, a phase plan that cannot prove
+// inclusion — are returned without entering quarantine: nothing
+// executed, so the executor stays clean.
 func (ex *Executor) Err() error { return ex.err }
 
 func (ex *Executor) fail(err error) {
@@ -430,17 +410,6 @@ func (ex *Executor) OptimizeReport() schedule.OptimizeReport {
 	return ex.comp.rep
 }
 
-// StageShared feeds the probe the shared-level access, in program order
-// and in every mode. It moves no data: in the shared-level modes the
-// physical memory→shared transfer runs from the phase plan (see
-// Parallel), and the other modes have no shared level between the
-// arenas and memory.
-func (ex *Executor) StageShared(l schedule.Line) {
-	if ex.err == nil && ex.probe != nil && ex.probe.SharedAccess != nil {
-		ex.probe.SharedAccess(l)
-	}
-}
-
 // home resolves the home chip of l under the current Run's placement.
 func (ex *Executor) home(l schedule.Line) int {
 	if ex.homeOf == nil {
@@ -491,12 +460,6 @@ func (ex *Executor) stageShared(l schedule.Line) (err error) {
 	return nil
 }
 
-// UnstageShared is invisible to probes, exactly as in the simulator,
-// and moves no data: in the shared-level modes the write-back runs from
-// the phase plan, elsewhere a shared release is the omniscient policy's
-// privilege.
-func (ex *Executor) UnstageShared(schedule.Line) {}
-
 // unstageShared performs the physical shared→memory release of l,
 // counting a dirty write-back on the MS stream. It does not re-check
 // core-arena residency — a pipelined retire runs concurrently with the
@@ -536,137 +499,130 @@ func (ex *Executor) unstageShared(l schedule.Line) (err error) {
 	return nil
 }
 
-// execSink records one core's stream of a parallel region into *out,
-// feeding the probe every access on the way. Kernel applications are
-// always recorded; staging transfers only in the modes that move data
-// (ModeView replays computes on strided views, staying probe-only for
-// staging, exactly as before packed storage existed).
-type execSink struct {
-	ex   *Executor
-	core int
-	out  *[]execOp
-}
-
-func (s execSink) access(l schedule.Line, write bool) {
-	if p := s.ex.probe; p != nil && p.CoreAccess != nil {
-		p.CoreAccess(s.core, l, write)
+// replay is the executor's one region loop: it walks the compiled
+// trace in program order, in every mode. A driver step feeds the probe
+// its shared access and moves no data — in the shared-level modes the
+// physical memory↔shared transfers run from the phase plan, and the
+// other modes have no shared level between the arenas and memory. A
+// region step feeds the probe every core's accesses, then runs the
+// region's per-core op slices concurrently on the team — under the
+// region's phase-plan entry when the program has a plan (see
+// phasedRegion), with a plain team barrier otherwise. Regions that do
+// no work in this mode skip the barrier: unnumbered ones everywhere,
+// and in ModeView, which moves no staging data, those without a kernel
+// (its regions are numbered among themselves). The schedules guarantee
+// that cores write disjoint C blocks within a region — and that arena
+// residency of a C block never migrates between cores across regions —
+// so no further synchronisation is needed.
+func (ex *Executor) replay(c *compiled) {
+	for i := range c.trace.Steps {
+		if ex.err != nil {
+			return
+		}
+		s := &c.trace.Steps[i]
+		if s.Cores == nil {
+			if !s.Shared.Unstage && ex.probe != nil && ex.probe.SharedAccess != nil {
+				ex.probe.SharedAccess(s.Shared.Line)
+			}
+			continue
+		}
+		ex.feedProbe(s.Cores)
+		region := s.Region
+		if region < 0 {
+			continue
+		}
+		if ex.mode == ModeView {
+			if !appliesKernel(s.Cores) {
+				continue
+			}
+			region = ex.region + 1
+		}
+		ex.region = region
+		// Region barriers are cancellation points: the context is polled
+		// once per region, never inside worker replay.
+		if err := ex.ctxErr(); err != nil {
+			ex.fail(err)
+			return
+		}
+		if c.plan != nil {
+			ex.phasedRegion(&c.plan.Regions[region], s.Cores)
+			continue
+		}
+		start := time.Now()
+		ex.fail(ex.team.Run(func(core int) error { return ex.replayOps(core, region, s.Cores[core]) }))
+		ex.computeTime += time.Since(start)
+	}
+	if c.plan != nil {
+		ex.runTail(c.plan)
 	}
 }
 
-// Stage queues the block transfer into this core's arena (staging
-// modes) and feeds the probe the access, exactly as the simulator does.
-func (s execSink) Stage(l schedule.Line) {
-	s.access(l, false)
-	if s.ex.mode != ModeView {
-		*s.out = append(*s.out, execOp{kind: xStage, line: l})
-	}
-}
-
-// Unstage queues the write-back/release of l. It is invisible to
-// probes, exactly as in the simulator.
-func (s execSink) Unstage(l schedule.Line) {
-	if s.ex.mode != ModeView {
-		*s.out = append(*s.out, execOp{kind: xUnstage, line: l})
-	}
-}
-
-// Read records a raw access; it carries no arithmetic.
-func (s execSink) Read(l schedule.Line) { s.access(l, false) }
-
-// Write records a raw access; it carries no arithmetic.
-func (s execSink) Write(l schedule.Line) { s.access(l, true) }
-
-// Apply queues the kernel application for this core and feeds the probe
-// the accesses the kernel declares — each source read in order, then the
-// destination written — exactly the expansion the simulator records.
-func (s execSink) Apply(k schedule.Kernel, dest schedule.Line, srcs ...schedule.Line) {
-	k.Accesses(dest, srcs,
-		func(l schedule.Line) { s.access(l, false) },
-		func(l schedule.Line) { s.access(l, true) })
-	op := execOp{kind: xApply, kernel: k, line: dest}
-	copy(op.srcs[:], srcs)
-	*s.out = append(*s.out, op)
-}
-
-// Compute queues the block FMA C[i,j] += A[i,k]·B[k,j] as its MulAdd
-// expansion, preserving the schedule's read-read-write probe order.
-func (s execSink) Compute(i, j, k int) {
-	s.Apply(schedule.MulAdd, schedule.LineC(i, j), schedule.LineA(i, k), schedule.LineB(k, j))
-}
-
-// Parallel is the executor's one region loop: the program's emission
-// calls it once per region in every mode. It records the per-core
-// streams of the region into the reused per-core scratch, then runs
-// them concurrently on the team — under the region's phase-plan entry
-// when the program has a plan (see phasedRegion), with a plain team
-// barrier otherwise. The schedules guarantee that cores write disjoint
-// C blocks within a region — and that arena residency of a C block
-// never migrates between cores across regions — so no further
-// synchronisation is needed.
-func (ex *Executor) Parallel(body func(core int, ops schedule.CoreSink)) {
-	if ex.err != nil {
+// feedProbe feeds the probe one region's accesses, core by core in each
+// core's program order, exactly as the simulator records them: a Stage
+// reads its line, a kernel reads its sources in order and then writes
+// its destination, raw accesses pass through, and an Unstage stays
+// invisible.
+func (ex *Executor) feedProbe(cores [][]schedule.Op) {
+	p := ex.probe
+	if p == nil || p.CoreAccess == nil {
 		return
 	}
-	work := false
-	for c := range ex.ops {
-		ex.ops[c] = ex.ops[c][:0]
-		body(c, execSink{ex: ex, core: c, out: &ex.ops[c]})
-		work = work || len(ex.ops[c]) > 0
+	for c, ops := range cores {
+		read := func(l schedule.Line) { p.CoreAccess(c, l, false) }
+		write := func(l schedule.Line) { p.CoreAccess(c, l, true) }
+		for i := range ops {
+			switch op := &ops[i]; op.Kind {
+			case schedule.OpStage, schedule.OpRead:
+				read(op.Line)
+			case schedule.OpWrite:
+				write(op.Line)
+			case schedule.OpApply:
+				op.Kernel.Accesses(op.Line, op.Sources(), read, write)
+			}
+		}
 	}
-	// Regions with no recorded operations (probe-only in this mode)
-	// skip the team barrier; the probe has already seen the streams.
-	if !work {
-		return
-	}
-	ex.region++
-	// Region barriers are cancellation points: the context is polled
-	// once per region, never inside worker replay.
-	if err := ex.ctxErr(); err != nil {
-		ex.fail(err)
-		return
-	}
-	if plan := ex.comp.plan; plan != nil {
-		ex.phasedRegion(plan)
-		return
-	}
-	region := ex.region
-	start := time.Now()
-	ex.fail(ex.team.Run(func(c int) error { return ex.replayOps(c, region, ex.ops[c]) }))
-	ex.computeTime += time.Since(start)
 }
 
-// siteOf maps a recorded op to its injection-point kind.
-func siteOf(op execOp) faultinject.OpKind {
-	switch op.kind {
-	case xStage:
+// appliesKernel reports whether any core of a region applies a kernel.
+func appliesKernel(cores [][]schedule.Op) bool {
+	return slices.ContainsFunc(cores, func(ops []schedule.Op) bool {
+		return slices.ContainsFunc(ops, func(op schedule.Op) bool { return op.Kind == schedule.OpApply })
+	})
+}
+
+// siteOf maps a trace op to its injection-point kind.
+func siteOf(op *schedule.Op) faultinject.OpKind {
+	switch op.Kind {
+	case schedule.OpStage:
 		return faultinject.Stage
-	case xUnstage:
+	case schedule.OpUnstage:
 		return faultinject.Unstage
 	default:
 		return faultinject.Apply
 	}
 }
 
-// replayOps executes core c's recorded stream of one region. The
-// arena applies only when the *current* program stages: a reused
-// Executor may hold arenas from an earlier staged Run while replaying a
-// demand-driven program, whose computes must take the strided path.
+// replayOps executes core c's op slice of one region. Raw Read/Write
+// accesses are probe-only and carry no index, as are staging ops in
+// ModeView, which moves no staging data. The arena applies only when
+// the *current* program stages: a reused Executor may hold arenas from
+// an earlier staged Run while replaying a demand-driven program, whose
+// computes must take the strided path.
 //
 // Every op is an injection point and carries provenance: failures come
 // back as *RunError with the (region, core, index) coordinate, the op
 // site, kernel and line; a panic — a kernel's or an injected one — is
 // recovered here with the in-flight op's identity, so the Team's
 // recover is only ever a backstop for panics outside op replay.
-func (ex *Executor) replayOps(c, region int, ops []execOp) (err error) {
+func (ex *Executor) replayOps(c, region int, ops []schedule.Op) (err error) {
 	var ar *Arena
 	if ex.comp.staging {
 		ar = ex.arenas[c]
 	}
 	md := &ex.md[c]
 	idx := ex.opIdx[c]
-	var cur execOp
+	var cur *schedule.Op
 	var site faultinject.OpKind
-	active := false
 	defer func() {
 		ex.opIdx[c] = idx
 		if r := recover(); r != nil {
@@ -677,16 +633,25 @@ func (ex *Executor) replayOps(c, region int, ops []execOp) (err error) {
 				PanicValue: r,
 				Stack:      debug.Stack(),
 			}
-			if active {
-				re.Site, re.Kernel, re.Line, re.HasOp = site, cur.kernel, cur.line, true
+			if cur != nil {
+				re.Site, re.Kernel, re.Line, re.HasOp = site, cur.Kernel, cur.Line, true
 			}
 			err = re
 		}
 	}()
-	for _, op := range ops {
-		cur, site, active = op, siteOf(op), true
+	for i := range ops {
+		op := &ops[i]
+		switch op.Kind {
+		case schedule.OpRead, schedule.OpWrite:
+			continue
+		case schedule.OpStage, schedule.OpUnstage:
+			if ex.mode == ModeView {
+				continue
+			}
+		}
+		cur, site = op, siteOf(op)
 		ref := schedule.OpRef{Region: region, Core: c, Index: idx}
-		act, ierr := ex.injectAt(faultinject.Point{Op: ref, Kind: site, Kernel: op.kernel, Line: op.line})
+		act, ierr := ex.injectAt(faultinject.Point{Op: ref, Kind: site, Kernel: op.Kernel, Line: op.Line})
 		if ierr != nil {
 			return ex.opError(ref, site, op, ierr)
 		}
@@ -698,26 +663,26 @@ func (ex *Executor) replayOps(c, region int, ops []execOp) (err error) {
 	return nil
 }
 
-// replayOne executes a single recorded op on core c. act carries the
+// replayOne executes a single trace op on core c. act carries the
 // already-resolved injection at this point; the only action left to
 // apply here is ActCorrupt, which flips a bit of the freshly staged (or
 // freshly written) arena copy after the op completed.
-func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op execOp, act faultinject.Action) error {
-	switch op.kind {
-	case xStage, xUnstage:
+func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op *schedule.Op, act faultinject.Action) error {
+	switch op.Kind {
+	case schedule.OpStage, schedule.OpUnstage:
 		if ar == nil {
 			// Staging ops reach replay only through Run, which
 			// allocates arenas for every program that stages.
-			return fmt.Errorf("parallel: staging op %v outside a validated Run", op.line)
+			return fmt.Errorf("parallel: staging op %v outside a validated Run", op.Line)
 		}
-		if op.kind == xStage {
+		if op.Kind == schedule.OpStage {
 			if ex.mode.SharedLevel() {
 				// The core arena fills from the block's home chip's
 				// shared arena, never from the matrices. A foreign home
 				// makes the same transfer an inter-chip one: counted on
 				// MD as always, plus the interconnect stream.
-				home := ex.home(op.line)
-				values, err := ex.shared[home].Refill(ar, op.line)
+				home := ex.home(op.Line)
+				values, err := ex.shared[home].Refill(ar, op.Line)
 				if err != nil {
 					return err
 				}
@@ -726,23 +691,23 @@ func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op execOp, act
 					ex.icw[c][home].stage(values)
 				}
 			} else {
-				src, err := ex.block(op.line)
+				src, err := ex.block(op.Line)
 				if err != nil {
 					return err
 				}
-				if err := ar.Stage(op.line, src); err != nil {
+				if err := ar.Stage(op.Line, src); err != nil {
 					return err
 				}
 				md.stage(src.Rows() * src.Cols())
 			}
 			if act.Kind == faultinject.ActCorrupt {
-				if slot := ar.tile(op.line); slot != nil {
+				if slot := ar.tile(op.Line); slot != nil {
 					corruptData(slot.data, act.Bit)
 				}
 			}
 			return nil
 		}
-		rows, cols, data, dirty, err := ar.release(op.line)
+		rows, cols, data, dirty, err := ar.release(op.Line)
 		if err != nil {
 			return err
 		}
@@ -754,15 +719,15 @@ func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op execOp, act
 			// copy, as EvictDistributed merges under IDEAL; the shared
 			// level owns the eventual write-back to memory. A foreign
 			// home sends the merge over the interconnect.
-			home := ex.home(op.line)
-			if err := ex.shared[home].Absorb(op.line, rows, cols, data); err != nil {
+			home := ex.home(op.Line)
+			if err := ex.shared[home].Absorb(op.Line, rows, cols, data); err != nil {
 				return err
 			}
 			if home != ex.chipOf[c] {
 				ex.icw[c][home].writeBack(rows * cols)
 			}
 		} else {
-			dst, err := ex.block(op.line)
+			dst, err := ex.block(op.Line)
 			if err != nil {
 				return err
 			}
@@ -772,12 +737,12 @@ func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op execOp, act
 		}
 		md.writeBack(rows * cols)
 		return nil
-	case xApply:
+	case schedule.OpApply:
 		if err := ex.apply(ar, op); err != nil {
 			return err
 		}
 		if act.Kind == faultinject.ActCorrupt && ar != nil {
-			if slot := ar.tile(op.line); slot != nil {
+			if slot := ar.tile(op.Line); slot != nil {
 				corruptData(slot.data, act.Bit)
 			}
 		}
@@ -799,36 +764,35 @@ func (ex *Executor) block(l schedule.Line) (*matrix.Dense, error) {
 // the kernel reads the tile views directly; both paths run the very
 // same arithmetic, so packed-vs-view ratios measure data layout, never
 // loop shape, and the two results are bitwise identical.
-func (ex *Executor) apply(ar *Arena, op execOp) error {
-	arity := op.kernel.Arity()
+func (ex *Executor) apply(ar *Arena, op *schedule.Op) error {
 	var dest *matrix.Dense
 	var srcs [2]*matrix.Dense
 	if ar != nil {
-		sd := ar.tile(op.line)
+		sd := ar.tile(op.Line)
 		if sd == nil {
-			return fmt.Errorf("parallel: %v on non-resident destination %v", op.kernel, op.line)
+			return fmt.Errorf("parallel: %v on non-resident destination %v", op.Kernel, op.Line)
 		}
 		dest = sd.hdr
 		sd.dirty = true
-		for i := 0; i < arity; i++ {
-			ss := ar.tile(op.srcs[i])
+		for i, src := range op.Sources() {
+			ss := ar.tile(src)
 			if ss == nil {
-				return fmt.Errorf("parallel: %v of %v with non-resident source %v", op.kernel, op.line, op.srcs[i])
+				return fmt.Errorf("parallel: %v of %v with non-resident source %v", op.Kernel, op.Line, src)
 			}
 			srcs[i] = ss.hdr
 		}
 	} else {
 		var err error
-		if dest, err = ex.block(op.line); err != nil {
+		if dest, err = ex.block(op.Line); err != nil {
 			return err
 		}
-		for i := 0; i < arity; i++ {
-			if srcs[i], err = ex.block(op.srcs[i]); err != nil {
+		for i, src := range op.Sources() {
+			if srcs[i], err = ex.block(src); err != nil {
 				return err
 			}
 		}
 	}
-	switch op.kernel {
+	switch op.Kernel {
 	case schedule.MulAdd:
 		return ex.kernels.MulAdd(dest, srcs[0], srcs[1])
 	case schedule.MulSub:
@@ -840,13 +804,16 @@ func (ex *Executor) apply(ar *Arena, op execOp) error {
 	case schedule.TrsmUpperRight:
 		return ex.kernels.TrsmUpperRight(srcs[0], dest)
 	default:
-		return fmt.Errorf("parallel: no executor dispatch for kernel %v", op.kernel)
+		return fmt.Errorf("parallel: no executor dispatch for kernel %v", op.Kernel)
 	}
 }
 
-// Run replays a complete program and reports the first error. In the
-// staging modes the program's measured working set is validated against
-// the resources it declares before anything executes, and any tiles a
+// Run replays a complete program and reports the first error. The
+// first Run of a program lowers it — the one call of its Body — and
+// compiles the trace; later Runs of the same program replay the
+// compiled trace without calling the Body. In the staging modes the
+// program's measured working set is validated against the resources it
+// declares before anything executes, and any tiles a
 // sloppy schedule left staged are flushed back afterwards (schedules
 // are expected to unstage everything themselves; the simulated
 // hierarchy has the same end-of-run Flush). The flush drains the levels
@@ -862,9 +829,8 @@ func (ex *Executor) apply(ar *Arena, op execOp) error {
 // is never allocated would regress workloads that run fine). The
 // shared-level modes materialise both levels and therefore validate
 // both (Fits) — there a shared overclaim is a real overflow of the
-// CS-sized arena and must be rejected up front. The validation replay
-// costs one extra pass over the operation stream — measured at ~0.4% of
-// the packed run time for n=1024, far below run-to-run noise.
+// CS-sized arena and must be rejected up front. The validation is a
+// walk of the compiled trace, paid once per program.
 //
 // Run is RunContext with a background context; see RunContext for the
 // cancellation and failure contract.
@@ -886,8 +852,9 @@ func (ex *Executor) Run(prog *schedule.Program) error {
 // kernel errors, staging-discipline violations, injected faults,
 // integrity-check trips, worker or driver panics — is returned as a
 // *RunError carrying the failing operation's provenance. Panics
-// anywhere in the replay (including the program's own Body emitter) are
-// recovered; RunContext never lets one escape.
+// anywhere in the run (including the program's own Body, which runs
+// when the program is lowered) are recovered; RunContext never lets one
+// escape.
 func (ex *Executor) RunContext(ctx context.Context, prog *schedule.Program) (err error) {
 	if ex.err != nil {
 		return fmt.Errorf("parallel: executor quarantined by an earlier failure (%v); Reset it before running again", ex.err)
@@ -923,32 +890,42 @@ func (ex *Executor) RunContext(ctx context.Context, prog *schedule.Program) (err
 }
 
 // compile derives src's compiled form, or returns the cached one when
-// src is the program compiled last. In order: the optimizer rewrite
-// (staged programs, with the Optimize tunable on) — so strict
-// verification, validation, planning and replay all see the stream
-// that actually runs — then the strict verifier gate, then, for staged
-// programs, the measured working set validated against the resources
-// the program declares and the executor's arena capacities, and in the
-// shared-level modes the phase plan: schedule.PlanPipelineDepth at the
-// tuned lookahead in ModeSharedPipelined, schedule.PlanSerial in
-// ModeShared. Both planner entry points prove the inclusion discipline
-// and the footprint statically, before anything executes. (Run's doc
-// explains why ModePacked validates the core level only.)
+// src is the program compiled last. In order: the one lowering of src —
+// a stream that does not lower is rejected here — then the optimizer
+// rewrite of its trace (staged programs, with the Optimize tunable on),
+// so strict verification, validation, planning and replay all see the
+// stream that actually runs; then the strict verifier gate; then, for
+// staged programs, the measured working set validated against the
+// resources the program declares and the executor's arena capacities,
+// and in the shared-level modes the phase plan:
+// schedule.PlanPipelineDepth at the tuned lookahead in
+// ModeSharedPipelined, schedule.PlanSerial in ModeShared. Both planner
+// entry points prove the inclusion discipline and the footprint
+// statically, before anything executes. Every step after the lowering
+// reads the trace the compiled program carries. (Run's doc explains why
+// ModePacked validates the core level only.)
 func (ex *Executor) compile(src *schedule.Program) (*compiled, error) {
 	if ex.comp != nil && ex.comp.src == src {
 		return ex.comp, nil
 	}
 	ex.comp = nil
-	c := &compiled{src: src, prog: src}
+	prog, err := src.Lowered()
+	if err != nil {
+		return nil, err
+	}
+	c := &compiled{src: src}
 	staged := ex.mode != ModeView && !src.DemandDriven
 	if staged && ex.optimize {
-		opt, rep, err := schedule.Optimize(src, schedule.OptimizeOptions{})
+		opt, rep, err := schedule.Optimize(prog, schedule.OptimizeOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("parallel: program %q: optimizer: %w", src.Algorithm, err)
 		}
-		c.prog, c.rep = opt, rep
+		prog, c.rep = opt, rep
 	}
-	prog := c.prog
+	c.prog = prog
+	if c.trace, err = prog.Lower(); err != nil {
+		return nil, err
+	}
 	if err := ex.strictVerifyCheck(prog); err != nil {
 		return nil, err
 	}
@@ -1091,12 +1068,7 @@ func (ex *Executor) execute(src *schedule.Program) error {
 	for _, sa := range ex.shared {
 		sa.setVerify(ex.integrity)
 	}
-	if err := comp.prog.Emit(ex); err != nil {
-		return err
-	}
-	if comp.plan != nil {
-		ex.runTail(comp.plan)
-	}
+	ex.replay(comp)
 	if ex.err == nil && ex.mode == ModePacked {
 		for c, ar := range ex.arenas {
 			_, err := ar.Drain(func(l schedule.Line, rows, cols int, data []float64) error {

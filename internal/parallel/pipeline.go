@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/schedule"
@@ -10,20 +9,21 @@ import (
 // This file runs the memory↔shared stream of the shared-level modes
 // from the program's phase plan: schedule.PlanPipelineDepth in
 // ModeSharedPipelined, schedule.PlanSerial (every op a barrier op) in
-// ModeShared. Both modes replay the same program, the same arenas and
+// ModeShared. Both modes replay the same trace, the same arenas and
 // the same MS/MD streams; only the timing of the shared transfers
 // differs.
 //
-// The program's own emission drives the run, region by region, through
-// Executor.Parallel; StageShared and UnstageShared only feed the probe.
-// For each region r the driver runs the gap's Barrier ops (the staging
-// that must stay on the critical path — this is the run's StageWait),
-// hands the region to the workers with Team.Launch, and becomes the
-// stager for the duration of the region: it retires the gap's trailing
-// write-backs (Retire) and runs the region's Prefetch list — stages for
-// gaps up to the plan's lookahead Depth ahead — into spare shared slots
-// while the workers compute, then joins the team. After Emit returns,
-// the plan's Tail drains the shared level.
+// The compiled trace drives the run, region by region, through
+// Executor.replay; its driver steps only feed the probe. The plan was
+// built from the same trace, so its region list is the trace's
+// numbered regions. For each region r the driver runs the gap's Barrier
+// ops (the staging that must stay on the critical path — this is the
+// run's StageWait), hands the region to the workers with Team.Launch,
+// and becomes the stager for the duration of the region: it retires the
+// gap's trailing write-backs (Retire) and runs the region's Prefetch
+// list — stages for gaps up to the plan's lookahead Depth ahead — into
+// spare shared slots while the workers compute, then joins the team.
+// After the last region, the plan's Tail drains the shared level.
 //
 // The hand-off protocol is the region epoch itself: every reordered
 // operation runs strictly between one Launch and its join, and the plan
@@ -40,18 +40,10 @@ import (
 // data itself is never contended, because every concurrent pairing
 // addresses disjoint lines.
 
-// phasedRegion runs the current region (ex.region, whose ops the
-// per-core scratch holds) under its plan entry.
-func (ex *Executor) phasedRegion(plan *schedule.PipelinePlan) {
+// phasedRegion runs the current region (ex.region, whose per-core op
+// slices are cores) under its plan entry reg.
+func (ex *Executor) phasedRegion(reg *schedule.PipelineRegion, cores [][]schedule.Op) {
 	r := ex.region
-	if r >= len(plan.Regions) {
-		// The plan replayed the same immutable program; a mismatch means
-		// the program's Body is not deterministic across replays.
-		ex.fail(fmt.Errorf("parallel: program %q emitted more parallel regions than the %d its phase plan saw — the schedule body must be deterministic",
-			ex.algorithm, len(plan.Regions)))
-		return
-	}
-	reg := &plan.Regions[r]
 	start := time.Now()
 	err := ex.driverOps(reg.Barrier)
 	ex.stageWait += time.Since(start)
@@ -68,7 +60,7 @@ func (ex *Executor) phasedRegion(plan *schedule.PipelinePlan) {
 	finished := ex.finished
 	clear(finished)
 	wait := ex.team.Launch(func(c int) error {
-		err := ex.replayOps(c, r, ex.ops[c])
+		err := ex.replayOps(c, r, cores[c])
 		finished[c] = time.Now()
 		return err
 	})
@@ -113,17 +105,11 @@ func (ex *Executor) phasedRegion(plan *schedule.PipelinePlan) {
 	ex.fail(stageErr)
 }
 
-// runTail finishes a planned run after Emit returned: it checks that
-// the run emitted every region the plan phased, then runs the plan's
-// Tail. Tail ops belong to no region; they report as region
+// runTail finishes a planned run after its last region: it runs the
+// plan's Tail, which belongs to no region and reports as region
 // len(plan.Regions).
 func (ex *Executor) runTail(plan *schedule.PipelinePlan) {
 	if ex.err != nil {
-		return
-	}
-	if n := ex.region + 1; n != len(plan.Regions) {
-		ex.fail(fmt.Errorf("parallel: program %q emitted %d parallel regions, its phase plan saw %d — the schedule body must be deterministic",
-			ex.algorithm, n, len(plan.Regions)))
 		return
 	}
 	ex.region = len(plan.Regions)

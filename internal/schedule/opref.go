@@ -11,13 +11,14 @@ import "fmt"
 // plans (internal/faultinject) and the executor's RunError both speak.
 //
 // Conventions: Core -1 is the driving goroutine (shared-level staging,
-// in both the serial and the pipelined stager role); Region counts
-// parallel regions that emitted work, matching the executor's barriers
-// and the pipeline plan's region list; Index counts the core's (or the
-// driver's) operations cumulatively across the whole run, so a fault
-// plan addressing (core, index) fires at the same operation on every
-// replay. -1 in any field means "unknown" — a panic caught outside op
-// replay, for example.
+// in both the serial and the pipelined stager role); Region is the
+// number the region got at lowering (Step.Region), which the executor's
+// barriers and the pipeline plan's region list share (the executor's
+// ModeView, which moves no staging data, numbers only the regions that
+// apply a kernel); Index counts the core's (or the driver's) operations
+// cumulatively across the whole run, so a fault plan addressing (core,
+// index) fires at the same operation on every replay. -1 in any field
+// means "unknown" — a panic caught outside op replay, for example.
 type OpRef struct {
 	Region int
 	Core   int

@@ -1,15 +1,15 @@
 package schedule
 
 // This file is the residency-aware schedule optimizer: a liveness pass
-// over the recorded op stream that elides restaging the machine never
-// needed. The paper's cost model charges every block crossing the MS
-// (memory↔shared) and MD (shared↔core) streams; emitters, written as
-// per-region loop nests, routinely unstage a line only to restage the
-// same line a few regions later. With exact per-chip capacity
-// accounting (CheckCapacity) the pass can prove, point by point along
-// the program, that keeping such a line resident never exceeds the
-// declared cache — so the elision is free capacity-wise and strictly
-// cheaper traffic-wise.
+// over the program's trace (see Lower) that elides restaging the
+// machine never needed. The paper's cost model charges every block
+// crossing the MS (memory↔shared) and MD (shared↔core) streams;
+// emitters, written as per-region loop nests, routinely unstage a line
+// only to restage the same line a few regions later. With exact
+// per-chip capacity accounting (CheckCapacity) the pass can prove,
+// point by point along the program, that keeping such a line resident
+// never exceeds the declared cache — so the elision is free
+// capacity-wise and strictly cheaper traffic-wise.
 //
 // Three rewrites, all elisions (the pass never adds or reorders ops):
 //
@@ -30,12 +30,14 @@ package schedule
 // residency rules, re-derived here) is returned unchanged — and it is
 // not trusted: Optimize re-measures the rewritten program and fails
 // loudly if the footprint violates CheckCapacity or the op accounting
-// does not balance. The test suites additionally pin every optimized
-// program to its baseline bitwise through the simulator and the real
-// executor.
+// does not balance. The optimized program carries the compacted trace:
+// only the surviving ops, in slices sized to their contents. The test
+// suites additionally pin every optimized program to its baseline
+// bitwise through the simulator and the real executor.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -101,136 +103,28 @@ func (r OptimizeReport) TotalElided() uint64 {
 	return r.Shared.ElidedStages + r.Core.ElidedStages
 }
 
-// recorded op stream -------------------------------------------------
-
-type optOpKind uint8
-
-const (
-	optStage optOpKind = iota
-	optUnstage
-	optRead
-	optWrite
-	optApply
-	optCompute
-)
-
-// optCoreOp is one recorded core op. line is the destination for
-// optApply/optCompute; Compute keeps its original (i,j,k) so replay
-// re-emits the exact historical shorthand the backends expect.
-type optCoreOp struct {
-	kind       optOpKind
-	line       Line
-	kernel     Kernel
-	srcs       []Line
-	ci, cj, ck int
-	drop       bool
+// optDrops marks the ops the passes elide: driver steps by step index,
+// core ops by step, core and op index (a step's marks are allocated on
+// its first core drop).
+type optDrops struct {
+	driver []bool
+	core   [][][]bool
 }
 
-type optDriverOp struct {
-	stage bool
-	line  Line
-	drop  bool
-}
-
-// optItem is one program-order step: exactly one driver op, or one
-// parallel region holding every core's recorded stream.
-type optItem struct {
-	driver *optDriverOp
-	region [][]optCoreOp
-}
-
-// optArity mirrors Kernel.Arity without its panic: the recorder must
-// survive arbitrary (fuzzed) streams and turn malformed kernels into a
-// skip, not a fault.
-func optArity(k Kernel) (int, bool) {
-	switch k {
-	case MulAdd, MulSub:
-		return 2, true
-	case FactorTile:
-		return 0, true
-	case TrsmLowerLeftUnit, TrsmUpperRight:
-		return 1, true
+func (d *optDrops) dropCore(t *Trace, step, core, op int) {
+	if d.core[step] == nil {
+		d.core[step] = make([][]bool, len(t.Steps[step].Cores))
 	}
-	return 0, false
-}
-
-// optRecorder captures a program's op stream into optItems. Any
-// malformation that would make replay unfaithful (driver ops inside a
-// region, nested regions, unknown kernels) poisons the recording and
-// Optimize returns the program unchanged.
-type optRecorder struct {
-	cores    int
-	items    []optItem
-	inRegion bool
-	bad      string
-}
-
-var _ Backend = (*optRecorder)(nil)
-
-func (r *optRecorder) fail(reason string) {
-	if r.bad == "" {
-		r.bad = reason
+	if d.core[step][core] == nil {
+		d.core[step][core] = make([]bool, len(t.Steps[step].Cores[core]))
 	}
+	d.core[step][core][op] = true
 }
 
-func (r *optRecorder) driver(stage bool, l Line) {
-	if r.inRegion {
-		r.fail("driver op inside a parallel region")
-		return
-	}
-	r.items = append(r.items, optItem{driver: &optDriverOp{stage: stage, line: l}})
-}
-
-func (r *optRecorder) StageShared(l Line)   { r.driver(true, l) }
-func (r *optRecorder) UnstageShared(l Line) { r.driver(false, l) }
-
-func (r *optRecorder) Parallel(body func(core int, ops CoreSink)) {
-	if r.inRegion {
-		r.fail("nested parallel region")
-		return
-	}
-	r.inRegion = true
-	region := make([][]optCoreOp, r.cores)
-	for c := 0; c < r.cores; c++ {
-		body(c, &optRecordSink{rec: r, ops: &region[c]})
-	}
-	r.inRegion = false
-	r.items = append(r.items, optItem{region: region})
-}
-
-type optRecordSink struct {
-	rec *optRecorder
-	ops *[]optCoreOp
-}
-
-var _ CoreSink = (*optRecordSink)(nil)
-
-func (s *optRecordSink) Stage(l Line) { *s.ops = append(*s.ops, optCoreOp{kind: optStage, line: l}) }
-func (s *optRecordSink) Unstage(l Line) {
-	*s.ops = append(*s.ops, optCoreOp{kind: optUnstage, line: l})
-}
-func (s *optRecordSink) Read(l Line)  { *s.ops = append(*s.ops, optCoreOp{kind: optRead, line: l}) }
-func (s *optRecordSink) Write(l Line) { *s.ops = append(*s.ops, optCoreOp{kind: optWrite, line: l}) }
-
-func (s *optRecordSink) Apply(k Kernel, dest Line, srcs ...Line) {
-	ar, ok := optArity(k)
-	if !ok {
-		s.rec.fail(fmt.Sprintf("unknown kernel %v", k))
-		return
-	}
-	if len(srcs) != ar {
-		s.rec.fail(fmt.Sprintf("%v applied to %d sources, want %d", k, len(srcs), ar))
-		return
-	}
-	*s.ops = append(*s.ops, optCoreOp{kind: optApply, kernel: k, line: dest, srcs: append([]Line(nil), srcs...)})
-}
-
-func (s *optRecordSink) Compute(i, j, k int) {
-	*s.ops = append(*s.ops, optCoreOp{
-		kind: optCompute, kernel: MulAdd,
-		line: LineC(i, j), srcs: []Line{LineA(i, k), LineB(k, j)},
-		ci: i, cj: j, ck: k,
-	})
+// coreDropped reports whether the pass elided op of core in step; a nil
+// receiver marks nothing (the baseline).
+func (d *optDrops) coreDropped(step, core, op int) bool {
+	return d != nil && d.core[step] != nil && d.core[step][core] != nil && d.core[step][core][op]
 }
 
 // analysis ------------------------------------------------------------
@@ -240,12 +134,12 @@ const (
 	optUseWrite
 )
 
-// optUse is one region-level reference to a line: which item, which
-// core, read or write. Uses are the blocker index of both passes — a
-// shared gap may not contain any, and a core-reuse window may not
+// optUse is one region-level reference to a line: which trace step,
+// which core, read or write. Uses are the blocker index of both passes
+// — a shared gap may not contain any, and a core-reuse window may not
 // contain a conflicting one from another core.
 type optUse struct {
-	item  int
+	step  int
 	core  int
 	flags uint8
 }
@@ -257,11 +151,11 @@ type optCoreLineKey struct {
 
 // optCoreEvent is one Stage/Unstage of a line by one core: its position
 // in that core's flattened op stream (for the capacity profile), the
-// item and op index (for drop marking), and — for unstages — whether
+// step and op index (for drop marking), and — for unstages — whether
 // the hold being closed was dirty.
 type optCoreEvent struct {
 	pos   int
-	item  int
+	step  int
 	opIdx int
 	stage bool
 	dirty bool
@@ -272,9 +166,10 @@ type optAnalysis struct {
 	sharedProg bool
 	coreProg   bool
 
-	// resBefore[chip][item] is the baseline shared residency of that
-	// chip immediately before item executes; coreResBefore[core][pos]
-	// likewise for one core's flattened stream. The passes prove
+	// resBefore[chip][step] is the baseline shared residency of that
+	// chip immediately before the trace step executes;
+	// coreResBefore[core][pos] likewise for one core's flattened
+	// stream. The passes prove
 	// capacity pointwise against these profiles plus their own
 	// committed extras.
 	resBefore     [][]int
@@ -284,7 +179,7 @@ type optAnalysis struct {
 	corePeak   int
 	computes   uint64
 
-	sharedEvents map[Line][]int // driver item indices per line, alternating stage/unstage
+	sharedEvents map[Line][]int // driver step indices per line, alternating stage/unstage
 	lineUses     map[Line][]optUse
 	coreEvents   map[optCoreLineKey][]optCoreEvent
 
@@ -294,13 +189,13 @@ type optAnalysis struct {
 	coreUnstages   []uint64
 }
 
-// optAnalyze scans the recorded stream once, building the blocker and
-// capacity indexes while re-deriving the verifier's well-formedness
+// optAnalyze scans the trace once, building the blocker and capacity
+// indexes while re-deriving the verifier's well-formedness
 // rules. Any violation returns a reason and the pass gives up: only
 // streams proven linear (alternating stage/unstage per line and level,
 // no leaks, no use of an unstaged line, no unstage of a held line, no
 // stage of a line another core holds dirty) are ever rewritten.
-func optAnalyze(p *Program, items []optItem) (*optAnalysis, string) {
+func optAnalyze(p *Program, tr *Trace) (*optAnalysis, string) {
 	chips := p.Resources.ChipCount()
 	a := &optAnalysis{
 		chips:          chips,
@@ -316,29 +211,29 @@ func optAnalyze(p *Program, items []optItem) (*optAnalysis, string) {
 		coreUnstages:   make([]uint64, chips),
 	}
 	for ch := range a.resBefore {
-		a.resBefore[ch] = make([]int, len(items))
+		a.resBefore[ch] = make([]int, len(tr.Steps))
 	}
-	for _, it := range items {
-		if it.driver != nil {
+	for i := range tr.Steps {
+		if tr.Steps[i].Cores == nil {
 			a.sharedProg = true
 			continue
 		}
-		for _, ops := range it.region {
-			for _, op := range ops {
-				if op.kind == optStage || op.kind == optUnstage {
+		for _, ops := range tr.Steps[i].Cores {
+			for j := range ops {
+				if ops[j].Kind == OpStage || ops[j].Kind == OpUnstage {
 					a.coreProg = true
 				}
 			}
 		}
 	}
 
-	addUse := func(item, core int, l Line, flags uint8) {
+	addUse := func(step, core int, l Line, flags uint8) {
 		us := a.lineUses[l]
-		if n := len(us); n > 0 && us[n-1].item == item && us[n-1].core == core {
+		if n := len(us); n > 0 && us[n-1].step == step && us[n-1].core == core {
 			us[n-1].flags |= flags
 			return
 		}
-		a.lineUses[l] = append(us, optUse{item: item, core: core, flags: flags})
+		a.lineUses[l] = append(us, optUse{step: step, core: core, flags: flags})
 	}
 
 	sharedRes := make(map[Line]struct{})
@@ -351,117 +246,119 @@ func optAnalyze(p *Program, items []optItem) (*optAnalysis, string) {
 		cores[c].resident = make(map[Line]bool)
 	}
 
-	for t, it := range items {
+	for t := range tr.Steps {
+		step := &tr.Steps[t]
 		for ch := 0; ch < chips; ch++ {
 			a.resBefore[ch][t] = res[ch]
 		}
-		if d := it.driver; d != nil {
-			ch := p.HomeOf(d.line)
-			if d.stage {
-				if _, ok := sharedRes[d.line]; ok {
-					return nil, fmt.Sprintf("shared double stage of %v", d.line)
+		if step.Cores == nil {
+			d := step.Shared
+			ch := p.HomeOf(d.Line)
+			if !d.Unstage {
+				if _, ok := sharedRes[d.Line]; ok {
+					return nil, fmt.Sprintf("shared double stage of %v", d.Line)
 				}
-				sharedRes[d.line] = struct{}{}
+				sharedRes[d.Line] = struct{}{}
 				res[ch]++
 				if res[ch] > a.sharedPeak[ch] {
 					a.sharedPeak[ch] = res[ch]
 				}
 				a.sharedStages[ch]++
 			} else {
-				if _, ok := sharedRes[d.line]; !ok {
-					return nil, fmt.Sprintf("shared unstage of non-resident %v", d.line)
+				if _, ok := sharedRes[d.Line]; !ok {
+					return nil, fmt.Sprintf("shared unstage of non-resident %v", d.Line)
 				}
-				if len(holders[d.line]) > 0 {
-					return nil, fmt.Sprintf("shared unstage of %v while a core holds it", d.line)
+				if len(holders[d.Line]) > 0 {
+					return nil, fmt.Sprintf("shared unstage of %v while a core holds it", d.Line)
 				}
-				delete(sharedRes, d.line)
+				delete(sharedRes, d.Line)
 				res[ch]--
 				a.sharedUnstages[ch]++
 			}
-			a.sharedEvents[d.line] = append(a.sharedEvents[d.line], t)
+			a.sharedEvents[d.Line] = append(a.sharedEvents[d.Line], t)
 			continue
 		}
-		for c := range it.region {
+		for c := range step.Cores {
 			st := &cores[c]
 			chip := p.ChipOfCore(c)
-			for oi := range it.region[c] {
-				op := &it.region[c][oi]
+			for oi := range step.Cores[c] {
+				op := &step.Cores[c][oi]
 				pos := len(a.coreResBefore[c])
 				a.coreResBefore[c] = append(a.coreResBefore[c], len(st.resident))
-				switch op.kind {
-				case optStage:
-					if _, ok := st.resident[op.line]; ok {
-						return nil, fmt.Sprintf("core %d double stage of %v", c, op.line)
+				switch op.Kind {
+				case OpStage:
+					if _, ok := st.resident[op.Line]; ok {
+						return nil, fmt.Sprintf("core %d double stage of %v", c, op.Line)
 					}
 					if a.sharedProg {
-						if _, ok := sharedRes[op.line]; !ok {
-							return nil, fmt.Sprintf("core %d stage of %v while not shared-resident", c, op.line)
+						if _, ok := sharedRes[op.Line]; !ok {
+							return nil, fmt.Sprintf("core %d stage of %v while not shared-resident", c, op.Line)
 						}
 					}
-					if d, ok := dirtyBy[op.line]; ok && d != c {
-						return nil, fmt.Sprintf("core %d stage of %v held dirty by core %d", c, op.line, d)
+					if d, ok := dirtyBy[op.Line]; ok && d != c {
+						return nil, fmt.Sprintf("core %d stage of %v held dirty by core %d", c, op.Line, d)
 					}
-					st.resident[op.line] = false
+					st.resident[op.Line] = false
 					if len(st.resident) > a.corePeak {
 						a.corePeak = len(st.resident)
 					}
-					if holders[op.line] == nil {
-						holders[op.line] = make(map[int]struct{})
+					if holders[op.Line] == nil {
+						holders[op.Line] = make(map[int]struct{})
 					}
-					holders[op.line][c] = struct{}{}
+					holders[op.Line][c] = struct{}{}
 					a.coreStages[chip]++
-					a.coreEvents[optCoreLineKey{c, op.line}] = append(a.coreEvents[optCoreLineKey{c, op.line}],
-						optCoreEvent{pos: pos, item: t, opIdx: oi, stage: true})
-					addUse(t, c, op.line, optUseRead)
-				case optUnstage:
-					dirty, ok := st.resident[op.line]
+					a.coreEvents[optCoreLineKey{c, op.Line}] = append(a.coreEvents[optCoreLineKey{c, op.Line}],
+						optCoreEvent{pos: pos, step: t, opIdx: oi, stage: true})
+					addUse(t, c, op.Line, optUseRead)
+				case OpUnstage:
+					dirty, ok := st.resident[op.Line]
 					if !ok {
-						return nil, fmt.Sprintf("core %d unstage of non-resident %v", c, op.line)
+						return nil, fmt.Sprintf("core %d unstage of non-resident %v", c, op.Line)
 					}
-					delete(st.resident, op.line)
-					delete(holders[op.line], c)
-					if d, held := dirtyBy[op.line]; held && d == c && dirty {
-						delete(dirtyBy, op.line)
+					delete(st.resident, op.Line)
+					delete(holders[op.Line], c)
+					if d, held := dirtyBy[op.Line]; held && d == c && dirty {
+						delete(dirtyBy, op.Line)
 					}
 					a.coreUnstages[chip]++
-					a.coreEvents[optCoreLineKey{c, op.line}] = append(a.coreEvents[optCoreLineKey{c, op.line}],
-						optCoreEvent{pos: pos, item: t, opIdx: oi, stage: false, dirty: dirty})
+					a.coreEvents[optCoreLineKey{c, op.Line}] = append(a.coreEvents[optCoreLineKey{c, op.Line}],
+						optCoreEvent{pos: pos, step: t, opIdx: oi, stage: false, dirty: dirty})
 					if dirty {
-						addUse(t, c, op.line, optUseWrite)
+						addUse(t, c, op.Line, optUseWrite)
 					} else {
-						addUse(t, c, op.line, optUseRead)
+						addUse(t, c, op.Line, optUseRead)
 					}
-				case optRead:
-					addUse(t, c, op.line, optUseRead)
-				case optWrite:
-					addUse(t, c, op.line, optUseWrite)
-				case optApply, optCompute:
+				case OpRead:
+					addUse(t, c, op.Line, optUseRead)
+				case OpWrite:
+					addUse(t, c, op.Line, optUseWrite)
+				case OpApply:
 					if a.coreProg {
-						if _, ok := st.resident[op.line]; !ok {
-							return nil, fmt.Sprintf("core %d applies %v to unstaged %v", c, op.kernel, op.line)
+						if _, ok := st.resident[op.Line]; !ok {
+							return nil, fmt.Sprintf("core %d applies %v to unstaged %v", c, op.Kernel, op.Line)
 						}
-						for _, src := range op.srcs {
+						for _, src := range op.Sources() {
 							if _, ok := st.resident[src]; !ok {
-								return nil, fmt.Sprintf("core %d applies %v reading unstaged %v", c, op.kernel, src)
+								return nil, fmt.Sprintf("core %d applies %v reading unstaged %v", c, op.Kernel, src)
 							}
 						}
-						st.resident[op.line] = true
-						dirtyBy[op.line] = c
+						st.resident[op.Line] = true
+						dirtyBy[op.Line] = c
 					} else if a.sharedProg {
-						if _, ok := sharedRes[op.line]; !ok {
-							return nil, fmt.Sprintf("core %d applies %v to non-shared-resident %v", c, op.kernel, op.line)
+						if _, ok := sharedRes[op.Line]; !ok {
+							return nil, fmt.Sprintf("core %d applies %v to non-shared-resident %v", c, op.Kernel, op.Line)
 						}
-						for _, src := range op.srcs {
+						for _, src := range op.Sources() {
 							if _, ok := sharedRes[src]; !ok {
-								return nil, fmt.Sprintf("core %d applies %v reading non-shared-resident %v", c, op.kernel, src)
+								return nil, fmt.Sprintf("core %d applies %v reading non-shared-resident %v", c, op.Kernel, src)
 							}
 						}
 					}
 					a.computes++
-					for _, src := range op.srcs {
+					for _, src := range op.Sources() {
 						addUse(t, c, src, optUseRead)
 					}
-					addUse(t, c, op.line, optUseWrite)
+					addUse(t, c, op.Line, optUseWrite)
 				}
 			}
 		}
@@ -506,7 +403,7 @@ func (a *optAnalysis) workingSet() WorkingSet {
 // raises the chip's residency profile over its span so later candidates
 // are checked against what has already been kept resident. Returns the
 // elided pair count per home chip.
-func optSharedPass(p *Program, items []optItem, a *optAnalysis) []uint64 {
+func optSharedPass(p *Program, tr *Trace, a *optAnalysis, d *optDrops) []uint64 {
 	elided := make([]uint64, a.chips)
 	cs := p.Resources.SharedBlocks
 	if cs <= 0 {
@@ -524,17 +421,17 @@ func optSharedPass(p *Program, items []optItem, a *optAnalysis) []uint64 {
 			cands = append(cands, cand{line: l, u: evts[i], s: evts[i+1]})
 		}
 	}
-	// Item indices are unique across candidates, so ordering by the
+	// Step indices are unique across candidates, so ordering by the
 	// unstage's index is total: commit order is deterministic.
 	sort.Slice(cands, func(i, j int) bool { return cands[i].u < cands[j].u })
 	extra := make([][]int, a.chips)
 	for ch := range extra {
-		extra[ch] = make([]int, len(items))
+		extra[ch] = make([]int, len(tr.Steps))
 	}
 	for _, c := range cands {
 		us := a.lineUses[c.line]
-		i := sort.Search(len(us), func(i int) bool { return us[i].item > c.u })
-		if i < len(us) && us[i].item < c.s {
+		i := sort.Search(len(us), func(i int) bool { return us[i].step > c.u })
+		if i < len(us) && us[i].step < c.s {
 			continue // the gap references l: the unstage is live
 		}
 		ch := p.HomeOf(c.line)
@@ -548,8 +445,8 @@ func optSharedPass(p *Program, items []optItem, a *optAnalysis) []uint64 {
 		if !ok {
 			continue
 		}
-		items[c.u].driver.drop = true
-		items[c.s].driver.drop = true
+		d.driver[c.u] = true
+		d.driver[c.s] = true
 		for t := c.u + 1; t <= c.s; t++ {
 			extra[ch][t]++
 		}
@@ -571,7 +468,7 @@ func optSharedPass(p *Program, items []optItem, a *optAnalysis) []uint64 {
 // shared-level unstage). Capacity is proven against the core's own
 // residency profile, like the shared pass. Returns elided pairs per
 // staging core's chip.
-func optCorePass(p *Program, items []optItem, a *optAnalysis) []uint64 {
+func optCorePass(p *Program, tr *Trace, a *optAnalysis, d *optDrops) []uint64 {
 	elided := make([]uint64, a.chips)
 	cd := p.Resources.CoreBlocks
 	if cd <= 0 {
@@ -580,7 +477,7 @@ func optCorePass(p *Program, items []optItem, a *optAnalysis) []uint64 {
 	surv := make(map[Line][]int, len(a.sharedEvents))
 	for l, evts := range a.sharedEvents {
 		for _, t := range evts {
-			if !items[t].driver.drop {
+			if !d.driver[t] {
 				surv[l] = append(surv[l], t)
 			}
 		}
@@ -605,25 +502,25 @@ func optCorePass(p *Program, items []optItem, a *optAnalysis) []uint64 {
 	coreExtra := make([][]int, p.Cores)
 	for _, k := range keys {
 		evts := a.coreEvents[k]
-		last := evts[len(evts)-1].item // the chain's final unstage, never dropped
+		last := evts[len(evts)-1].step // the chain's final unstage, never dropped
 		carry := false                 // an elided merge is still pending
 		for i := 1; i+1 < len(evts); i += 2 {
 			open, u, s := evts[i-1], evts[i], evts[i+1]
 			effDirty := u.dirty || carry
 			blocked := false
 			ds := surv[k.line]
-			di := sort.Search(len(ds), func(i int) bool { return ds[i] > u.item })
-			if di < len(ds) && ds[di] < s.item {
+			di := sort.Search(len(ds), func(i int) bool { return ds[i] > u.step })
+			if di < len(ds) && ds[di] < s.step {
 				blocked = true
 			}
 			if !blocked {
-				lo, hi, any := u.item, last, true
+				lo, hi, any := u.step, last, true
 				if !effDirty {
-					lo, hi, any = open.item, s.item, false
+					lo, hi, any = open.step, s.step, false
 				}
 				us := a.lineUses[k.line]
-				ui := sort.Search(len(us), func(i int) bool { return us[i].item >= lo })
-				for ; ui < len(us) && us[ui].item <= hi; ui++ {
+				ui := sort.Search(len(us), func(i int) bool { return us[i].step >= lo })
+				for ; ui < len(us) && us[ui].step <= hi; ui++ {
 					if us[ui].core == k.core {
 						continue
 					}
@@ -651,8 +548,8 @@ func optCorePass(p *Program, items []optItem, a *optAnalysis) []uint64 {
 				carry = false
 				continue
 			}
-			items[u.item].region[k.core][u.opIdx].drop = true
-			items[s.item].region[k.core][s.opIdx].drop = true
+			d.dropCore(tr, u.step, k.core, u.opIdx)
+			d.dropCore(tr, s.step, k.core, s.opIdx)
 			for pos := u.pos + 1; pos <= s.pos; pos++ {
 				coreExtra[k.core][pos]++
 			}
@@ -670,12 +567,12 @@ type optModelCounts struct {
 	mdStage, mdWB []uint64 // per staging core's chip
 }
 
-// optModel replays the recorded stream through a dirty-tracking
-// residency model and counts fills and dirty writebacks at both
-// levels, optionally honouring the passes' drop marks. Running it
-// twice — baseline and optimized — yields the report's writeback
-// ledger and an independent check on the stage ledger.
-func optModel(p *Program, items []optItem, a *optAnalysis, honorDrops bool) optModelCounts {
+// optModel replays the trace through a dirty-tracking residency model
+// and counts fills and dirty writebacks at both levels, skipping the
+// ops d marks (nil: none). Running it twice — baseline and optimized —
+// yields the report's writeback ledger and an independent check on the
+// stage ledger.
+func optModel(p *Program, tr *Trace, a *optAnalysis, d *optDrops) optModelCounts {
 	m := optModelCounts{
 		msStage: make([]uint64, a.chips),
 		msWB:    make([]uint64, a.chips),
@@ -684,58 +581,59 @@ func optModel(p *Program, items []optItem, a *optAnalysis, honorDrops bool) optM
 	}
 	sharedRes := make(map[Line]bool) // resident → dirty
 	coreRes := make([]map[Line]bool, p.Cores)
-	for t := range items {
-		if d := items[t].driver; d != nil {
-			if honorDrops && d.drop {
+	for t := range tr.Steps {
+		st := &tr.Steps[t]
+		if st.Cores == nil {
+			if d != nil && d.driver[t] {
 				continue
 			}
-			ch := p.HomeOf(d.line)
-			if d.stage {
+			ch := p.HomeOf(st.Shared.Line)
+			if !st.Shared.Unstage {
 				m.msStage[ch]++
-				sharedRes[d.line] = false
+				sharedRes[st.Shared.Line] = false
 			} else {
-				if sharedRes[d.line] {
+				if sharedRes[st.Shared.Line] {
 					m.msWB[ch]++
 				}
-				delete(sharedRes, d.line)
+				delete(sharedRes, st.Shared.Line)
 			}
 			continue
 		}
-		for c := range items[t].region {
+		for c := range st.Cores {
 			chip := p.ChipOfCore(c)
-			for oi := range items[t].region[c] {
-				op := &items[t].region[c][oi]
-				if honorDrops && op.drop {
+			for oi := range st.Cores[c] {
+				if d.coreDropped(t, c, oi) {
 					continue
 				}
-				switch op.kind {
-				case optStage:
+				op := &st.Cores[c][oi]
+				switch op.Kind {
+				case OpStage:
 					if coreRes[c] == nil {
 						coreRes[c] = make(map[Line]bool)
 					}
 					m.mdStage[chip]++
-					coreRes[c][op.line] = false
-				case optUnstage:
-					if coreRes[c][op.line] {
+					coreRes[c][op.Line] = false
+				case OpUnstage:
+					if coreRes[c][op.Line] {
 						m.mdWB[chip]++
-						if _, ok := sharedRes[op.line]; ok {
-							sharedRes[op.line] = true
+						if _, ok := sharedRes[op.Line]; ok {
+							sharedRes[op.Line] = true
 						}
 					}
-					delete(coreRes[c], op.line)
-				case optWrite:
+					delete(coreRes[c], op.Line)
+				case OpWrite:
 					if !a.coreProg {
-						if _, ok := sharedRes[op.line]; ok {
-							sharedRes[op.line] = true
+						if _, ok := sharedRes[op.Line]; ok {
+							sharedRes[op.Line] = true
 						}
 					}
-				case optApply, optCompute:
+				case OpApply:
 					if a.coreProg {
-						if _, ok := coreRes[c][op.line]; ok {
-							coreRes[c][op.line] = true
+						if _, ok := coreRes[c][op.Line]; ok {
+							coreRes[c][op.Line] = true
 						}
-					} else if _, ok := sharedRes[op.line]; ok {
-						sharedRes[op.line] = true
+					} else if _, ok := sharedRes[op.Line]; ok {
+						sharedRes[op.Line] = true
 					}
 				}
 			}
@@ -744,88 +642,75 @@ func optModel(p *Program, items []optItem, a *optAnalysis, honorDrops bool) optM
 	return m
 }
 
-// rebuild -------------------------------------------------------------
+// compaction -----------------------------------------------------------
 
-// optRebuild returns a copy of p whose Body replays the recorded
-// stream, skipping dropped ops and regions left entirely empty (an
-// empty region is a pure barrier — removing it shrinks the pipelined
-// critical path and changes no core's stream).
-func optRebuild(p *Program, items []optItem) *Program {
-	q := *p
-	q.Body = func(b Backend) {
-		for i := range items {
-			it := &items[i]
-			if d := it.driver; d != nil {
-				if d.drop {
-					continue
-				}
-				if d.stage {
-					b.StageShared(d.line)
-				} else {
-					b.UnstageShared(d.line)
-				}
-				continue
+// optCompact returns tr without the ops d marks. Regions left with no op
+// at all are dropped (an empty region is a pure barrier — removing it
+// shrinks the pipelined critical path and changes no core's stream),
+// and the regions that still carry work are renumbered.
+func optCompact(tr *Trace, d *optDrops) *Trace {
+	out := &Trace{}
+	for t, st := range tr.Steps {
+		if st.Cores == nil {
+			if !d.driver[t] {
+				out.Steps = append(out.Steps, st)
 			}
-			live := false
-			for _, ops := range it.region {
-				for oi := range ops {
-					if !ops[oi].drop {
-						live = true
-						break
-					}
-				}
-				if live {
-					break
-				}
-			}
-			if !live {
-				continue
-			}
-			b.Parallel(func(core int, ops CoreSink) {
-				if core < 0 || core >= len(it.region) {
-					return
-				}
-				for oi := range it.region[core] {
-					op := &it.region[core][oi]
-					if op.drop {
-						continue
-					}
-					switch op.kind {
-					case optStage:
-						ops.Stage(op.line)
-					case optUnstage:
-						ops.Unstage(op.line)
-					case optRead:
-						ops.Read(op.line)
-					case optWrite:
-						ops.Write(op.line)
-					case optApply:
-						ops.Apply(op.kernel, op.line, op.srcs...)
-					case optCompute:
-						ops.Compute(op.ci, op.cj, op.ck)
-					}
-				}
-			})
+		} else if cores := d.keep(t, st.Cores); cores != nil {
+			out.addRegion(cores)
 		}
 	}
-	return &q
+	out.Steps = slices.Clone(out.Steps)
+	return out
+}
+
+// keep returns region step t's per-core ops without the marked ones,
+// or nil when none survive. A region without marks is returned as is;
+// the survivors of any other share one allocation sized to them.
+func (d *optDrops) keep(t int, cores [][]Op) [][]Op {
+	n := 0
+	for c := range cores {
+		for i := range cores[c] {
+			if !d.coreDropped(t, c, i) {
+				n++
+			}
+		}
+	}
+	switch {
+	case n == 0:
+		return nil
+	case d.core[t] == nil:
+		return cores
+	}
+	ops := make([]Op, 0, n)
+	out := make([][]Op, len(cores))
+	for c := range cores {
+		start := len(ops)
+		for i := range cores[c] {
+			if !d.coreDropped(t, c, i) {
+				ops = append(ops, cores[c][i])
+			}
+		}
+		out[c] = ops[start:len(ops):len(ops)]
+	}
+	return out
 }
 
 // Optimize ------------------------------------------------------------
 
-// Optimize records p's op stream, proves it well-formed, and elides
-// restaging the declared machine never needed: shared lines kept
-// resident across region gaps when their home chip has the headroom,
-// core refills of provably unchanged upstream copies, and — as a
-// consequence — intermediate dirty writebacks, which sink to each
-// line's final unstage. The returned program replays the identical
-// computation with MS/MD traffic less than or equal to the baseline's,
-// operation by operation.
+// Optimize lowers p (or reads the trace p carries), proves the stream
+// well-formed, and elides restaging the declared machine never needed:
+// shared lines kept resident across region gaps when their home chip
+// has the headroom, core refills of provably unchanged upstream copies,
+// and — as a consequence — intermediate dirty writebacks, which sink to
+// each line's final unstage. The returned program carries the compacted
+// trace, and its Body replays it: the identical computation with MS/MD
+// traffic less than or equal to the baseline's, operation by operation.
 //
-// Programs the pass cannot analyse (demand-driven, no body, malformed
-// or verifier-violating streams, capacity already exceeded) come back
-// unchanged — the original pointer — with the report's SkipReason set
-// and no error: Optimize is safe to call on anything. An error is
+// Programs the pass cannot analyse (demand-driven, no body, streams
+// Lower rejects, verifier-violating streams, capacity already exceeded)
+// come back unchanged — the original pointer — with the report's
+// SkipReason set and no error, as do programs with nothing to elide
+// (without a SkipReason): Optimize is safe to call on anything. An error is
 // returned only when the pass's own output fails its re-measurement
 // (a bug in the pass, never a property of the input), in which case
 // the returned program is nil.
@@ -852,12 +737,11 @@ func Optimize(p *Program, opts OptimizeOptions) (*Program, OptimizeReport, error
 		return skip(fmt.Sprintf("%d cores not divisible over %d chips", p.Cores, chips))
 	}
 
-	rec := &optRecorder{cores: p.Cores}
-	p.Body(rec)
-	if rec.bad != "" {
-		return skip(rec.bad)
+	tr, err := p.Lower()
+	if err != nil {
+		return skip(err.Error())
 	}
-	a, reason := optAnalyze(p, rec.items)
+	a, reason := optAnalyze(p, tr)
 	if reason != "" {
 		return skip(reason)
 	}
@@ -865,17 +749,18 @@ func Optimize(p *Program, opts OptimizeOptions) (*Program, OptimizeReport, error
 		return skip("baseline exceeds its declared capacities")
 	}
 
+	drops := &optDrops{driver: make([]bool, len(tr.Steps)), core: make([][][]bool, len(tr.Steps))}
 	elidedShared := make([]uint64, chips)
 	elidedCore := make([]uint64, chips)
 	if !opts.NoSharedResidency {
-		elidedShared = optSharedPass(p, rec.items, a)
+		elidedShared = optSharedPass(p, tr, a, drops)
 	}
 	if !opts.NoCoreReuse {
-		elidedCore = optCorePass(p, rec.items, a)
+		elidedCore = optCorePass(p, tr, a, drops)
 	}
 
-	base := optModel(p, rec.items, a, false)
-	after := optModel(p, rec.items, a, true)
+	base := optModel(p, tr, a, nil)
+	after := optModel(p, tr, a, drops)
 	rep.SharedPerChip = make([]OptimizeCounts, chips)
 	rep.CorePerChip = make([]OptimizeCounts, chips)
 	var totalElided uint64
@@ -916,7 +801,7 @@ func Optimize(p *Program, opts OptimizeOptions) (*Program, OptimizeReport, error
 		return p, rep, nil
 	}
 
-	q := optRebuild(p, rec.items)
+	q := p.withTrace(optCompact(tr, drops))
 	ws, err := Measure(q)
 	if err != nil {
 		return nil, rep, fmt.Errorf("schedule: optimized program does not measure: %w", err)

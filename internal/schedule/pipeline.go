@@ -75,9 +75,7 @@ type PipelinedOp struct {
 }
 
 // PipelineRegion phases the shared staging gap that precedes one
-// parallel region of the program (regions are counted as the executor
-// runs them: Parallel calls in which at least one core emits a Stage,
-// Unstage or Apply).
+// numbered parallel region of the program's trace (see Step.Region).
 type PipelineRegion struct {
 	// Prefetch holds the StageShared lines the driver stages while THIS
 	// region computes. At depth 1 every entry serves the next gap; at
@@ -139,7 +137,7 @@ func PlanPipeline(p *Program, sharedCap int) (*PipelinePlan, error) {
 	return PlanPipelineDepth(p, sharedCap, 1)
 }
 
-// PlanPipelineDepth replays p's operation stream and phases every
+// PlanPipelineDepth walks p's trace (see Lower) and phases every
 // shared staging gap for a double-buffered backend with sharedCap
 // slots and the given lookahead depth (how many regions ahead of its
 // gap a stage may prefetch). It fails when the program violates the
@@ -167,31 +165,23 @@ func planPipeline(p *Program, sharedCap, depth int) (*PipelinePlan, error) {
 	if sharedCap <= 0 {
 		return nil, fmt.Errorf("schedule: pipeline plan needs a positive shared capacity, got %d", sharedCap)
 	}
-	chips := p.Resources.ChipCount()
-	col := &pipeCollector{
-		cores:     p.Cores,
-		coreRes:   make([]map[Line]struct{}, p.Cores),
-		home:      p.HomeOf,
-		sharedRes: make([]map[Line]struct{}, chips),
-		chipPeak:  make([]int, chips),
-	}
-	if err := p.Emit(col); err != nil {
+	t, err := p.Lower()
+	if err != nil {
 		return nil, err
 	}
-	if col.err != nil {
-		return nil, col.err
+	g, err := collectGaps(p, t)
+	if err != nil {
+		return nil, err
 	}
-
 	pl := &pipePlanner{
-		cap:   sharedCap,
-		chips: chips,
-		home:  p.HomeOf,
-		depth: depth,
-		gaps:  col.gaps,
-		touch: col.touch,
+		pipeGaps: g,
+		cap:      sharedCap,
+		chips:    p.Resources.ChipCount(),
+		home:     p.HomeOf,
+		depth:    depth,
 	}
-	plan := pl.plan(col)
-	plan.Tail = col.cur
+	plan := pl.plan()
+	plan.Tail = g.tail
 	plan.Barriered += len(plan.Tail)
 	if plan.SerialPeak > plan.Peak {
 		plan.Peak = plan.SerialPeak
@@ -210,12 +200,10 @@ func planPipeline(p *Program, sharedCap, depth int) (*PipelinePlan, error) {
 // per home chip — a staged line fills a slot only in its home chip's
 // arena, so capacity decisions probe that chip's profile alone.
 type pipePlanner struct {
+	*pipeGaps
 	cap, depth int
 	chips      int
 	home       func(Line) int
-
-	gaps  [][]PipelinedOp
-	touch []map[Line]struct{}
 
 	resAfter [][]int   // [chip][r]: serial residency while region r computes (gap r applied)
 	posRes   [][][]int // [chip][g][i]: serial residency before op i of gap g
@@ -227,10 +215,10 @@ type pipePlanner struct {
 	slots [][]Line // prefetch list per region, in commit (gap-major) order
 }
 
-func (pl *pipePlanner) plan(col *pipeCollector) *PipelinePlan {
+func (pl *pipePlanner) plan() *PipelinePlan {
 	R := len(pl.gaps)
 	plan := &PipelinePlan{Depth: pl.depth}
-	for _, peak := range col.chipPeak {
+	for _, peak := range pl.chipPeak {
 		if peak > plan.SerialPeak {
 			plan.SerialPeak = peak
 		}
@@ -267,7 +255,7 @@ func (pl *pipePlanner) plan(col *pipeCollector) *PipelinePlan {
 		for ch := 0; ch < pl.chips; ch++ {
 			pl.resAfter[ch][g] = res[ch]
 		}
-		pl.quota[g] = pipelineHidePerApply * col.applies[g]
+		pl.quota[g] = pipelineHidePerApply * pl.applies[g]
 	}
 
 	regs := make([]PipelineRegion, R)
@@ -440,119 +428,80 @@ func lineIn(set map[Line]struct{}, l Line) bool {
 	return hit
 }
 
-// pipeCollector is the recording backend behind PlanPipelineDepth: it
-// splits the shared staging stream into gaps at every parallel region
-// that carries work, collects each region's shared-slot touch set (the
-// lines its cores refill from or merge into the shared level) and its
-// per-core Apply count (the hide-quota base), and tracks per-core
-// residency across regions for the static inclusion check.
-type pipeCollector struct {
-	cores int
-	home  func(Line) int
-
-	gaps    [][]PipelinedOp     // gaps[i] precedes region i
-	cur     []PipelinedOp       // gap being accumulated; the tail after the last region
-	touch   []map[Line]struct{} // per-region shared-slot touches
-	applies []int               // per-region max per-core Apply count
-
-	coreRes []map[Line]struct{} // per-core distributed residency, across regions
-
-	sharedRes []map[Line]struct{} // per home chip
-	chipPeak  []int               // serial residency peak per chip
-	err       error
+// pipeGaps is the planner's view of a trace: the shared staging stream
+// split into gaps at every numbered region, each region's shared-slot
+// touch set (the lines its cores refill from or merge into the shared
+// level) and its per-core Apply maximum (the hide-quota base), and the
+// serial residency peak per chip.
+type pipeGaps struct {
+	gaps     [][]PipelinedOp     // gaps[r] precedes region r
+	tail     []PipelinedOp       // the shared ops after the last region
+	touch    []map[Line]struct{} // per-region shared-slot touches
+	applies  []int               // per-region max per-core Apply count
+	chipPeak []int               // serial residency peak per chip
 }
 
-var _ Backend = (*pipeCollector)(nil)
-
-func (pc *pipeCollector) StageShared(l Line) {
-	pc.cur = append(pc.cur, PipelinedOp{Line: l})
-	ch := pc.home(l)
-	if pc.sharedRes[ch] == nil {
-		pc.sharedRes[ch] = make(map[Line]struct{})
+// collectGaps walks t for the planner, tracking per-core residency
+// across regions for the static inclusion check: a shared unstage of a
+// line some core still holds fails the plan.
+func collectGaps(p *Program, t *Trace) (*pipeGaps, error) {
+	chips := p.Resources.ChipCount()
+	g := &pipeGaps{chipPeak: make([]int, chips)}
+	sharedRes := make([]map[Line]struct{}, chips)
+	for ch := range sharedRes {
+		sharedRes[ch] = make(map[Line]struct{})
 	}
-	pc.sharedRes[ch][l] = struct{}{}
-	if len(pc.sharedRes[ch]) > pc.chipPeak[ch] {
-		pc.chipPeak[ch] = len(pc.sharedRes[ch])
+	coreRes := make([]map[Line]struct{}, max(p.Cores, 0))
+	for c := range coreRes {
+		coreRes[c] = make(map[Line]struct{})
 	}
-}
-
-func (pc *pipeCollector) UnstageShared(l Line) {
-	for c, res := range pc.coreRes {
-		if _, held := res[l]; held {
-			if pc.err == nil {
-				pc.err = fmt.Errorf("schedule: pipeline plan: shared unstage of %v while core %d still holds it", l, c)
+	var cur []PipelinedOp
+	for i := range t.Steps {
+		s := &t.Steps[i]
+		if s.Cores == nil {
+			l, home := s.Shared.Line, p.HomeOf(s.Shared.Line)
+			if s.Shared.Unstage {
+				for c, res := range coreRes {
+					if _, held := res[l]; held {
+						return nil, fmt.Errorf("schedule: pipeline plan: shared unstage of %v while core %d still holds it", l, c)
+					}
+				}
+				delete(sharedRes[home], l)
+			} else {
+				sharedRes[home][l] = struct{}{}
+				g.chipPeak[home] = max(g.chipPeak[home], len(sharedRes[home]))
 			}
-			return
+			cur = append(cur, s.Shared)
+			continue
 		}
-	}
-	pc.cur = append(pc.cur, PipelinedOp{Line: l, Unstage: true})
-	delete(pc.sharedRes[pc.home(l)], l)
-}
-
-func (pc *pipeCollector) Parallel(body func(core int, ops CoreSink)) {
-	work := false
-	touch := make(map[Line]struct{})
-	applies := 0
-	for c := 0; c < pc.cores; c++ {
-		s := &pipeTouchSink{pc: pc, core: c, touch: touch}
-		body(c, s)
-		work = work || s.ops > 0
-		if s.applies > applies {
-			applies = s.applies
+		if s.Region < 0 {
+			// No barrier runs for a region without work, so the gaps
+			// around it merge.
+			continue
 		}
+		touch := make(map[Line]struct{})
+		applies := 0
+		for c, ops := range s.Cores {
+			n := 0
+			for j := range ops {
+				switch l := ops[j].Line; ops[j].Kind {
+				case OpStage:
+					touch[l] = struct{}{}
+					coreRes[c][l] = struct{}{}
+				case OpUnstage:
+					touch[l] = struct{}{}
+					delete(coreRes[c], l)
+				case OpApply:
+					n++
+				}
+			}
+			applies = max(applies, n)
+		}
+		g.gaps = append(g.gaps, cur)
+		cur = nil
+		g.touch = append(g.touch, touch)
+		g.applies = append(g.applies, applies)
 	}
-	if !work {
-		// The executor skips the team barrier for regions with no
-		// recorded operations, so the surrounding gaps merge.
-		return
-	}
-	pc.gaps = append(pc.gaps, pc.cur)
-	pc.cur = nil
-	pc.touch = append(pc.touch, touch)
-	pc.applies = append(pc.applies, applies)
-}
-
-// pipeTouchSink records which shared lines one core's region stream
-// touches (Stage refills read the shared slot, Unstage merges write it)
-// and maintains the core's residency for the inclusion check.
-type pipeTouchSink struct {
-	pc      *pipeCollector
-	core    int
-	touch   map[Line]struct{}
-	ops     int
-	applies int
-}
-
-var _ CoreSink = (*pipeTouchSink)(nil)
-
-func (s *pipeTouchSink) Stage(l Line) {
-	s.ops++
-	s.touch[l] = struct{}{}
-	res := s.pc.coreRes[s.core]
-	if res == nil {
-		res = make(map[Line]struct{})
-		s.pc.coreRes[s.core] = res
-	}
-	res[l] = struct{}{}
-}
-
-func (s *pipeTouchSink) Unstage(l Line) {
-	s.ops++
-	s.touch[l] = struct{}{}
-	delete(s.pc.coreRes[s.core], l)
-}
-
-func (s *pipeTouchSink) Read(Line)  {}
-func (s *pipeTouchSink) Write(Line) {}
-
-func (s *pipeTouchSink) Apply(k Kernel, dest Line, srcs ...Line) {
-	if len(srcs) != k.Arity() {
-		panic(fmt.Sprintf("schedule: %v applied to %d sources, want %d", k, len(srcs), k.Arity()))
-	}
-	s.ops++
-	s.applies++
-}
-
-func (s *pipeTouchSink) Compute(i, j, k int) {
-	s.Apply(MulAdd, LineC(i, j), LineA(i, k), LineB(k, j))
+	g.tail = cur
+	return g, nil
 }

@@ -8,18 +8,24 @@
 // backend.
 //
 // One schedule, two (or more) backends. An algorithm's loop nest is
-// written exactly once, as a Program whose Body drives a Backend:
+// written exactly once, as a Program whose Body emits the operation
+// stream:
 //
-//   - the cache simulator (internal/algo.Exec) expands each kernel's
-//     declared accesses into the MS/MD miss streams of the two-level
-//     hierarchy under the IDEAL and LRU policies;
-//   - the real executor (internal/parallel.Executor) dispatches the same
-//     kernels onto worker goroutines computing on float64 blocks —
-//     packed arena-resident tiles in the staging modes, strided views in
-//     ModeView.
+//   - the cache simulator (internal/algo.Exec) is a Backend the Body
+//     drives directly; it expands each kernel's declared accesses into
+//     the MS/MD miss streams of the two-level hierarchy under the IDEAL
+//     and LRU policies;
+//   - the real executor (internal/parallel.Executor) lowers the program
+//     once into a Trace (see Program.Lower) — its driver ops and
+//     parallel regions in program order, one op slice per core — and
+//     dispatches the same kernels onto worker goroutines computing on
+//     float64 blocks: packed arena-resident tiles in the staging modes,
+//     strided views in ModeView.
 //
-// Because both backends consume the identical stream, "the executor runs
-// the schedule the simulator analysed" is an invariant checked by tests,
+// The compile passes read the same trace: Optimize rewrites it into a
+// compacted one, and Measure and the phase planners walk it. Because
+// both backends consume the identical stream, "the executor runs the
+// schedule the simulator analysed" is an invariant checked by tests,
 // not a convention maintained by hand — and it now holds for any
 // workload expressible in the kernel set, not just C = A×B.
 package schedule
@@ -166,11 +172,16 @@ type Program struct {
 	Home func(l Line) int
 	// Body drives a backend through the schedule's operation stream.
 	Body func(b Backend)
+
+	// trace is the lowered form a program returned by Optimize or
+	// Lowered carries; its Body replays it. Source programs leave it
+	// nil and are lowered afresh by every Lower.
+	trace *Trace
 }
 
 // HomeOf resolves the home chip of l under this program's placement
-// policy, clamped to the declared chip count. Every backend — the
-// simulator, the measurer, the executor — must use this single
+// policy, clamped to the declared chip count. Every consumer — the
+// simulator, Measure, the executor — must use this single
 // resolution so "the executor runs the placement the simulator
 // analysed" stays an invariant rather than a convention.
 func (p *Program) HomeOf(l Line) int {
@@ -206,7 +217,8 @@ func (p *Program) ChipOfCore(c int) int {
 	return chip
 }
 
-// Emit replays the program on backend b.
+// Emit drives backend b through the program's operation stream: it
+// calls the Body, which for a program carrying a trace replays it.
 func (p *Program) Emit(b Backend) error {
 	if p.Body == nil {
 		return fmt.Errorf("schedule: program %q has no body", p.Algorithm)

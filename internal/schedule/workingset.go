@@ -5,8 +5,8 @@ import "fmt"
 // WorkingSet summarises the staging footprint and traffic of one
 // program: the peak number of simultaneously staged blocks at the
 // shared level and in the busiest core's distributed level, plus the
-// per-level staging traffic in blocks, measured by replaying the
-// operation stream against counting sets (no cache policy, no data). A
+// per-level staging traffic in blocks, measured by walking the
+// program's trace against counting sets (no cache policy, no data). A
 // backend that materialises staging — the executor's shared and
 // per-core arenas — uses it to prove, before allocating or running
 // anything, that the schedule fits the cache capacities it was tuned
@@ -108,137 +108,65 @@ func (ws WorkingSet) FitsShared(r Resources) error {
 	return nil
 }
 
-// Measure replays p's operation stream against counting sets and
-// returns its working set. The replay performs no arithmetic and
-// instantiates no cache policy, so it is cheap relative to execution
-// and safe to run ahead of it.
+// Measure walks p's trace against counting sets and returns its
+// working set. The walk performs no arithmetic and instantiates no
+// cache policy, so it is cheap relative to execution and safe to run
+// ahead of it. A program that carries no trace is lowered first; its
+// lowering error, if any, is returned. Shared residency is tracked per
+// home chip, so the per-chip capacity rule and the inter-chip subset of
+// the MD stream fall out of the same walk.
 func Measure(p *Program) (WorkingSet, error) {
-	m := newMeasurer(p)
-	if err := p.Emit(m); err != nil {
+	t, err := p.Lower()
+	if err != nil {
 		return WorkingSet{}, err
 	}
-	ws := WorkingSet{
-		Computes:          m.computes,
-		SharedStages:      m.sharedStages,
-		SharedUnstages:    m.sharedUnstages,
-		Stages:            m.stages,
-		Unstages:          m.unstages,
-		SharedPeakPerChip: m.sharedPeak,
-		InterChipStages:   m.icStages,
-		InterChipUnstages: m.icUnstages,
+	chips := p.Resources.ChipCount()
+	ws := WorkingSet{SharedPeakPerChip: make([]int, chips)}
+	shared := make([]map[Line]struct{}, chips)
+	for i := range shared {
+		shared[i] = make(map[Line]struct{})
 	}
-	for _, peak := range m.sharedPeak {
-		if peak > ws.SharedPeak {
-			ws.SharedPeak = peak
+	cores := make([]map[Line]struct{}, max(p.Cores, 0))
+	for i := range t.Steps {
+		s := &t.Steps[i]
+		if s.Cores == nil {
+			l, home := s.Shared.Line, p.HomeOf(s.Shared.Line)
+			if s.Shared.Unstage {
+				delete(shared[home], l)
+				ws.SharedUnstages++
+				continue
+			}
+			shared[home][l] = struct{}{}
+			ws.SharedStages++
+			ws.SharedPeakPerChip[home] = max(ws.SharedPeakPerChip[home], len(shared[home]))
+			ws.SharedPeak = max(ws.SharedPeak, len(shared[home]))
+			continue
 		}
-	}
-	for _, c := range m.cores {
-		if c.peak > ws.CorePeak {
-			ws.CorePeak = c.peak
+		for c, ops := range s.Cores {
+			for j := range ops {
+				op := &ops[j]
+				switch op.Kind {
+				case OpStage:
+					if cores[c] == nil {
+						cores[c] = make(map[Line]struct{})
+					}
+					cores[c][op.Line] = struct{}{}
+					ws.CorePeak = max(ws.CorePeak, len(cores[c]))
+					ws.Stages++
+					if p.HomeOf(op.Line) != p.ChipOfCore(c) {
+						ws.InterChipStages++
+					}
+				case OpUnstage:
+					delete(cores[c], op.Line)
+					ws.Unstages++
+					if p.HomeOf(op.Line) != p.ChipOfCore(c) {
+						ws.InterChipUnstages++
+					}
+				case OpApply:
+					ws.Computes++
+				}
+			}
 		}
 	}
 	return ws, nil
-}
-
-// measurer is the counting backend behind Measure. Shared residency is
-// tracked per home chip, so the per-chip capacity rule and the
-// inter-chip subset of the MD stream fall out of the same replay.
-type measurer struct {
-	prog           *Program
-	shared         []map[Line]struct{} // staged set per home chip
-	sharedPeak     []int
-	cores          []coreSet
-	computes       uint64
-	sharedStages   uint64
-	sharedUnstages uint64
-	stages         uint64
-	unstages       uint64
-	icStages       uint64
-	icUnstages     uint64
-}
-
-type coreSet struct {
-	resident map[Line]struct{}
-	peak     int
-}
-
-func newMeasurer(p *Program) *measurer {
-	chips := p.Resources.ChipCount()
-	m := &measurer{
-		prog:       p,
-		shared:     make([]map[Line]struct{}, chips),
-		sharedPeak: make([]int, chips),
-		cores:      make([]coreSet, p.Cores),
-	}
-	for i := range m.shared {
-		m.shared[i] = make(map[Line]struct{})
-	}
-	return m
-}
-
-var _ Backend = (*measurer)(nil)
-
-func (m *measurer) StageShared(l Line) {
-	chip := m.prog.HomeOf(l)
-	m.shared[chip][l] = struct{}{}
-	if len(m.shared[chip]) > m.sharedPeak[chip] {
-		m.sharedPeak[chip] = len(m.shared[chip])
-	}
-	m.sharedStages++
-}
-
-func (m *measurer) UnstageShared(l Line) {
-	delete(m.shared[m.prog.HomeOf(l)], l)
-	m.sharedUnstages++
-}
-
-func (m *measurer) Parallel(body func(core int, ops CoreSink)) {
-	for c := range m.cores {
-		body(c, measureSink{m: m, core: c})
-	}
-}
-
-// measureSink tracks one core's resident staged set.
-type measureSink struct {
-	m    *measurer
-	core int
-}
-
-func (s measureSink) Stage(l Line) {
-	cs := &s.m.cores[s.core]
-	if cs.resident == nil {
-		cs.resident = make(map[Line]struct{})
-	}
-	cs.resident[l] = struct{}{}
-	if len(cs.resident) > cs.peak {
-		cs.peak = len(cs.resident)
-	}
-	s.m.stages++
-	if s.m.prog.HomeOf(l) != s.m.prog.ChipOfCore(s.core) {
-		s.m.icStages++
-	}
-}
-
-func (s measureSink) Unstage(l Line) {
-	delete(s.m.cores[s.core].resident, l)
-	s.m.unstages++
-	if s.m.prog.HomeOf(l) != s.m.prog.ChipOfCore(s.core) {
-		s.m.icUnstages++
-	}
-}
-
-func (s measureSink) Read(Line)  {}
-func (s measureSink) Write(Line) {}
-
-// Apply counts one kernel application; staging footprints are tracked by
-// Stage/Unstage, and the kernel's accesses touch only staged blocks.
-func (s measureSink) Apply(k Kernel, dest Line, srcs ...Line) {
-	if len(srcs) != k.Arity() {
-		panic(fmt.Sprintf("schedule: %v applied to %d sources, want %d", k, len(srcs), k.Arity()))
-	}
-	s.m.computes++
-}
-
-func (s measureSink) Compute(i, j, k int) {
-	s.Apply(MulAdd, LineC(i, j), LineA(i, k), LineB(k, j))
 }
