@@ -10,7 +10,10 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/algo"
 	"repro/internal/experiments"
+	"repro/internal/lu"
+	"repro/internal/schedule"
 )
 
 // benchOptions is a small but non-trivial sweep: big enough that the
@@ -125,5 +128,69 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			}
 			b.ReportMetric(w.Products()*float64(b.N)/b.Elapsed().Seconds(), "products/s")
 		})
+	}
+}
+
+// BenchmarkCompile times the compile passes an executor runs before a
+// program's first replay, one sub-benchmark per pass, on two programs:
+// blocked LU at n=1024, q=32 on two cores (the program every
+// lu.FactorParallelTuned call compiles), planned for the pipelined mode
+// at depth 1; and Shared Opt. on 48×48×48 blocks of q=16 on two cores
+// (about 110k block ops per replay), planned for the serial shared mode.
+// Optimize starts from the lowered program and Measure and the planner
+// from the optimized one, as in the executor.
+func BenchmarkCompile(b *testing.B) {
+	luProg, err := lu.Program(lu.MachineFor(2, 32), 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gemmMach := lu.MachineFor(2, 16)
+	sharedOpt, err := algo.ByName("Shared Opt.")
+	if err != nil {
+		b.Fatal(err)
+	}
+	gemmProg, err := sharedOpt.Schedule(gemmMach, algo.Square(48))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		prog *schedule.Program
+		plan func(*schedule.Program) (*schedule.PipelinePlan, error)
+	}{
+		{"lu", luProg, func(p *schedule.Program) (*schedule.PipelinePlan, error) {
+			return schedule.PlanPipelineDepth(p, lu.MachineFor(2, 32).CS, 1)
+		}},
+		{"gemm-fine", gemmProg, func(p *schedule.Program) (*schedule.PipelinePlan, error) {
+			return schedule.PlanSerial(p, gemmMach.CS)
+		}},
+	} {
+		lowered, err := c.prog.Lowered()
+		if err != nil {
+			b.Fatal(err)
+		}
+		opt, _, err := schedule.Optimize(lowered, schedule.OptimizeOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		passes := []struct {
+			name string
+			run  func() error
+		}{
+			{"Lower", func() error { _, err := c.prog.Lower(); return err }},
+			{"Optimize", func() error { _, _, err := schedule.Optimize(lowered, schedule.OptimizeOptions{}); return err }},
+			{"Measure", func() error { _, err := schedule.Measure(opt); return err }},
+			{"Plan", func() error { _, err := c.plan(opt); return err }},
+		}
+		for _, pass := range passes {
+			b.Run(c.name+"/"+pass.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := pass.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -187,8 +187,8 @@ type Executor struct {
 	// declared Resources and its Home placement (single chip, everything
 	// homed on chip 0, when undeclared).
 	chips  int
-	chipOf []int                   // core → chip (blocked partition)
-	homeOf func(schedule.Line) int // line → home chip; nil ⇒ chip 0
+	chipOf []int // core → chip (blocked partition)
+	homes  []int // line ID → home chip (the trace's Homes); nil ⇒ chip 0
 
 	ms  LevelTraffic     // memory↔shared stream, stager/driving goroutine only
 	md  []LevelTraffic   // shared↔core (or memory↔core) stream, one per worker
@@ -229,9 +229,10 @@ type Executor struct {
 // compiled is everything Run derives from a source program before its
 // first replay. prog is the program actually replayed — src lowered, or
 // its optimizer rewrite with rep as the ledger — and trace the trace
-// prog carries. staging records whether prog moves data in this mode,
-// and plan phases its memory↔shared stream (shared-level modes with
-// staging only; nil otherwise).
+// prog carries, whose line IDs key the arenas' slot tables during the
+// replay. staging records whether prog moves data in this mode, and
+// plan phases its memory↔shared stream (shared-level modes with staging
+// only; nil otherwise).
 type compiled struct {
 	src, prog *schedule.Program
 	trace     *schedule.Trace
@@ -410,25 +411,27 @@ func (ex *Executor) OptimizeReport() schedule.OptimizeReport {
 	return ex.comp.rep
 }
 
-// home resolves the home chip of l under the current Run's placement.
-func (ex *Executor) home(l schedule.Line) int {
-	if ex.homeOf == nil {
+// home resolves the home chip of line ID id under the current Run's
+// placement.
+func (ex *Executor) home(id schedule.LineID) int {
+	if ex.homes == nil {
 		return 0
 	}
-	return ex.homeOf(l)
+	return ex.homes[id]
 }
 
-// stageShared performs the physical memory→shared transfer of l into
-// its home chip's arena and counts it on the MS stream. It runs on the
+// stageShared performs the physical memory→shared transfer of line ID
+// id into its home chip's arena and counts it on the MS stream. It runs on the
 // driving goroutine, between regions or — a pipelined prefetch — while
 // the workers compute. It is a cancellation point (the context is
 // polled before the transfer, so staging loops unwind promptly) and an
 // injection point; failures — organic, injected, or a panic recovered
 // right here — carry the driver op's provenance.
-func (ex *Executor) stageShared(l schedule.Line) (err error) {
+func (ex *Executor) stageShared(id schedule.LineID) (err error) {
 	if err := ex.ctxErr(); err != nil {
 		return err
 	}
+	l := ex.comp.trace.Lines[id]
 	ref := schedule.OpRef{Region: ex.region, Core: schedule.DriverCore, Index: ex.drvIdx}
 	ex.drvIdx++
 	defer func() {
@@ -448,29 +451,31 @@ func (ex *Executor) stageShared(l schedule.Line) (err error) {
 	if err != nil {
 		return ex.driverError(ref, faultinject.StageShared, l, err)
 	}
-	home := ex.home(l)
-	values, err := ex.shared[home].Stage(l, src)
+	home := ex.home(id)
+	values, err := ex.shared[home].stage(idKey(id, l), src)
 	if err != nil {
 		return ex.driverError(ref, faultinject.StageShared, l, err)
 	}
 	if act.Kind == faultinject.ActCorrupt {
-		ex.shared[home].corrupt(l, act.Bit)
+		ex.shared[home].corrupt(idKey(id, l), act.Bit)
 	}
 	ex.ms.stage(values)
 	return nil
 }
 
-// unstageShared performs the physical shared→memory release of l,
+// unstageShared performs the physical shared→memory release of line ID
+// id,
 // counting a dirty write-back on the MS stream. It does not re-check
 // core-arena residency — a pipelined retire runs concurrently with the
 // workers, so the check would race them — but relies on the phase
 // planner having proven inclusion statically for every plan. Like
 // stageShared it is a cancellation and injection point with full
 // driver-op provenance.
-func (ex *Executor) unstageShared(l schedule.Line) (err error) {
+func (ex *Executor) unstageShared(id schedule.LineID) (err error) {
 	if err := ex.ctxErr(); err != nil {
 		return err
 	}
+	l := ex.comp.trace.Lines[id]
 	ref := schedule.OpRef{Region: ex.region, Core: schedule.DriverCore, Index: ex.drvIdx}
 	ex.drvIdx++
 	defer func() {
@@ -489,7 +494,7 @@ func (ex *Executor) unstageShared(l schedule.Line) (err error) {
 	if err != nil {
 		return ex.driverError(ref, faultinject.UnstageShared, l, err)
 	}
-	values, dirty, err := ex.shared[ex.home(l)].Unstage(l, dst)
+	values, dirty, err := ex.shared[ex.home(id)].unstage(idKey(id, l), dst)
 	if err != nil {
 		return ex.driverError(ref, faultinject.UnstageShared, l, err)
 	}
@@ -522,11 +527,11 @@ func (ex *Executor) replay(c *compiled) {
 		s := &c.trace.Steps[i]
 		if s.Cores == nil {
 			if !s.Shared.Unstage && ex.probe != nil && ex.probe.SharedAccess != nil {
-				ex.probe.SharedAccess(s.Shared.Line)
+				ex.probe.SharedAccess(c.trace.Lines[s.Shared.Line])
 			}
 			continue
 		}
-		ex.feedProbe(s.Cores)
+		ex.feedProbe(s.Cores, c.trace.Lines)
 		region := s.Region
 		if region < 0 {
 			continue
@@ -561,23 +566,28 @@ func (ex *Executor) replay(c *compiled) {
 // core's program order, exactly as the simulator records them: a Stage
 // reads its line, a kernel reads its sources in order and then writes
 // its destination, raw accesses pass through, and an Unstage stays
-// invisible.
-func (ex *Executor) feedProbe(cores [][]schedule.Op) {
+// invisible. lines is the trace's line table.
+func (ex *Executor) feedProbe(cores [][]schedule.Op, lines []schedule.Line) {
 	p := ex.probe
 	if p == nil || p.CoreAccess == nil {
 		return
 	}
+	var srcs [2]schedule.Line
 	for c, ops := range cores {
 		read := func(l schedule.Line) { p.CoreAccess(c, l, false) }
 		write := func(l schedule.Line) { p.CoreAccess(c, l, true) }
 		for i := range ops {
 			switch op := &ops[i]; op.Kind {
 			case schedule.OpStage, schedule.OpRead:
-				read(op.Line)
+				read(lines[op.Line])
 			case schedule.OpWrite:
-				write(op.Line)
+				write(lines[op.Line])
 			case schedule.OpApply:
-				op.Kernel.Accesses(op.Line, op.Sources(), read, write)
+				ids := op.Sources()
+				for k, id := range ids {
+					srcs[k] = lines[id]
+				}
+				op.Kernel.Accesses(lines[op.Line], srcs[:len(ids)], read, write)
 			}
 		}
 	}
@@ -619,6 +629,7 @@ func (ex *Executor) replayOps(c, region int, ops []schedule.Op) (err error) {
 	if ex.comp.staging {
 		ar = ex.arenas[c]
 	}
+	lines := ex.comp.trace.Lines
 	md := &ex.md[c]
 	idx := ex.opIdx[c]
 	var cur *schedule.Op
@@ -634,7 +645,7 @@ func (ex *Executor) replayOps(c, region int, ops []schedule.Op) (err error) {
 				Stack:      debug.Stack(),
 			}
 			if cur != nil {
-				re.Site, re.Kernel, re.Line, re.HasOp = site, cur.Kernel, cur.Line, true
+				re.Site, re.Kernel, re.Line, re.HasOp = site, cur.Kernel, lines[cur.Line], true
 			}
 			err = re
 		}
@@ -651,29 +662,32 @@ func (ex *Executor) replayOps(c, region int, ops []schedule.Op) (err error) {
 		}
 		cur, site = op, siteOf(op)
 		ref := schedule.OpRef{Region: region, Core: c, Index: idx}
-		act, ierr := ex.injectAt(faultinject.Point{Op: ref, Kind: site, Kernel: op.Kernel, Line: op.Line})
+		l := lines[op.Line]
+		act, ierr := ex.injectAt(faultinject.Point{Op: ref, Kind: site, Kernel: op.Kernel, Line: l})
 		if ierr != nil {
-			return ex.opError(ref, site, op, ierr)
+			return ex.opError(ref, site, op.Kernel, l, ierr)
 		}
-		if oerr := ex.replayOne(c, ar, md, op, act); oerr != nil {
-			return ex.opError(ref, site, op, oerr)
+		if oerr := ex.replayOne(c, ar, md, op, l, act); oerr != nil {
+			return ex.opError(ref, site, op.Kernel, l, oerr)
 		}
 		idx++
 	}
 	return nil
 }
 
-// replayOne executes a single trace op on core c. act carries the
-// already-resolved injection at this point; the only action left to
-// apply here is ActCorrupt, which flips a bit of the freshly staged (or
-// freshly written) arena copy after the op completed.
-func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op *schedule.Op, act faultinject.Action) error {
+// replayOne executes a single trace op on core c; l is the line of the
+// op's ID. act carries the already-resolved injection at this point;
+// the only action left to apply here is ActCorrupt, which flips a bit
+// of the freshly staged (or freshly written) arena copy after the op
+// completed. Arena slots are keyed by the op's line ID throughout.
+func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op *schedule.Op, l schedule.Line, act faultinject.Action) error {
+	k := idKey(op.Line, l)
 	switch op.Kind {
 	case schedule.OpStage, schedule.OpUnstage:
 		if ar == nil {
 			// Staging ops reach replay only through Run, which
 			// allocates arenas for every program that stages.
-			return fmt.Errorf("parallel: staging op %v outside a validated Run", op.Line)
+			return fmt.Errorf("parallel: staging op %v outside a validated Run", l)
 		}
 		if op.Kind == schedule.OpStage {
 			if ex.mode.SharedLevel() {
@@ -682,7 +696,7 @@ func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op *schedule.O
 				// makes the same transfer an inter-chip one: counted on
 				// MD as always, plus the interconnect stream.
 				home := ex.home(op.Line)
-				values, err := ex.shared[home].Refill(ar, op.Line)
+				values, err := ex.shared[home].refill(ar, k)
 				if err != nil {
 					return err
 				}
@@ -691,23 +705,23 @@ func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op *schedule.O
 					ex.icw[c][home].stage(values)
 				}
 			} else {
-				src, err := ex.block(op.Line)
+				src, err := ex.block(l)
 				if err != nil {
 					return err
 				}
-				if err := ar.Stage(op.Line, src); err != nil {
+				if err := ar.stage(k, src); err != nil {
 					return err
 				}
 				md.stage(src.Rows() * src.Cols())
 			}
 			if act.Kind == faultinject.ActCorrupt {
-				if slot := ar.tile(op.Line); slot != nil {
+				if slot := ar.tileKey(k); slot != nil {
 					corruptData(slot.data, act.Bit)
 				}
 			}
 			return nil
 		}
-		rows, cols, data, dirty, err := ar.release(op.Line)
+		rows, cols, data, dirty, err := ar.releaseKey(k)
 		if err != nil {
 			return err
 		}
@@ -720,14 +734,14 @@ func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op *schedule.O
 			// level owns the eventual write-back to memory. A foreign
 			// home sends the merge over the interconnect.
 			home := ex.home(op.Line)
-			if err := ex.shared[home].Absorb(op.Line, rows, cols, data); err != nil {
+			if err := ex.shared[home].absorb(k, rows, cols, data); err != nil {
 				return err
 			}
 			if home != ex.chipOf[c] {
 				ex.icw[c][home].writeBack(rows * cols)
 			}
 		} else {
-			dst, err := ex.block(op.Line)
+			dst, err := ex.block(l)
 			if err != nil {
 				return err
 			}
@@ -742,7 +756,7 @@ func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op *schedule.O
 			return err
 		}
 		if act.Kind == faultinject.ActCorrupt && ar != nil {
-			if slot := ar.tile(op.Line); slot != nil {
+			if slot := ar.tileKey(k); slot != nil {
 				corruptData(slot.data, act.Bit)
 			}
 		}
@@ -759,35 +773,37 @@ func (ex *Executor) block(l schedule.Line) (*matrix.Dense, error) {
 // apply dispatches one typed kernel application. With an arena present
 // (staged schedules) every operand must be arena-resident — mirroring
 // the IDEAL cache, where referencing a non-resident line is an error —
-// and the kernel runs on the contiguous packed copies. Demand-driven
-// schedules never stage, so Run allocates them no arena (ar == nil) and
-// the kernel reads the tile views directly; both paths run the very
-// same arithmetic, so packed-vs-view ratios measure data layout, never
-// loop shape, and the two results are bitwise identical.
+// and the kernel runs on the contiguous packed copies, found by line
+// ID. Demand-driven schedules never stage, so Run allocates them no
+// arena (ar == nil) and the kernel reads the tile views directly; both
+// paths run the very same arithmetic, so packed-vs-view ratios measure
+// data layout, never loop shape, and the two results are bitwise
+// identical.
 func (ex *Executor) apply(ar *Arena, op *schedule.Op) error {
+	lines := ex.comp.trace.Lines
 	var dest *matrix.Dense
 	var srcs [2]*matrix.Dense
 	if ar != nil {
-		sd := ar.tile(op.Line)
+		sd := ar.tileKey(idKey(op.Line, lines[op.Line]))
 		if sd == nil {
-			return fmt.Errorf("parallel: %v on non-resident destination %v", op.Kernel, op.Line)
+			return fmt.Errorf("parallel: %v on non-resident destination %v", op.Kernel, lines[op.Line])
 		}
 		dest = sd.hdr
 		sd.dirty = true
 		for i, src := range op.Sources() {
-			ss := ar.tile(src)
+			ss := ar.tileKey(idKey(src, lines[src]))
 			if ss == nil {
-				return fmt.Errorf("parallel: %v of %v with non-resident source %v", op.Kernel, op.Line, src)
+				return fmt.Errorf("parallel: %v of %v with non-resident source %v", op.Kernel, lines[op.Line], lines[src])
 			}
 			srcs[i] = ss.hdr
 		}
 	} else {
 		var err error
-		if dest, err = ex.block(op.Line); err != nil {
+		if dest, err = ex.block(lines[op.Line]); err != nil {
 			return err
 		}
 		for i, src := range op.Sources() {
-			if srcs[i], err = ex.block(src); err != nil {
+			if srcs[i], err = ex.block(lines[src]); err != nil {
 				return err
 			}
 		}
@@ -984,7 +1000,7 @@ func (ex *Executor) execute(src *schedule.Program) error {
 	// arena per declared chip and route every line by its home; the
 	// other modes have no shared level, hence a single flat chip.
 	ex.chips = 1
-	ex.homeOf = nil
+	ex.homes = nil
 	if len(ex.chipOf) != ex.team.Size() {
 		ex.chipOf = make([]int, ex.team.Size())
 	}
@@ -994,7 +1010,6 @@ func (ex *Executor) execute(src *schedule.Program) error {
 			return fmt.Errorf("parallel: program %q declares %d chips, which cannot split %d cores evenly",
 				src.Algorithm, ex.chips, ex.team.Size())
 		}
-		ex.homeOf = src.HomeOf
 		for c := range ex.chipOf {
 			ex.chipOf[c] = src.ChipOfCore(c)
 		}
@@ -1018,6 +1033,9 @@ func (ex *Executor) execute(src *schedule.Program) error {
 	comp, err := ex.compile(src)
 	if err != nil {
 		return err
+	}
+	if ex.mode.SharedLevel() {
+		ex.homes = comp.trace.Homes
 	}
 	if comp.staging {
 		if ex.arenas == nil {
@@ -1060,13 +1078,17 @@ func (ex *Executor) execute(src *schedule.Program) error {
 		}
 	}
 	// Arm (or disarm) the checksum tripwire on every arena the run will
-	// touch; arenas persist across Runs, so the flag is re-applied here
-	// rather than only at allocation.
+	// touch, and bind the arenas' slot tables to the trace's line IDs;
+	// arenas persist across Runs and programs, so both are re-applied
+	// here rather than only at allocation. Every arena is empty here:
+	// the last Run drained it, or Reset discarded it.
 	for _, ar := range ex.arenas {
 		ar.verify = ex.integrity
+		ar.bind(len(comp.trace.Lines))
 	}
 	for _, sa := range ex.shared {
 		sa.setVerify(ex.integrity)
+		sa.bind(len(comp.trace.Lines))
 	}
 	ex.replay(comp)
 	if ex.err == nil && ex.mode == ModePacked {
@@ -1093,14 +1115,14 @@ func (ex *Executor) execute(src *schedule.Program) error {
 		// then the shared arena writes to memory — the reverse order
 		// would let a stale shared copy overwrite a fresher core result.
 		for c, ar := range ex.arenas {
-			_, err := ar.Drain(func(l schedule.Line, rows, cols int, data []float64) error {
-				home := ex.home(l)
-				if err := ex.shared[home].Absorb(l, rows, cols, data); err != nil {
+			_, err := ar.drain(func(s *arenaSlot) error {
+				home := ex.home(schedule.LineID(s.key.id))
+				if err := ex.shared[home].absorb(s.key, s.rows, s.cols, s.data); err != nil {
 					return err
 				}
-				ex.md[c].writeBack(rows * cols)
+				ex.md[c].writeBack(s.rows * s.cols)
 				if home != ex.chipOf[c] {
-					ex.icw[c][home].writeBack(rows * cols)
+					ex.icw[c][home].writeBack(s.rows * s.cols)
 				}
 				return nil
 			})

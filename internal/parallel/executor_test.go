@@ -1,10 +1,12 @@
 package parallel
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/algo"
+	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/schedule"
@@ -303,6 +305,92 @@ func TestPackedExecutorReuseAcrossStagingStyles(t *testing.T) {
 	want.Scale(3)
 	if diff := tr.C.Dense().MaxAbsDiff(want); diff > 1e-9 {
 		t.Fatalf("reused executor deviates by %g", diff)
+	}
+}
+
+// A shared-level Executor addresses its core and shared arenas by the
+// line IDs of the trace it replays, and different programs number the
+// same lines differently. Reused across three staged programs, then the
+// first again, and once more after a run that failed with tiles staged
+// and a Reset, every run must equal a fresh executor's run of the same
+// program bit for bit, traffic included.
+func TestSharedExecutorReuseAcrossPrograms(t *testing.T) {
+	mach := testMachine(2)
+	mach.Chips = 2
+	const seed = 31
+	newTriple := func() *matrix.Triple {
+		tr, err := matrix.NewTriple(5, 4, 3, mach.Q, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	m, n, z := newTriple().Dims()
+	var progs []*schedule.Program
+	for _, name := range []string{"Shared Opt.", "Tradeoff", "Distributed Opt."} {
+		a, err := algo.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := a.Schedule(mach, algo.Workload{M: m, N: n, Z: z})
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, prog)
+	}
+	run := func(ex *Executor, tr *matrix.Triple, prog *schedule.Program) {
+		t.Helper()
+		tr.C.Dense().Zero()
+		if err := ex.Run(prog); err != nil {
+			t.Fatalf("%s: %v", prog.Algorithm, err)
+		}
+	}
+	for _, mode := range []Mode{ModeShared, ModeSharedPipelined} {
+		for _, opt := range []bool{false, true} {
+			tun := Tuning{Optimize: opt}
+			team, err := NewTeam(mach.P)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer team.Close()
+			tr := newTriple()
+			ex, err := NewExecutor(team, tr, nil, mode, mach.CD, mach.CS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex.SetTuning(tun)
+			check := func(prog *schedule.Program, when string) {
+				t.Helper()
+				run(ex, tr, prog)
+				fresh := newTriple()
+				fex, err := NewExecutor(team, fresh, nil, mode, mach.CD, mach.CS)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fex.SetTuning(tun)
+				run(fex, fresh, prog)
+				if !bitEqual(tr.C.Dense(), fresh.C.Dense()) {
+					t.Fatalf("%v optimize=%v %s %s: reused executor's product differs from a fresh one's", mode, opt, prog.Algorithm, when)
+				}
+				if got, want := ex.Traffic(), fex.Traffic(); got != want {
+					t.Fatalf("%v optimize=%v %s %s: reused executor's traffic %+v, fresh %+v", mode, opt, prog.Algorithm, when, got, want)
+				}
+			}
+			for _, prog := range progs {
+				check(prog, "in sequence")
+			}
+			check(progs[0], "run again")
+			ex.SetFaultInjector(&faultinject.Plan{Rules: []faultinject.Rule{{
+				Core: 0, OpIndex: -1, Ops: faultinject.Mask(faultinject.Unstage),
+				Action: faultinject.Action{Kind: faultinject.ActError},
+			}}})
+			if err := ex.Run(progs[1]); !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("%v optimize=%v: faulted run returned %v", mode, opt, err)
+			}
+			ex.SetFaultInjector(nil)
+			ex.Reset()
+			check(progs[0], "after a failed run and Reset")
+		}
 	}
 }
 

@@ -92,7 +92,7 @@ func checksum(data []float64) uint64 {
 
 // opError wraps a worker-op failure with its full provenance. Errors
 // that are already RunErrors pass through untouched.
-func (ex *Executor) opError(ref schedule.OpRef, site faultinject.OpKind, op *schedule.Op, err error) error {
+func (ex *Executor) opError(ref schedule.OpRef, site faultinject.OpKind, k schedule.Kernel, l schedule.Line, err error) error {
 	var re *RunError
 	if errors.As(err, &re) {
 		return err
@@ -101,8 +101,8 @@ func (ex *Executor) opError(ref schedule.OpRef, site faultinject.OpKind, op *sch
 		Algorithm: ex.algorithm,
 		Op:        ref,
 		Site:      site,
-		Kernel:    op.Kernel,
-		Line:      op.Line,
+		Kernel:    k,
+		Line:      l,
 		HasOp:     true,
 		Err:       err,
 	}

@@ -23,7 +23,10 @@ import (
 // gap's trailing write-backs (Retire) and runs the region's Prefetch
 // list — stages for gaps up to the plan's lookahead Depth ahead — into
 // spare shared slots while the workers compute, then joins the team.
-// After the last region, the plan's Tail drains the shared level.
+// After the last region, the plan's Tail drains the shared level. The
+// driver runs each list in its line-ID form (BarrierIDs, RetireIDs,
+// PrefetchIDs, TailIDs), so its transfers address the same ID-indexed
+// shared slots the workers refill from and merge into.
 //
 // The hand-off protocol is the region epoch itself: every reordered
 // operation runs strictly between one Launch and its join, and the plan
@@ -45,7 +48,7 @@ import (
 func (ex *Executor) phasedRegion(reg *schedule.PipelineRegion, cores [][]schedule.Op) {
 	r := ex.region
 	start := time.Now()
-	err := ex.driverOps(reg.Barrier)
+	err := ex.driverOps(reg.BarrierIDs)
 	ex.stageWait += time.Since(start)
 	if err != nil {
 		ex.fail(err)
@@ -69,14 +72,14 @@ func (ex *Executor) phasedRegion(reg *schedule.PipelineRegion, cores [][]schedul
 	// regions' stages into spare slots. A staging error must not
 	// short-circuit the join — the workers still hold the region.
 	var stageErr error
-	for _, l := range reg.Retire {
-		if stageErr = ex.unstageShared(l); stageErr != nil {
+	for _, id := range reg.RetireIDs {
+		if stageErr = ex.unstageShared(id); stageErr != nil {
 			break
 		}
 	}
 	if stageErr == nil {
-		for _, l := range reg.Prefetch {
-			if stageErr = ex.stageShared(l); stageErr != nil {
+		for _, id := range reg.PrefetchIDs {
+			if stageErr = ex.stageShared(id); stageErr != nil {
 				break
 			}
 		}
@@ -114,13 +117,13 @@ func (ex *Executor) runTail(plan *schedule.PipelinePlan) {
 	}
 	ex.region = len(plan.Regions)
 	start := time.Now()
-	ex.fail(ex.driverOps(plan.Tail))
+	ex.fail(ex.driverOps(plan.TailIDs))
 	ex.stageWait += time.Since(start)
 }
 
 // driverOps runs a plan's program-order shared ops on the driving
 // goroutine, stopping at the first failure.
-func (ex *Executor) driverOps(ops []schedule.PipelinedOp) error {
+func (ex *Executor) driverOps(ops []schedule.SharedOp) error {
 	for _, op := range ops {
 		var err error
 		if op.Unstage {

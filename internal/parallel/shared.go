@@ -23,20 +23,25 @@ import (
 // upward into the shared copy before the shared level writes it back to
 // memory.
 //
-// Concurrency contract: Stage, Unstage and Drain run on a single
-// goroutine — the driving goroutine, between parallel regions in
-// ModeShared and also, as the stager, concurrently with worker regions
-// in ModeSharedPipelined. Refill and Absorb run on worker
-// goroutines inside regions. The slot index and free list are guarded
-// by a readers-writer lock so the pipelined stager may restage free
-// slots while workers look up resident ones; the tile *data* needs no
-// lock, because every concurrent pairing addresses disjoint lines — the
-// schedules guarantee that dirty (C) blocks are disjoint across cores,
-// and schedule.PlanPipeline proves the stager's prefetches and retires
-// never address a line the running region touches. The race detector
-// verifies the contract over the whole test suite.
+// Like a core Arena, it keys its slots by line ID during the
+// executor's replay (the unexported stage, unstage, refill and absorb)
+// and by line in the exported methods.
+//
+// Concurrency contract: Stage, Unstage and Drain (and their unexported
+// forms) run on a single goroutine — the driving goroutine,
+// between parallel regions in ModeShared and also, as the stager,
+// concurrently with worker regions in ModeSharedPipelined. Refill and
+// Absorb run on worker goroutines inside regions. The slot tables and
+// free list are guarded by a readers-writer lock so the pipelined
+// stager may restage free slots while workers look up resident ones;
+// the tile *data* needs no lock, because every concurrent pairing
+// addresses disjoint lines — the schedules guarantee that dirty (C)
+// blocks are disjoint across cores, and schedule.PlanPipeline proves
+// the stager's prefetches and retires never address a line the running
+// region touches. The race detector verifies the contract over the
+// whole test suite.
 type SharedArena struct {
-	mu    sync.RWMutex // guards arena.index, arena.free and slot headers
+	mu    sync.RWMutex // guards the slot tables (arena.byID, arena.index), arena.free and slot headers
 	arena Arena
 }
 
@@ -63,12 +68,20 @@ func (sa *SharedArena) setVerify(on bool) {
 	sa.mu.Unlock()
 }
 
-// corrupt flips bit of the first value of l's resident copy — the
+// bind sizes the ID slot table to a trace of n lines (see Arena.bind).
+func (sa *SharedArena) bind(n int) {
+	sa.mu.Lock()
+	sa.arena.bind(n)
+	sa.mu.Unlock()
+}
+
+// corrupt flips bit of the first value of k's resident copy — the
 // physical effect of an injected ActCorrupt at a StageShared point. A
-// non-resident l is a no-op (the stage that was to be corrupted failed).
-func (sa *SharedArena) corrupt(l schedule.Line, bit uint) {
+// non-resident line is a no-op (the stage that was to be corrupted
+// failed).
+func (sa *SharedArena) corrupt(k slotKey, bit uint) {
 	sa.mu.RLock()
-	slot := sa.arena.tile(l)
+	slot := sa.arena.tileKey(k)
 	sa.mu.RUnlock()
 	if slot != nil {
 		corruptData(slot.data, bit)
@@ -112,21 +125,23 @@ func (sa *SharedArena) Contains(l schedule.Line) bool {
 
 // Stage packs the src tile into a free slot under line l: the physical
 // "load into the shared cache" (one MS transfer). The tile's value
-// count is returned for traffic accounting. Only the slot claim holds
-// the lock; the copy itself runs unlocked — the slot was free, so no
-// worker can be addressing it.
+// count is returned for traffic accounting.
 func (sa *SharedArena) Stage(l schedule.Line, src *matrix.Dense) (values int, err error) {
+	return sa.stage(lineKey(l), src)
+}
+
+// stage is Stage under key k. Only the slot claim holds the lock; the
+// copy itself runs unlocked — the slot was free, so no worker can be
+// addressing it.
+func (sa *SharedArena) stage(k slotKey, src *matrix.Dense) (values int, err error) {
 	sa.mu.Lock()
-	slot, err := sa.arena.alloc(l, src.Rows(), src.Cols())
+	slot, err := sa.arena.alloc(k, src.Rows(), src.Cols())
 	sa.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	if _, err := matrix.Pack(slot.data, src); err != nil {
+	if err := sa.arena.fill(slot, src); err != nil {
 		return 0, err
-	}
-	if sa.arena.verify {
-		slot.sum = checksum(slot.data)
 	}
 	return src.Rows() * src.Cols(), nil
 }
@@ -134,11 +149,17 @@ func (sa *SharedArena) Stage(l schedule.Line, src *matrix.Dense) (values int, er
 // Unstage frees the slot holding l, writing the packed tile back into
 // dst first if it is dirty — the "write back to main memory" of the
 // pseudocode. It reports the tile's value count and whether a physical
-// write-back happened. The released data stays valid for the unlocked
-// copy because only the single staging goroutine can restage the slot.
+// write-back happened.
 func (sa *SharedArena) Unstage(l schedule.Line, dst *matrix.Dense) (values int, dirty bool, err error) {
+	return sa.unstage(lineKey(l), dst)
+}
+
+// unstage is Unstage under key k. The released data stays valid for
+// the unlocked copy because only the single staging goroutine can
+// restage the slot.
+func (sa *SharedArena) unstage(k slotKey, dst *matrix.Dense) (values int, dirty bool, err error) {
 	sa.mu.Lock()
-	rows, cols, data, dirty, err := sa.arena.release(l)
+	rows, cols, data, dirty, err := sa.arena.releaseKey(k)
 	sa.mu.Unlock()
 	if err != nil {
 		return 0, false, err
@@ -157,16 +178,22 @@ func (sa *SharedArena) Unstage(l schedule.Line, dst *matrix.Dense) (values int, 
 // inclusive hierarchy's "it is the user responsibility to guarantee
 // that a given data is present in every cache below the target cache".
 func (sa *SharedArena) Refill(dst *Arena, l schedule.Line) (values int, err error) {
+	return sa.refill(dst, lineKey(l))
+}
+
+// refill is Refill under key k, which keys the copy in dst too: both
+// arenas are bound to the same trace.
+func (sa *SharedArena) refill(dst *Arena, k slotKey) (values int, err error) {
 	sa.mu.RLock()
-	slot := sa.arena.tile(l)
+	slot := sa.arena.tileKey(k)
 	sa.mu.RUnlock()
 	if slot == nil {
-		return 0, fmt.Errorf("parallel: core refill of block %v not resident in the shared arena", l)
+		return 0, fmt.Errorf("parallel: core refill of block %v not resident in the shared arena", k.line)
 	}
-	if err := sa.arena.check(slot, l); err != nil {
+	if err := sa.arena.check(slot); err != nil {
 		return 0, err
 	}
-	if err := dst.stagePacked(l, slot.rows, slot.cols, slot.data); err != nil {
+	if err := dst.stagePacked(k, slot.rows, slot.cols, slot.data); err != nil {
 		return 0, err
 	}
 	return slot.rows * slot.cols, nil
@@ -177,15 +204,20 @@ func (sa *SharedArena) Refill(dst *Arena, l schedule.Line) (values int, err erro
 // stream, mirroring EvictDistributed's merge under IDEAL. Absorbing
 // into a non-resident block is an error (inclusion was violated).
 func (sa *SharedArena) Absorb(l schedule.Line, rows, cols int, data []float64) error {
+	return sa.absorb(lineKey(l), rows, cols, data)
+}
+
+// absorb is Absorb under key k.
+func (sa *SharedArena) absorb(k slotKey, rows, cols int, data []float64) error {
 	sa.mu.RLock()
-	slot := sa.arena.tile(l)
+	slot := sa.arena.tileKey(k)
 	sa.mu.RUnlock()
 	if slot == nil {
-		return fmt.Errorf("parallel: write-back of %v, but it is not resident in the shared arena", l)
+		return fmt.Errorf("parallel: write-back of %v, but it is not resident in the shared arena", k.line)
 	}
 	if slot.rows != rows || slot.cols != cols {
 		return fmt.Errorf("parallel: write-back of %dx%d tile %v over a %dx%d shared copy",
-			rows, cols, l, slot.rows, slot.cols)
+			rows, cols, k.line, slot.rows, slot.cols)
 	}
 	copy(slot.data, data[:rows*cols])
 	slot.dirty = true

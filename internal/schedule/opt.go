@@ -25,6 +25,19 @@ package schedule
 //     intermediate unstage leaves the arena slot resident and dirty,
 //     so the one writeback happens at the surviving last unstage.
 //
+// The capacity proof is a profile per cache: each chip's shared
+// residency before every trace step, and each core's residency before
+// every op of its stream. An elision keeps its line resident over a
+// window of that profile, so it fits when the window's maximum plus one
+// stays within the declared capacity, and committing it adds one over
+// the window. Candidates commit greedily in a fixed order — the shared
+// pass in unstage-step order, the core pass core by core and then by
+// (Matrix, Row, Col) — each checked against what earlier commits
+// already keep resident. The profile is a bucketed range max (see
+// rangeMax), so checking and booking a window costs about its length
+// over the bucket size instead of its length. All per-line state is
+// indexed by the trace's line IDs.
+//
 // The pass is conservative by construction — any stream it cannot
 // prove well-formed (the verifier's linear-staging, def-before-use and
 // residency rules, re-derived here) is returned unchanged — and it is
@@ -36,6 +49,7 @@ package schedule
 // bitwise through the simulator and the real executor.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -144,11 +158,6 @@ type optUse struct {
 	flags uint8
 }
 
-type optCoreLineKey struct {
-	core int
-	line Line
-}
-
 // optCoreEvent is one Stage/Unstage of a line by one core: its position
 // in that core's flattened op stream (for the capacity profile), the
 // step and op index (for drop marking), and — for unstages — whether
@@ -161,6 +170,14 @@ type optCoreEvent struct {
 	dirty bool
 }
 
+// Residency states of a line in the cache models of optAnalyze and
+// optModel.
+const (
+	optAbsent int8 = iota
+	optClean
+	optDirty
+)
+
 type optAnalysis struct {
 	chips      int
 	sharedProg bool
@@ -169,9 +186,8 @@ type optAnalysis struct {
 	// resBefore[chip][step] is the baseline shared residency of that
 	// chip immediately before the trace step executes;
 	// coreResBefore[core][pos] likewise for one core's flattened
-	// stream. The passes prove
-	// capacity pointwise against these profiles plus their own
-	// committed extras.
+	// stream. The passes prove capacity pointwise against these
+	// profiles plus their own committed extras, and take them over.
 	resBefore     [][]int
 	coreResBefore [][]int
 
@@ -179,9 +195,12 @@ type optAnalysis struct {
 	corePeak   int
 	computes   uint64
 
-	sharedEvents map[Line][]int // driver step indices per line, alternating stage/unstage
-	lineUses     map[Line][]optUse
-	coreEvents   map[optCoreLineKey][]optCoreEvent
+	// Per-line indexes, by line ID: the driver steps of a line's
+	// shared events (alternating stage/unstage), its region uses, and —
+	// per core — its core events.
+	sharedEvents [][]int
+	lineUses     [][]optUse
+	coreEvents   [][][]optCoreEvent // [core][line]
 
 	sharedStages   []uint64 // per home chip
 	sharedUnstages []uint64
@@ -197,14 +216,15 @@ type optAnalysis struct {
 // stage of a line another core holds dirty) are ever rewritten.
 func optAnalyze(p *Program, tr *Trace) (*optAnalysis, string) {
 	chips := p.Resources.ChipCount()
+	n := len(tr.Lines)
 	a := &optAnalysis{
 		chips:          chips,
 		resBefore:      make([][]int, chips),
 		coreResBefore:  make([][]int, p.Cores),
 		sharedPeak:     make([]int, chips),
-		sharedEvents:   make(map[Line][]int),
-		lineUses:       make(map[Line][]optUse),
-		coreEvents:     make(map[optCoreLineKey][]optCoreEvent),
+		sharedEvents:   make([][]int, n),
+		lineUses:       make([][]optUse, n),
+		coreEvents:     make([][][]optCoreEvent, p.Cores),
 		sharedStages:   make([]uint64, chips),
 		sharedUnstages: make([]uint64, chips),
 		coreStages:     make([]uint64, chips),
@@ -213,12 +233,14 @@ func optAnalyze(p *Program, tr *Trace) (*optAnalysis, string) {
 	for ch := range a.resBefore {
 		a.resBefore[ch] = make([]int, len(tr.Steps))
 	}
+	opsPerCore := make([]int, p.Cores)
 	for i := range tr.Steps {
 		if tr.Steps[i].Cores == nil {
 			a.sharedProg = true
 			continue
 		}
-		for _, ops := range tr.Steps[i].Cores {
+		for c, ops := range tr.Steps[i].Cores {
+			opsPerCore[c] += len(ops)
 			for j := range ops {
 				if ops[j].Kind == OpStage || ops[j].Kind == OpUnstage {
 					a.coreProg = true
@@ -226,24 +248,31 @@ func optAnalyze(p *Program, tr *Trace) (*optAnalysis, string) {
 			}
 		}
 	}
+	for c := range a.coreResBefore {
+		a.coreResBefore[c] = make([]int, 0, opsPerCore[c])
+		a.coreEvents[c] = make([][]optCoreEvent, n)
+	}
 
-	addUse := func(step, core int, l Line, flags uint8) {
+	addUse := func(step, core int, l LineID, flags uint8) {
 		us := a.lineUses[l]
-		if n := len(us); n > 0 && us[n-1].step == step && us[n-1].core == core {
-			us[n-1].flags |= flags
+		if k := len(us); k > 0 && us[k-1].step == step && us[k-1].core == core {
+			us[k-1].flags |= flags
 			return
 		}
 		a.lineUses[l] = append(us, optUse{step: step, core: core, flags: flags})
 	}
 
-	sharedRes := make(map[Line]struct{})
+	sharedRes := make([]bool, n)
 	res := make([]int, chips)
-	holders := make(map[Line]map[int]struct{})
-	dirtyBy := make(map[Line]int)
-	type coreState struct{ resident map[Line]bool } // value: dirty
-	cores := make([]coreState, p.Cores)
-	for c := range cores {
-		cores[c].resident = make(map[Line]bool)
+	holders := make([]int, n) // cores holding the line
+	dirtyBy := make([]int, n) // core holding the line dirty, or -1
+	for i := range dirtyBy {
+		dirtyBy[i] = -1
+	}
+	resident := make([][]int8, p.Cores) // per core and line: optAbsent, optClean or optDirty
+	residentN := make([]int, p.Cores)
+	for c := range resident {
+		resident[c] = make([]int8, n)
 	}
 
 	for t := range tr.Steps {
@@ -253,25 +282,25 @@ func optAnalyze(p *Program, tr *Trace) (*optAnalysis, string) {
 		}
 		if step.Cores == nil {
 			d := step.Shared
-			ch := p.HomeOf(d.Line)
+			ch := tr.Homes[d.Line]
 			if !d.Unstage {
-				if _, ok := sharedRes[d.Line]; ok {
-					return nil, fmt.Sprintf("shared double stage of %v", d.Line)
+				if sharedRes[d.Line] {
+					return nil, fmt.Sprintf("shared double stage of %v", tr.Lines[d.Line])
 				}
-				sharedRes[d.Line] = struct{}{}
+				sharedRes[d.Line] = true
 				res[ch]++
 				if res[ch] > a.sharedPeak[ch] {
 					a.sharedPeak[ch] = res[ch]
 				}
 				a.sharedStages[ch]++
 			} else {
-				if _, ok := sharedRes[d.Line]; !ok {
-					return nil, fmt.Sprintf("shared unstage of non-resident %v", d.Line)
+				if !sharedRes[d.Line] {
+					return nil, fmt.Sprintf("shared unstage of non-resident %v", tr.Lines[d.Line])
 				}
-				if len(holders[d.Line]) > 0 {
-					return nil, fmt.Sprintf("shared unstage of %v while a core holds it", d.Line)
+				if holders[d.Line] > 0 {
+					return nil, fmt.Sprintf("shared unstage of %v while a core holds it", tr.Lines[d.Line])
 				}
-				delete(sharedRes, d.Line)
+				sharedRes[d.Line] = false
 				res[ch]--
 				a.sharedUnstages[ch]++
 			}
@@ -279,49 +308,47 @@ func optAnalyze(p *Program, tr *Trace) (*optAnalysis, string) {
 			continue
 		}
 		for c := range step.Cores {
-			st := &cores[c]
+			st := resident[c]
 			chip := p.ChipOfCore(c)
 			for oi := range step.Cores[c] {
 				op := &step.Cores[c][oi]
 				pos := len(a.coreResBefore[c])
-				a.coreResBefore[c] = append(a.coreResBefore[c], len(st.resident))
+				a.coreResBefore[c] = append(a.coreResBefore[c], residentN[c])
 				switch op.Kind {
 				case OpStage:
-					if _, ok := st.resident[op.Line]; ok {
-						return nil, fmt.Sprintf("core %d double stage of %v", c, op.Line)
+					if st[op.Line] != optAbsent {
+						return nil, fmt.Sprintf("core %d double stage of %v", c, tr.Lines[op.Line])
 					}
-					if a.sharedProg {
-						if _, ok := sharedRes[op.Line]; !ok {
-							return nil, fmt.Sprintf("core %d stage of %v while not shared-resident", c, op.Line)
-						}
+					if a.sharedProg && !sharedRes[op.Line] {
+						return nil, fmt.Sprintf("core %d stage of %v while not shared-resident", c, tr.Lines[op.Line])
 					}
-					if d, ok := dirtyBy[op.Line]; ok && d != c {
-						return nil, fmt.Sprintf("core %d stage of %v held dirty by core %d", c, op.Line, d)
+					if d := dirtyBy[op.Line]; d >= 0 && d != c {
+						return nil, fmt.Sprintf("core %d stage of %v held dirty by core %d", c, tr.Lines[op.Line], d)
 					}
-					st.resident[op.Line] = false
-					if len(st.resident) > a.corePeak {
-						a.corePeak = len(st.resident)
+					st[op.Line] = optClean
+					residentN[c]++
+					if residentN[c] > a.corePeak {
+						a.corePeak = residentN[c]
 					}
-					if holders[op.Line] == nil {
-						holders[op.Line] = make(map[int]struct{})
-					}
-					holders[op.Line][c] = struct{}{}
+					holders[op.Line]++
 					a.coreStages[chip]++
-					a.coreEvents[optCoreLineKey{c, op.Line}] = append(a.coreEvents[optCoreLineKey{c, op.Line}],
+					a.coreEvents[c][op.Line] = append(a.coreEvents[c][op.Line],
 						optCoreEvent{pos: pos, step: t, opIdx: oi, stage: true})
 					addUse(t, c, op.Line, optUseRead)
 				case OpUnstage:
-					dirty, ok := st.resident[op.Line]
-					if !ok {
-						return nil, fmt.Sprintf("core %d unstage of non-resident %v", c, op.Line)
+					state := st[op.Line]
+					if state == optAbsent {
+						return nil, fmt.Sprintf("core %d unstage of non-resident %v", c, tr.Lines[op.Line])
 					}
-					delete(st.resident, op.Line)
-					delete(holders[op.Line], c)
-					if d, held := dirtyBy[op.Line]; held && d == c && dirty {
-						delete(dirtyBy, op.Line)
+					dirty := state == optDirty
+					st[op.Line] = optAbsent
+					residentN[c]--
+					holders[op.Line]--
+					if dirtyBy[op.Line] == c && dirty {
+						dirtyBy[op.Line] = -1
 					}
 					a.coreUnstages[chip]++
-					a.coreEvents[optCoreLineKey{c, op.Line}] = append(a.coreEvents[optCoreLineKey{c, op.Line}],
+					a.coreEvents[c][op.Line] = append(a.coreEvents[c][op.Line],
 						optCoreEvent{pos: pos, step: t, opIdx: oi, stage: false, dirty: dirty})
 					if dirty {
 						addUse(t, c, op.Line, optUseWrite)
@@ -334,23 +361,23 @@ func optAnalyze(p *Program, tr *Trace) (*optAnalysis, string) {
 					addUse(t, c, op.Line, optUseWrite)
 				case OpApply:
 					if a.coreProg {
-						if _, ok := st.resident[op.Line]; !ok {
-							return nil, fmt.Sprintf("core %d applies %v to unstaged %v", c, op.Kernel, op.Line)
+						if st[op.Line] == optAbsent {
+							return nil, fmt.Sprintf("core %d applies %v to unstaged %v", c, op.Kernel, tr.Lines[op.Line])
 						}
 						for _, src := range op.Sources() {
-							if _, ok := st.resident[src]; !ok {
-								return nil, fmt.Sprintf("core %d applies %v reading unstaged %v", c, op.Kernel, src)
+							if st[src] == optAbsent {
+								return nil, fmt.Sprintf("core %d applies %v reading unstaged %v", c, op.Kernel, tr.Lines[src])
 							}
 						}
-						st.resident[op.Line] = true
+						st[op.Line] = optDirty
 						dirtyBy[op.Line] = c
 					} else if a.sharedProg {
-						if _, ok := sharedRes[op.Line]; !ok {
-							return nil, fmt.Sprintf("core %d applies %v to non-shared-resident %v", c, op.Kernel, op.Line)
+						if !sharedRes[op.Line] {
+							return nil, fmt.Sprintf("core %d applies %v to non-shared-resident %v", c, op.Kernel, tr.Lines[op.Line])
 						}
 						for _, src := range op.Sources() {
-							if _, ok := sharedRes[src]; !ok {
-								return nil, fmt.Sprintf("core %d applies %v reading non-shared-resident %v", c, op.Kernel, src)
+							if !sharedRes[src] {
+								return nil, fmt.Sprintf("core %d applies %v reading non-shared-resident %v", c, op.Kernel, tr.Lines[src])
 							}
 						}
 					}
@@ -363,12 +390,16 @@ func optAnalyze(p *Program, tr *Trace) (*optAnalysis, string) {
 			}
 		}
 	}
-	if len(sharedRes) > 0 {
-		return nil, fmt.Sprintf("%d shared lines leaked at exit", len(sharedRes))
+	leaked := 0
+	for _, k := range res {
+		leaked += k
 	}
-	for c := range cores {
-		if len(cores[c].resident) > 0 {
-			return nil, fmt.Sprintf("core %d leaks %d staged lines at exit", c, len(cores[c].resident))
+	if leaked > 0 {
+		return nil, fmt.Sprintf("%d shared lines leaked at exit", leaked)
+	}
+	for c, k := range residentN {
+		if k > 0 {
+			return nil, fmt.Sprintf("core %d leaks %d staged lines at exit", c, k)
 		}
 	}
 	return a, ""
@@ -410,7 +441,7 @@ func optSharedPass(p *Program, tr *Trace, a *optAnalysis, d *optDrops) []uint64 
 		return elided
 	}
 	type cand struct {
-		line Line
+		line LineID
 		u, s int
 	}
 	var cands []cand
@@ -418,15 +449,17 @@ func optSharedPass(p *Program, tr *Trace, a *optAnalysis, d *optDrops) []uint64 
 		// Events alternate stage/unstage starting with a stage, so
 		// odd indices are unstages; pair each with the stage after it.
 		for i := 1; i+1 < len(evts); i += 2 {
-			cands = append(cands, cand{line: l, u: evts[i], s: evts[i+1]})
+			cands = append(cands, cand{line: LineID(l), u: evts[i], s: evts[i+1]})
 		}
 	}
 	// Step indices are unique across candidates, so ordering by the
 	// unstage's index is total: commit order is deterministic.
-	sort.Slice(cands, func(i, j int) bool { return cands[i].u < cands[j].u })
-	extra := make([][]int, a.chips)
-	for ch := range extra {
-		extra[ch] = make([]int, len(tr.Steps))
+	slices.SortFunc(cands, func(x, y cand) int { return x.u - y.u })
+	// The chip's profile over the steps: baseline residency before each
+	// step plus the lines commits keep resident there.
+	prof := make([]*rangeMax, a.chips)
+	for ch := range prof {
+		prof[ch] = newRangeMax(a.resBefore[ch])
 	}
 	for _, c := range cands {
 		us := a.lineUses[c.line]
@@ -434,23 +467,14 @@ func optSharedPass(p *Program, tr *Trace, a *optAnalysis, d *optDrops) []uint64 
 		if i < len(us) && us[i].step < c.s {
 			continue // the gap references l: the unstage is live
 		}
-		ch := p.HomeOf(c.line)
-		ok := true
-		for t := c.u + 1; t <= c.s; t++ {
-			if a.resBefore[ch][t]+extra[ch][t]+1 > cs {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		rm := prof[tr.Homes[c.line]]
+		if rm.maxOver(c.u+1, c.s)+1 > cs {
 			continue
 		}
 		d.driver[c.u] = true
 		d.driver[c.s] = true
-		for t := c.u + 1; t <= c.s; t++ {
-			extra[ch][t]++
-		}
-		elided[ch]++
+		rm.inc(c.u+1, c.s)
+		elided[tr.Homes[c.line]]++
 	}
 	return elided
 }
@@ -466,95 +490,78 @@ func optSharedPass(p *Program, tr *Trace, a *optAnalysis, d *optDrops) []uint64 
 // since the physical arena slot stays dirty. A surviving driver op on
 // l inside the gap always blocks (the extended hold would overlap the
 // shared-level unstage). Capacity is proven against the core's own
-// residency profile, like the shared pass. Returns elided pairs per
-// staging core's chip.
+// residency profile, like the shared pass. Chains commit core by core,
+// and within a core in (Matrix, Row, Col) order of their line. Returns
+// elided pairs per staging core's chip.
 func optCorePass(p *Program, tr *Trace, a *optAnalysis, d *optDrops) []uint64 {
 	elided := make([]uint64, a.chips)
 	cd := p.Resources.CoreBlocks
 	if cd <= 0 {
 		return elided
 	}
-	surv := make(map[Line][]int, len(a.sharedEvents))
-	for l, evts := range a.sharedEvents {
-		for _, t := range evts {
-			if !d.driver[t] {
-				surv[l] = append(surv[l], t)
-			}
-		}
+	byLine := make([]LineID, len(tr.Lines))
+	for i := range byLine {
+		byLine[i] = LineID(i)
 	}
-	keys := make([]optCoreLineKey, 0, len(a.coreEvents))
-	for k := range a.coreEvents {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.core != b.core {
-			return a.core < b.core
-		}
-		if a.line.Matrix != b.line.Matrix {
-			return a.line.Matrix < b.line.Matrix
-		}
-		if a.line.Row != b.line.Row {
-			return a.line.Row < b.line.Row
-		}
-		return a.line.Col < b.line.Col
+	slices.SortFunc(byLine, func(x, y LineID) int {
+		lx, ly := tr.Lines[x], tr.Lines[y]
+		return cmp.Or(cmp.Compare(lx.Matrix, ly.Matrix), cmp.Compare(lx.Row, ly.Row), cmp.Compare(lx.Col, ly.Col))
 	})
-	coreExtra := make([][]int, p.Cores)
-	for _, k := range keys {
-		evts := a.coreEvents[k]
-		last := evts[len(evts)-1].step // the chain's final unstage, never dropped
-		carry := false                 // an elided merge is still pending
-		for i := 1; i+1 < len(evts); i += 2 {
-			open, u, s := evts[i-1], evts[i], evts[i+1]
-			effDirty := u.dirty || carry
-			blocked := false
-			ds := surv[k.line]
-			di := sort.Search(len(ds), func(i int) bool { return ds[i] > u.step })
-			if di < len(ds) && ds[di] < s.step {
-				blocked = true
-			}
-			if !blocked {
-				lo, hi, any := u.step, last, true
-				if !effDirty {
-					lo, hi, any = open.step, s.step, false
-				}
-				us := a.lineUses[k.line]
-				ui := sort.Search(len(us), func(i int) bool { return us[i].step >= lo })
-				for ; ui < len(us) && us[ui].step <= hi; ui++ {
-					if us[ui].core == k.core {
-						continue
-					}
-					if any || us[ui].flags&optUseWrite != 0 {
-						blocked = true
-						break
-					}
-				}
-			}
-			if !blocked {
-				if coreExtra[k.core] == nil {
-					coreExtra[k.core] = make([]int, len(a.coreResBefore[k.core]))
-				}
-				ex := coreExtra[k.core]
-				for pos := u.pos + 1; pos <= s.pos; pos++ {
-					if a.coreResBefore[k.core][pos]+ex[pos]+1 > cd {
-						blocked = true
-						break
-					}
-				}
-			}
-			if blocked {
-				// The unstage survives; a pending merge lands here
-				// (the arena slot is still physically dirty).
-				carry = false
+	for core, events := range a.coreEvents {
+		var prof *rangeMax // the core's residency profile plus committed extras, built on first use
+		for _, l := range byLine {
+			evts := events[l]
+			if len(evts) == 0 {
 				continue
 			}
-			d.dropCore(tr, u.step, k.core, u.opIdx)
-			d.dropCore(tr, s.step, k.core, s.opIdx)
-			for pos := u.pos + 1; pos <= s.pos; pos++ {
-				coreExtra[k.core][pos]++
+			last := evts[len(evts)-1].step // the chain's final unstage, never dropped
+			carry := false                 // an elided merge is still pending
+			for i := 1; i+1 < len(evts); i += 2 {
+				open, u, s := evts[i-1], evts[i], evts[i+1]
+				effDirty := u.dirty || carry
+				blocked := false
+				ds := a.sharedEvents[l]
+				for di := sort.SearchInts(ds, u.step+1); di < len(ds) && ds[di] < s.step; di++ {
+					if !d.driver[ds[di]] {
+						blocked = true
+						break
+					}
+				}
+				if !blocked {
+					lo, hi, any := u.step, last, true
+					if !effDirty {
+						lo, hi, any = open.step, s.step, false
+					}
+					us := a.lineUses[l]
+					ui := sort.Search(len(us), func(i int) bool { return us[i].step >= lo })
+					for ; ui < len(us) && us[ui].step <= hi; ui++ {
+						if us[ui].core == core {
+							continue
+						}
+						if any || us[ui].flags&optUseWrite != 0 {
+							blocked = true
+							break
+						}
+					}
+				}
+				if !blocked {
+					if prof == nil {
+						prof = newRangeMax(a.coreResBefore[core])
+					}
+					blocked = prof.maxOver(u.pos+1, s.pos)+1 > cd
+				}
+				if blocked {
+					// The unstage survives; a pending merge lands here
+					// (the arena slot is still physically dirty).
+					carry = false
+					continue
+				}
+				d.dropCore(tr, u.step, core, u.opIdx)
+				d.dropCore(tr, s.step, core, s.opIdx)
+				prof.inc(u.pos+1, s.pos)
+				elided[p.ChipOfCore(core)]++
+				carry = effDirty
 			}
-			elided[p.ChipOfCore(k.core)]++
-			carry = effDirty
 		}
 	}
 	return elided
@@ -579,23 +586,31 @@ func optModel(p *Program, tr *Trace, a *optAnalysis, d *optDrops) optModelCounts
 		mdStage: make([]uint64, a.chips),
 		mdWB:    make([]uint64, a.chips),
 	}
-	sharedRes := make(map[Line]bool) // resident → dirty
-	coreRes := make([]map[Line]bool, p.Cores)
+	n := len(tr.Lines)
+	sharedRes := make([]int8, n) // optAbsent, optClean or optDirty
+	coreRes := make([][]int8, p.Cores)
+	// dirty marks l's shared copy dirty when it is resident.
+	dirty := func(l LineID) {
+		if sharedRes[l] != optAbsent {
+			sharedRes[l] = optDirty
+		}
+	}
 	for t := range tr.Steps {
 		st := &tr.Steps[t]
 		if st.Cores == nil {
 			if d != nil && d.driver[t] {
 				continue
 			}
-			ch := p.HomeOf(st.Shared.Line)
+			l := st.Shared.Line
+			ch := tr.Homes[l]
 			if !st.Shared.Unstage {
 				m.msStage[ch]++
-				sharedRes[st.Shared.Line] = false
+				sharedRes[l] = optClean
 			} else {
-				if sharedRes[st.Shared.Line] {
+				if sharedRes[l] == optDirty {
 					m.msWB[ch]++
 				}
-				delete(sharedRes, st.Shared.Line)
+				sharedRes[l] = optAbsent
 			}
 			continue
 		}
@@ -609,31 +624,27 @@ func optModel(p *Program, tr *Trace, a *optAnalysis, d *optDrops) optModelCounts
 				switch op.Kind {
 				case OpStage:
 					if coreRes[c] == nil {
-						coreRes[c] = make(map[Line]bool)
+						coreRes[c] = make([]int8, n)
 					}
 					m.mdStage[chip]++
-					coreRes[c][op.Line] = false
+					coreRes[c][op.Line] = optClean
 				case OpUnstage:
-					if coreRes[c][op.Line] {
-						m.mdWB[chip]++
-						if _, ok := sharedRes[op.Line]; ok {
-							sharedRes[op.Line] = true
+					if coreRes[c] != nil {
+						if coreRes[c][op.Line] == optDirty {
+							m.mdWB[chip]++
+							dirty(op.Line)
 						}
+						coreRes[c][op.Line] = optAbsent
 					}
-					delete(coreRes[c], op.Line)
 				case OpWrite:
 					if !a.coreProg {
-						if _, ok := sharedRes[op.Line]; ok {
-							sharedRes[op.Line] = true
-						}
+						dirty(op.Line)
 					}
 				case OpApply:
-					if a.coreProg {
-						if _, ok := coreRes[c][op.Line]; ok {
-							coreRes[c][op.Line] = true
-						}
-					} else if _, ok := sharedRes[op.Line]; ok {
-						sharedRes[op.Line] = true
+					if !a.coreProg {
+						dirty(op.Line)
+					} else if coreRes[c] != nil && coreRes[c][op.Line] != optAbsent {
+						coreRes[c][op.Line] = optDirty
 					}
 				}
 			}
@@ -649,7 +660,7 @@ func optModel(p *Program, tr *Trace, a *optAnalysis, d *optDrops) optModelCounts
 // shrinks the pipelined critical path and changes no core's stream),
 // and the regions that still carry work are renumbered.
 func optCompact(tr *Trace, d *optDrops) *Trace {
-	out := &Trace{}
+	out := &Trace{Lines: tr.Lines, Homes: tr.Homes}
 	for t, st := range tr.Steps {
 		if st.Cores == nil {
 			if !d.driver[t] {

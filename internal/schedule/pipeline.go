@@ -1,6 +1,9 @@
 package schedule
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the region-lookahead pass behind the pipelined executor:
 // it splits a program's shared-level staging stream into per-region
@@ -90,6 +93,15 @@ type PipelineRegion struct {
 	// Retire holds the UnstageShared lines written back while this
 	// region computes.
 	Retire []Line
+
+	// PrefetchIDs, BarrierIDs and RetireIDs are the same three lists by
+	// line ID of the trace the plan was built from (see Trace.Lines):
+	// what a backend replaying that trace addresses its slots by. Plans
+	// built by hand may leave them empty; nothing but the executor reads
+	// them.
+	PrefetchIDs []LineID
+	BarrierIDs  []SharedOp
+	RetireIDs   []LineID
 }
 
 // PipelinePlan is the lookahead's result: one phased gap per parallel
@@ -98,8 +110,10 @@ type PipelineRegion struct {
 type PipelinePlan struct {
 	Regions []PipelineRegion
 	// Tail holds the shared operations after the last region, run once
-	// its cores finish (nothing left to overlap them with).
-	Tail []PipelinedOp
+	// its cores finish (nothing left to overlap them with). TailIDs is
+	// the same list by line ID, like PipelineRegion's ID lists.
+	Tail    []PipelinedOp
+	TailIDs []SharedOp
 
 	// Depth is the lookahead the plan was built with: the maximum number
 	// of regions a stage may prefetch ahead of its gap (0 for PlanSerial).
@@ -177,11 +191,13 @@ func planPipeline(p *Program, sharedCap, depth int) (*PipelinePlan, error) {
 		pipeGaps: g,
 		cap:      sharedCap,
 		chips:    p.Resources.ChipCount(),
-		home:     p.HomeOf,
+		lines:    t.Lines,
+		homes:    t.Homes,
 		depth:    depth,
 	}
 	plan := pl.plan()
-	plan.Tail = g.tail
+	plan.TailIDs = g.tail
+	plan.Tail = pl.lineOps(g.tail)
 	plan.Barriered += len(plan.Tail)
 	if plan.SerialPeak > plan.Peak {
 		plan.Peak = plan.SerialPeak
@@ -203,7 +219,8 @@ type pipePlanner struct {
 	*pipeGaps
 	cap, depth int
 	chips      int
-	home       func(Line) int
+	lines      []Line // the trace's line table
+	homes      []int  // home chip per line ID
 
 	resAfter [][]int   // [chip][r]: serial residency while region r computes (gap r applied)
 	posRes   [][][]int // [chip][g][i]: serial residency before op i of gap g
@@ -212,7 +229,7 @@ type pipePlanner struct {
 	gapExtra    [][][]int // [chip][g][i]: early-resident lines at gap g position i
 	quota       []int     // remaining hide quota of region r
 
-	slots [][]Line // prefetch list per region, in commit (gap-major) order
+	slots [][]LineID // prefetch list per region, in commit (gap-major) order
 }
 
 func (pl *pipePlanner) plan() *PipelinePlan {
@@ -235,7 +252,7 @@ func (pl *pipePlanner) plan() *PipelinePlan {
 		pl.gapExtra[ch] = make([][]int, R)
 	}
 	pl.quota = make([]int, R)
-	pl.slots = make([][]Line, R)
+	pl.slots = make([][]LineID, R)
 	res := make([]int, pl.chips)
 	for g, gap := range pl.gaps {
 		for ch := 0; ch < pl.chips; ch++ {
@@ -247,9 +264,9 @@ func (pl *pipePlanner) plan() *PipelinePlan {
 				pl.posRes[ch][g][i] = res[ch]
 			}
 			if op.Unstage {
-				res[pl.home(op.Line)]--
+				res[pl.homes[op.Line]]--
 			} else {
-				res[pl.home(op.Line)]++
+				res[pl.homes[op.Line]]++
 			}
 		}
 		for ch := 0; ch < pl.chips; ch++ {
@@ -259,25 +276,26 @@ func (pl *pipePlanner) plan() *PipelinePlan {
 	}
 
 	regs := make([]PipelineRegion, R)
+	// pending[id] == g+1 marks id unstaged earlier in gap g.
+	pending := make([]int, len(pl.lines))
 	for g, gap := range pl.gaps {
 		reg := &regs[g]
 		if g == 0 || pl.depth == 0 {
 			// Nothing precedes the first region, so its gap runs up front;
 			// at depth 0 every gap does.
-			reg.Barrier = gap
+			reg.BarrierIDs = gap
 			plan.Barriered += len(gap)
 			continue
 		}
-		pending := make(map[Line]struct{})
-		var deferred []PipelinedOp
+		var deferred []SharedOp
 		hoisted := 0
 		for i, op := range gap {
 			if op.Unstage {
-				pending[op.Line] = struct{}{}
+				pending[op.Line] = g + 1
 				deferred = append(deferred, op)
 				continue
 			}
-			if _, reuses := pending[op.Line]; reuses {
+			if pending[op.Line] == g+1 {
 				deferred = append(deferred, op)
 				continue
 			}
@@ -300,38 +318,66 @@ func (pl *pipePlanner) plan() *PipelinePlan {
 				last = i
 			}
 		}
-		reg.Barrier = deferred[:last+1]
+		reg.BarrierIDs = deferred[:last+1]
 		retire := deferred[last+1:]
 		safe := true
 		for _, op := range retire {
-			if lineIn(pl.touch[g], op.Line) {
+			if pl.touches(g, op.Line) {
 				safe = false
 				break
 			}
 		}
 		if safe {
 			for _, op := range retire {
-				reg.Retire = append(reg.Retire, op.Line)
+				reg.RetireIDs = append(reg.RetireIDs, op.Line)
 			}
 		} else {
-			reg.Barrier = deferred
+			reg.BarrierIDs = deferred
 		}
 		plan.Hoisted += hoisted
-		plan.Retired += len(reg.Retire)
-		plan.Barriered += len(reg.Barrier)
+		plan.Retired += len(reg.RetireIDs)
+		plan.Barriered += len(reg.BarrierIDs)
 	}
 	for r := range regs {
-		regs[r].Prefetch = pl.slots[r]
+		reg := &regs[r]
+		reg.PrefetchIDs = pl.slots[r]
+		reg.Prefetch = pl.lineList(reg.PrefetchIDs)
+		reg.Barrier = pl.lineOps(reg.BarrierIDs)
+		reg.Retire = pl.lineList(reg.RetireIDs)
 	}
 	plan.Regions = regs
 	return plan
+}
+
+// lineList and lineOps render a plan list by line, for the plan's
+// Line-typed fields.
+func (pl *pipePlanner) lineList(ids []LineID) []Line {
+	if ids == nil {
+		return nil
+	}
+	out := make([]Line, len(ids))
+	for i, id := range ids {
+		out[i] = pl.lines[id]
+	}
+	return out
+}
+
+func (pl *pipePlanner) lineOps(ops []SharedOp) []PipelinedOp {
+	if ops == nil {
+		return nil
+	}
+	out := make([]PipelinedOp, len(ops))
+	for i, op := range ops {
+		out[i] = PipelinedOp{Line: pl.lines[op.Line], Unstage: op.Unstage}
+	}
+	return out
 }
 
 // place tries to commit the stage at gap g position i to the latest
 // feasible prefetch slot within the lookahead window. It returns the
 // committed footprint peak (residency including the new line over its
 // early window) and whether a slot was found.
-func (pl *pipePlanner) place(g, i int, l Line) (int, bool) {
+func (pl *pipePlanner) place(g, i int, l LineID) (int, bool) {
 	lo := g - pl.depth
 	if lo < 0 {
 		lo = 0
@@ -340,7 +386,7 @@ func (pl *pipePlanner) place(g, i int, l Line) (int, bool) {
 		// Visibility: prefetching at slot h overlaps regions h..g−1; the
 		// scan is incremental — once some region touches the line, every
 		// deeper slot overlaps it too.
-		if lineIn(pl.touch[h], l) {
+		if pl.touches(h, l) {
 			return 0, false
 		}
 		// Order: slot h's prefetches run during region h, i.e. after gap
@@ -353,7 +399,7 @@ func (pl *pipePlanner) place(g, i int, l Line) (int, bool) {
 		if pl.quota[h] == 0 {
 			continue
 		}
-		peak, ok := pl.fits(h, g, i, pl.home(l))
+		peak, ok := pl.fits(h, g, i, pl.homes[l])
 		if !ok {
 			// Capacity windows only grow toward deeper slots: give up.
 			return 0, false
@@ -397,8 +443,8 @@ func (pl *pipePlanner) fits(h, g, i, ch int) (int, bool) {
 // commit books the prefetch: the line occupies one slot of its home
 // chip's arena at every profile point between its execution during
 // region h and its serial position at gap g op i.
-func (pl *pipePlanner) commit(h, g, i int, l Line) {
-	ch := pl.home(l)
+func (pl *pipePlanner) commit(h, g, i int, l LineID) {
+	ch := pl.homes[l]
 	pl.slots[h] = append(pl.slots[h], l)
 	pl.quota[h]--
 	for r := h; r < g; r++ {
@@ -414,7 +460,7 @@ func (pl *pipePlanner) commit(h, g, i int, l Line) {
 	}
 }
 
-func gapUnstages(gap []PipelinedOp, l Line) bool {
+func gapUnstages(gap []SharedOp, l LineID) bool {
 	for _, op := range gap {
 		if op.Unstage && op.Line == l {
 			return true
@@ -423,22 +469,24 @@ func gapUnstages(gap []PipelinedOp, l Line) bool {
 	return false
 }
 
-func lineIn(set map[Line]struct{}, l Line) bool {
-	_, hit := set[l]
-	return hit
-}
-
 // pipeGaps is the planner's view of a trace: the shared staging stream
 // split into gaps at every numbered region, each region's shared-slot
 // touch set (the lines its cores refill from or merge into the shared
 // level) and its per-core Apply maximum (the hide-quota base), and the
 // serial residency peak per chip.
 type pipeGaps struct {
-	gaps     [][]PipelinedOp     // gaps[r] precedes region r
-	tail     []PipelinedOp       // the shared ops after the last region
-	touch    []map[Line]struct{} // per-region shared-slot touches
-	applies  []int               // per-region max per-core Apply count
-	chipPeak []int               // serial residency peak per chip
+	gaps     [][]SharedOp // gaps[r] precedes region r
+	tail     []SharedOp   // the shared ops after the last region
+	touch    [][]LineID   // per-region shared-slot touches, sorted by ID
+	applies  []int        // per-region max per-core Apply count
+	chipPeak []int        // serial residency peak per chip
+}
+
+// touches reports whether region r's cores refill from or merge into
+// line l's shared slot.
+func (g *pipeGaps) touches(r int, l LineID) bool {
+	_, hit := slices.BinarySearch(g.touch[r], l)
+	return hit
 }
 
 // collectGaps walks t for the planner, tracking per-core residency
@@ -446,30 +494,36 @@ type pipeGaps struct {
 // line some core still holds fails the plan.
 func collectGaps(p *Program, t *Trace) (*pipeGaps, error) {
 	chips := p.Resources.ChipCount()
+	n := len(t.Lines)
 	g := &pipeGaps{chipPeak: make([]int, chips)}
-	sharedRes := make([]map[Line]struct{}, chips)
-	for ch := range sharedRes {
-		sharedRes[ch] = make(map[Line]struct{})
-	}
-	coreRes := make([]map[Line]struct{}, max(p.Cores, 0))
+	shared := make([]bool, n)
+	sharedN := make([]int, chips)
+	coreRes := make([][]bool, max(p.Cores, 0))
 	for c := range coreRes {
-		coreRes[c] = make(map[Line]struct{})
+		coreRes[c] = make([]bool, n)
 	}
-	var cur []PipelinedOp
+	seen := make([]int, n) // seen[id] == r+1: id is already in region r's touch set
+	var touched []LineID   // every region's touch set, back to back
+	var cur []SharedOp
 	for i := range t.Steps {
 		s := &t.Steps[i]
 		if s.Cores == nil {
-			l, home := s.Shared.Line, p.HomeOf(s.Shared.Line)
+			id := s.Shared.Line
+			home := t.Homes[id]
 			if s.Shared.Unstage {
 				for c, res := range coreRes {
-					if _, held := res[l]; held {
-						return nil, fmt.Errorf("schedule: pipeline plan: shared unstage of %v while core %d still holds it", l, c)
+					if res[id] {
+						return nil, fmt.Errorf("schedule: pipeline plan: shared unstage of %v while core %d still holds it", t.Lines[id], c)
 					}
 				}
-				delete(sharedRes[home], l)
-			} else {
-				sharedRes[home][l] = struct{}{}
-				g.chipPeak[home] = max(g.chipPeak[home], len(sharedRes[home]))
+				if shared[id] {
+					shared[id] = false
+					sharedN[home]--
+				}
+			} else if !shared[id] {
+				shared[id] = true
+				sharedN[home]++
+				g.chipPeak[home] = max(g.chipPeak[home], sharedN[home])
 			}
 			cur = append(cur, s.Shared)
 			continue
@@ -479,27 +533,30 @@ func collectGaps(p *Program, t *Trace) (*pipeGaps, error) {
 			// around it merge.
 			continue
 		}
-		touch := make(map[Line]struct{})
+		r := len(g.gaps)
+		start := len(touched)
 		applies := 0
 		for c, ops := range s.Cores {
 			n := 0
 			for j := range ops {
-				switch l := ops[j].Line; ops[j].Kind {
-				case OpStage:
-					touch[l] = struct{}{}
-					coreRes[c][l] = struct{}{}
-				case OpUnstage:
-					touch[l] = struct{}{}
-					delete(coreRes[c], l)
+				id := ops[j].Line
+				switch ops[j].Kind {
+				case OpStage, OpUnstage:
+					coreRes[c][id] = ops[j].Kind == OpStage
+					if seen[id] != r+1 {
+						seen[id] = r + 1
+						touched = append(touched, id)
+					}
 				case OpApply:
 					n++
 				}
 			}
 			applies = max(applies, n)
 		}
+		slices.Sort(touched[start:])
 		g.gaps = append(g.gaps, cur)
 		cur = nil
-		g.touch = append(g.touch, touch)
+		g.touch = append(g.touch, touched[start:len(touched):len(touched)])
 		g.applies = append(g.applies, applies)
 	}
 	g.tail = cur

@@ -22,12 +22,16 @@
 //     float64 blocks: packed arena-resident tiles in the staging modes,
 //     strided views in ModeView.
 //
-// The compile passes read the same trace: Optimize rewrites it into a
-// compacted one, and Measure and the phase planners walk it. Because
-// both backends consume the identical stream, "the executor runs the
-// schedule the simulator analysed" is an invariant checked by tests,
-// not a convention maintained by hand — and it now holds for any
-// workload expressible in the kernel set, not just C = A×B.
+// Lowering numbers every line the program touches with a dense LineID,
+// and the trace's ops carry IDs, not lines. The compile passes read the
+// same trace: Optimize rewrites it into a compacted one, and Measure and
+// the phase planners walk it, all keeping their per-line state in
+// slices indexed by ID; the executor's arenas find their slots by ID the
+// same way. Only Lower hashes a Line. Because both backends consume the
+// identical stream, "the executor runs the schedule the simulator
+// analysed" is an invariant checked by tests, not a convention
+// maintained by hand — and it now holds for any workload expressible
+// in the kernel set, not just C = A×B.
 package schedule
 
 import (
@@ -126,11 +130,9 @@ type Resources struct {
 	// cache of SharedBlocks blocks. Zero or one means the paper's
 	// single-shared-cache machine.
 	Chips int
-	// SigmaS/SigmaD/BlockEdge carry the rest of the declared machine for
-	// backends that model time or size buffers in bytes; today's
-	// executor validates only the block capacities, and a future
-	// multi-level backend (see ROADMAP: shared-level arenas) is the
-	// intended consumer of the bandwidths.
+	// SigmaS/SigmaD/BlockEdge echo the rest of the declared machine, for
+	// reporting. No code reads them: the executor validates only the
+	// block capacities, and sizes its arenas from its own arguments.
 	SigmaS    float64 // shared-cache bandwidth σS, blocks per time unit
 	SigmaD    float64 // distributed-cache bandwidth σD, blocks per time unit
 	BlockEdge int     // block edge q, in coefficients
@@ -175,7 +177,9 @@ type Program struct {
 
 	// trace is the lowered form a program returned by Optimize or
 	// Lowered carries; its Body replays it. Source programs leave it
-	// nil and are lowered afresh by every Lower.
+	// nil and are lowered afresh by every Lower. The trace caches every
+	// line's HomeOf, so a program carrying one keeps its Home and
+	// Resources.
 	trace *Trace
 }
 

@@ -7,13 +7,19 @@ import (
 
 // This file is the lowered form of the IR: a Program's Body recorded
 // once into a flat Trace that the compile passes and the executor walk
-// directly. Lower is the only code that records a Body. The optimizer,
-// Measure, the phase planner and the executor read the trace; the
-// simulator (internal/algo) and the verifier (internal/schedule/verify)
-// keep streaming the Body, because a trace of the simulator's largest
-// programs would outweigh the simulation itself, and because the
-// verifier must turn malformed streams — which Lower rejects — into
-// findings.
+// directly. Lower is the only code that records a Body, and the only
+// code that hashes a Line: it numbers every line the program touches
+// with a dense LineID, and everything downstream of it indexes slices by
+// ID — the optimizer's and the planners' per-line state, Measure's
+// residency sets and the executor's arena slot tables. Trace.Lines maps
+// each ID back to its line for probes, errors and the operands, and
+// Trace.Homes caches each line's home chip.
+//
+// The simulator (internal/algo) and the verifier
+// (internal/schedule/verify) keep streaming the Body, because a trace of
+// the simulator's largest programs would outweigh the simulation itself,
+// and because the verifier must turn malformed streams — which Lower
+// rejects — into findings.
 
 // OpKind classifies one lowered core operation.
 type OpKind uint8
@@ -28,22 +34,36 @@ const (
 	OpApply
 )
 
-// Op is one lowered core operation. Line is the staging target, the
-// raw access's line or the kernel's destination; an OpApply also
-// carries its kernel and, inline, its Kernel.Arity() sources.
+// LineID numbers one line of a trace. Lower interns lines densely — 0,
+// 1, … in the order it first meets them — so per-line state is a slice
+// indexed by ID, and Trace.Lines maps each ID back to its line. IDs are
+// local to one trace: the same line may carry different IDs in two.
+type LineID uint32
+
+// Op is one lowered core operation, in 16 bytes. Line is the ID of the
+// staging target, the raw access's line or the kernel's destination; an
+// OpApply also carries its kernel and, inline, its Kernel.Arity()
+// source IDs.
 type Op struct {
-	Line   Line
-	Srcs   [2]Line
+	Line   LineID
+	Srcs   [2]LineID
 	Kind   OpKind
 	Kernel Kernel
 }
 
-// Sources returns an OpApply's kernel sources.
-func (op *Op) Sources() []Line { return op.Srcs[:op.Kernel.Arity()] }
+// Sources returns the IDs of an OpApply's kernel sources.
+func (op *Op) Sources() []LineID { return op.Srcs[:op.Kernel.Arity()] }
 
 // work reports whether the op makes its region run: staging transfers
 // and kernels do, raw Read/Write accesses are probe-only.
 func (op Op) work() bool { return op.Kind == OpStage || op.Kind == OpUnstage || op.Kind == OpApply }
+
+// SharedOp is a driver op by line ID: a StageShared of Line, or an
+// UnstageShared when Unstage is set.
+type SharedOp struct {
+	Line    LineID
+	Unstage bool
+}
 
 // Step is one program-order step of a Trace: a driver op on the
 // shared level, or one parallel region.
@@ -58,28 +78,32 @@ type Step struct {
 	// nothing) run no barrier and are -1, as are driver steps.
 	Region int
 	// Shared is a driver step's StageShared or UnstageShared.
-	Shared PipelinedOp
+	Shared SharedOp
 }
 
 // Trace is a program lowered once: its driver ops and parallel regions
-// in program order. Programs returned by Optimize (and by Lowered)
-// carry their trace; every other program is lowered afresh by each
-// call of Lower.
+// in program order, over dense line IDs. Programs returned by Optimize
+// (and by Lowered) carry their trace; every other program is lowered
+// afresh by each call of Lower.
 type Trace struct {
 	Steps []Step
 	// Regions is the number of numbered regions.
 	Regions int
+	// Lines maps each LineID to its line, and Homes to that line's home
+	// chip, resolved once through the program's HomeOf.
+	Lines []Line
+	Homes []int
 }
 
-// Emit replays the trace on backend b, in program order.
+// Emit replays the trace on backend b, in program order, by line.
 func (t *Trace) Emit(b Backend) {
 	for i := range t.Steps {
 		s := &t.Steps[i]
 		if s.Cores == nil {
 			if s.Shared.Unstage {
-				b.UnstageShared(s.Shared.Line)
+				b.UnstageShared(t.Lines[s.Shared.Line])
 			} else {
-				b.StageShared(s.Shared.Line)
+				b.StageShared(t.Lines[s.Shared.Line])
 			}
 			continue
 		}
@@ -87,19 +111,27 @@ func (t *Trace) Emit(b Backend) {
 			if core < 0 || core >= len(s.Cores) {
 				return
 			}
+			// One sources buffer per core stream: backends may run the
+			// streams concurrently, and none keeps an Apply's sources.
+			var srcs [2]Line
 			for j := range s.Cores[core] {
 				op := &s.Cores[core][j]
+				line := t.Lines[op.Line]
 				switch op.Kind {
 				case OpStage:
-					sink.Stage(op.Line)
+					sink.Stage(line)
 				case OpUnstage:
-					sink.Unstage(op.Line)
+					sink.Unstage(line)
 				case OpRead:
-					sink.Read(op.Line)
+					sink.Read(line)
 				case OpWrite:
-					sink.Write(op.Line)
+					sink.Write(line)
 				case OpApply:
-					sink.Apply(op.Kernel, op.Line, op.Sources()...)
+					ids := op.Sources()
+					for k, id := range ids {
+						srcs[k] = t.Lines[id]
+					}
+					sink.Apply(op.Kernel, line, srcs[:len(ids)]...)
 				}
 			}
 		})
@@ -120,10 +152,14 @@ func (p *Program) Lower() (*Trace, error) {
 		return nil, fmt.Errorf("schedule: program %q has no body", p.Algorithm)
 	}
 	cores := max(p.Cores, 0)
-	l := &lowerer{cores: cores, idx: make([]int, cores)}
+	l := &lowerer{cores: cores, idx: make([]int, cores), ids: make(map[Line]LineID)}
 	p.Body(l)
 	if l.err != nil {
 		return nil, fmt.Errorf("schedule: program %q: %w", p.Algorithm, l.err)
+	}
+	l.t.Homes = make([]int, len(l.t.Lines))
+	for id, line := range l.t.Lines {
+		l.t.Homes[id] = p.HomeOf(line)
 	}
 	return &l.t, nil
 }
@@ -167,11 +203,23 @@ func (t *Trace) addRegion(cores [][]Op) {
 type lowerer struct {
 	cores    int
 	t        Trace
+	ids      map[Line]LineID // the interning table behind t.Lines
 	inRegion bool
 	core     int
 	idx      []int // per-core cumulative count of working ops, for error coordinates
 	buf      []Op
 	err      error
+}
+
+// id returns line's ID, numbering it on first sight.
+func (l *lowerer) id(line Line) LineID {
+	id, ok := l.ids[line]
+	if !ok {
+		id = LineID(len(l.t.Lines))
+		l.ids[line] = id
+		l.t.Lines = append(l.t.Lines, line)
+	}
+	return id
 }
 
 func (l *lowerer) fail(format string, args ...any) {
@@ -181,18 +229,16 @@ func (l *lowerer) fail(format string, args ...any) {
 	}
 }
 
-func (l *lowerer) driver(name string, op PipelinedOp) {
+func (l *lowerer) driver(name string, line Line, unstage bool) {
 	if l.inRegion {
-		l.fail("driver op inside a parallel region: %s(%v)", name, op.Line)
+		l.fail("driver op inside a parallel region: %s(%v)", name, line)
 		return
 	}
-	l.t.Steps = append(l.t.Steps, Step{Region: -1, Shared: op})
+	l.t.Steps = append(l.t.Steps, Step{Region: -1, Shared: SharedOp{Line: l.id(line), Unstage: unstage}})
 }
 
-func (l *lowerer) StageShared(line Line) { l.driver("StageShared", PipelinedOp{Line: line}) }
-func (l *lowerer) UnstageShared(line Line) {
-	l.driver("UnstageShared", PipelinedOp{Line: line, Unstage: true})
-}
+func (l *lowerer) StageShared(line Line)   { l.driver("StageShared", line, false) }
+func (l *lowerer) UnstageShared(line Line) { l.driver("UnstageShared", line, true) }
 
 func (l *lowerer) Parallel(body func(core int, ops CoreSink)) {
 	if l.inRegion {
@@ -238,10 +284,10 @@ func (l *lowerer) op(op Op) {
 // lowerSink records one core's operations of the region being lowered.
 type lowerSink struct{ l *lowerer }
 
-func (s lowerSink) Stage(line Line)   { s.l.op(Op{Kind: OpStage, Line: line}) }
-func (s lowerSink) Unstage(line Line) { s.l.op(Op{Kind: OpUnstage, Line: line}) }
-func (s lowerSink) Read(line Line)    { s.l.op(Op{Kind: OpRead, Line: line}) }
-func (s lowerSink) Write(line Line)   { s.l.op(Op{Kind: OpWrite, Line: line}) }
+func (s lowerSink) Stage(line Line)   { s.l.op(Op{Kind: OpStage, Line: s.l.id(line)}) }
+func (s lowerSink) Unstage(line Line) { s.l.op(Op{Kind: OpUnstage, Line: s.l.id(line)}) }
+func (s lowerSink) Read(line Line)    { s.l.op(Op{Kind: OpRead, Line: s.l.id(line)}) }
+func (s lowerSink) Write(line Line)   { s.l.op(Op{Kind: OpWrite, Line: s.l.id(line)}) }
 
 func (s lowerSink) Apply(k Kernel, dest Line, srcs ...Line) {
 	if k >= numKernels {
@@ -252,11 +298,11 @@ func (s lowerSink) Apply(k Kernel, dest Line, srcs ...Line) {
 		s.l.fail("%v applied to %d sources, want %d (destination %v)", k, len(srcs), k.Arity(), dest)
 		return
 	}
-	op := Op{Kind: OpApply, Kernel: k, Line: dest}
-	copy(op.Srcs[:], srcs)
+	op := Op{Kind: OpApply, Kernel: k, Line: s.l.id(dest)}
+	for i, src := range srcs {
+		op.Srcs[i] = s.l.id(src)
+	}
 	s.l.op(op)
 }
 
-func (s lowerSink) Compute(i, j, k int) {
-	s.l.op(Op{Kind: OpApply, Kernel: MulAdd, Line: LineC(i, j), Srcs: [2]Line{LineA(i, k), LineB(k, j)}})
-}
+func (s lowerSink) Compute(i, j, k int) { s.Apply(MulAdd, LineC(i, j), LineA(i, k), LineB(k, j)) }

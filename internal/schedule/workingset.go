@@ -112,9 +112,12 @@ func (ws WorkingSet) FitsShared(r Resources) error {
 // working set. The walk performs no arithmetic and instantiates no
 // cache policy, so it is cheap relative to execution and safe to run
 // ahead of it. A program that carries no trace is lowered first; its
-// lowering error, if any, is returned. Shared residency is tracked per
-// home chip, so the per-chip capacity rule and the inter-chip subset of
-// the MD stream fall out of the same walk.
+// lowering error, if any, is returned. The sets are indexed by line ID
+// and keep set semantics on any stream: staging a resident line does
+// not raise a peak, and unstaging a non-resident one does not lower
+// it. Shared residency is counted per home chip, so the per-chip
+// capacity rule and the inter-chip subset of the MD stream fall out of
+// the same walk.
 func Measure(p *Program) (WorkingSet, error) {
 	t, err := p.Lower()
 	if err != nil {
@@ -122,44 +125,57 @@ func Measure(p *Program) (WorkingSet, error) {
 	}
 	chips := p.Resources.ChipCount()
 	ws := WorkingSet{SharedPeakPerChip: make([]int, chips)}
-	shared := make([]map[Line]struct{}, chips)
-	for i := range shared {
-		shared[i] = make(map[Line]struct{})
-	}
-	cores := make([]map[Line]struct{}, max(p.Cores, 0))
+	shared := make([]bool, len(t.Lines)) // shared-resident, on the line's home chip
+	sharedN := make([]int, chips)        // shared-resident lines per chip
+	cores := make([][]bool, max(p.Cores, 0))
+	coreN := make([]int, len(cores))
 	for i := range t.Steps {
 		s := &t.Steps[i]
 		if s.Cores == nil {
-			l, home := s.Shared.Line, p.HomeOf(s.Shared.Line)
+			id := s.Shared.Line
+			home := t.Homes[id]
 			if s.Shared.Unstage {
-				delete(shared[home], l)
+				if shared[id] {
+					shared[id] = false
+					sharedN[home]--
+				}
 				ws.SharedUnstages++
 				continue
 			}
-			shared[home][l] = struct{}{}
+			if !shared[id] {
+				shared[id] = true
+				sharedN[home]++
+			}
 			ws.SharedStages++
-			ws.SharedPeakPerChip[home] = max(ws.SharedPeakPerChip[home], len(shared[home]))
-			ws.SharedPeak = max(ws.SharedPeak, len(shared[home]))
+			ws.SharedPeakPerChip[home] = max(ws.SharedPeakPerChip[home], sharedN[home])
+			ws.SharedPeak = max(ws.SharedPeak, sharedN[home])
 			continue
 		}
 		for c, ops := range s.Cores {
+			chip := p.ChipOfCore(c)
 			for j := range ops {
 				op := &ops[j]
 				switch op.Kind {
 				case OpStage:
 					if cores[c] == nil {
-						cores[c] = make(map[Line]struct{})
+						cores[c] = make([]bool, len(t.Lines))
 					}
-					cores[c][op.Line] = struct{}{}
-					ws.CorePeak = max(ws.CorePeak, len(cores[c]))
+					if !cores[c][op.Line] {
+						cores[c][op.Line] = true
+						coreN[c]++
+					}
+					ws.CorePeak = max(ws.CorePeak, coreN[c])
 					ws.Stages++
-					if p.HomeOf(op.Line) != p.ChipOfCore(c) {
+					if t.Homes[op.Line] != chip {
 						ws.InterChipStages++
 					}
 				case OpUnstage:
-					delete(cores[c], op.Line)
+					if cores[c] != nil && cores[c][op.Line] {
+						cores[c][op.Line] = false
+						coreN[c]--
+					}
 					ws.Unstages++
-					if p.HomeOf(op.Line) != p.ChipOfCore(c) {
+					if t.Homes[op.Line] != chip {
 						ws.InterChipUnstages++
 					}
 				case OpApply:
