@@ -45,27 +45,28 @@ import (
 
 func main() {
 	var (
-		algoName    = flag.String("algo", "", "algorithm (default: all executable ones)")
-		order       = flag.Int("order", 16, "square matrix order in blocks")
-		q           = flag.Int("q", 32, "block size in coefficients")
-		cores       = flag.Int("p", runtime.NumCPU(), "worker goroutines (cores); benchmark mode uses -bench-cores instead")
-		chips       = flag.Int("chips", 1, "chips the cores and the shared cache are split over (must divide -p)")
-		modeName    = flag.String("mode", parallel.ModePacked.String(), "executor mode: packed, view, shared or shared-pipelined (benchmark mode measures all four)")
-		verify      = flag.Bool("verify", true, "check the result against the sequential reference (ignored in benchmark mode)")
-		seed        = flag.Uint64("seed", 1, "input matrix seed")
-		benchJSON   = flag.String("bench-json", "", "benchmark mode: write GFLOP/s records to this JSON file")
-		benchCores  = flag.String("bench-cores", "1,2,4", "core counts measured in benchmark mode")
-		benchChips  = flag.String("bench-chips", "1", "chip counts measured in benchmark mode (shared-level modes; cores not divisible by a chip count are skipped)")
-		benchReps   = flag.Int("bench-reps", 3, "repetitions per benchmark configuration (fastest wins)")
-		kernelShape = flag.String("kernel-shape", "", "kernel register-blocking shape: 4x4, 8x4 or 8x8 (default: TUNE.json, else 4x4)")
-		lookahead   = flag.Int("lookahead", 0, "pipeline lookahead depth of shared-pipelined mode (default: TUNE.json, else 1)")
-		tunePath    = flag.String("tune", "", "load tunables from this TUNE.json when it matches the host; explicit flags win")
-		optimize    = flag.Bool("optimize", true, "run staged programs through the schedule optimizer (benchmark mode measures baseline/optimized pairs for staged modes)")
-		faults      = flag.String("faults", "", "chaos mode: inject faults from this spec (e.g. 'panic@1:7', 'stagerr~0.01;seed=42'; see internal/faultinject); the faulted run must fail with provenance, Reset, and re-run clean")
+		algoName   = flag.String("algo", "", "algorithm (default: all executable ones)")
+		order      = flag.Int("order", 16, "square matrix order in blocks")
+		q          = flag.Int("q", 32, "block size in coefficients")
+		cores      = flag.Int("p", runtime.NumCPU(), "worker goroutines (cores); benchmark mode uses -bench-cores instead")
+		chips      = flag.Int("chips", 1, "chips the cores and the shared cache are split over (must divide -p)")
+		modeName   = flag.String("mode", parallel.ModePacked.String(), "executor mode: packed, view, shared or shared-pipelined (benchmark mode measures all four)")
+		verify     = flag.Bool("verify", true, "check the result against the sequential reference (ignored in benchmark mode)")
+		seed       = flag.Uint64("seed", 1, "input matrix seed")
+		benchJSON  = flag.String("bench-json", "", "benchmark mode: write GFLOP/s records to this JSON file")
+		benchCores = flag.String("bench-cores", "1,2,4", "core counts measured in benchmark mode")
+		benchChips = flag.String("bench-chips", "1", "chip counts measured in benchmark mode (shared-level modes; cores not divisible by a chip count are skipped)")
+		benchReps  = flag.Int("bench-reps", 3, "repetitions per benchmark configuration (fastest wins)")
+		lookahead  = flag.Int("lookahead", 0, "pipeline lookahead depth of shared-pipelined mode (default: TUNE.json, else 1)")
+		tunePath   = flag.String("tune", "", "load tunables from this TUNE.json when it matches the host; explicit flags win")
+		optimize   = flag.Bool("optimize", true, "run staged programs through the schedule optimizer (benchmark mode measures baseline/optimized pairs for staged modes)")
+		faults     = flag.String("faults", "", "chaos mode: inject faults from this spec (e.g. 'panic@1:7', 'stagerr~0.01;seed=42'; see internal/faultinject); the faulted run must fail with provenance, Reset, and re-run clean")
 	)
 	flag.Parse()
 
-	params, err := resolveTuning(*tunePath, *kernelShape, *lookahead, *q)
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	params, err := tune.Resolve(os.Stderr, "gemm", *tunePath, func(f *tune.File) *tune.Entry { return f.Gemm }, explicit, *lookahead, *q)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gemm:", err)
 		os.Exit(1)
@@ -194,36 +195,6 @@ func chaos(algoName, spec string, order, q, cores, chips int, seed uint64, mode 
 	}
 	fmt.Printf("chaos: recovered; clean re-run verified against the sequential reference (max |err| %.2e)\n", diff)
 	return nil
-}
-
-// resolveTuning composes the configuration in the documented order —
-// explicit flags > a host-matched TUNE.json > defaults. The returned
-// Params always carries a concrete block edge (the file's winner only
-// replaces the default when -q was not given).
-func resolveTuning(tunePath, shapeFlag string, lookaheadFlag, qFlag int) (tune.Params, error) {
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	var params tune.Params
-	if tunePath != "" {
-		tf, err := tune.Load(tunePath)
-		if err != nil {
-			return tune.Params{}, err
-		}
-		if !tf.MatchesHost() {
-			fmt.Fprintf(os.Stderr, "gemm: %s was tuned on a different host; ignoring it\n", tunePath)
-		} else if tf.Gemm != nil {
-			params = tf.Gemm.Params
-		}
-	}
-	params = tune.Override{
-		Shape: shapeFlag, ShapeSet: explicit["kernel-shape"],
-		Lookahead: lookaheadFlag, LookaheadSet: explicit["lookahead"],
-		Q: qFlag, QSet: explicit["q"],
-	}.Apply(params)
-	if params.Q == 0 {
-		params.Q = qFlag
-	}
-	return params, nil
 }
 
 // bigMachine models the benchmark host for p cores and block size q:
@@ -477,7 +448,6 @@ func bench(path, algoName string, order, q int, coreList, chipList []int, reps i
 							}
 						}
 						r := rec.Add(name, mode.String(), p, order, q, elapsed)
-						r.KernelShape = params.Shape
 						r.Lookahead = params.Lookahead
 						r.SetTopology(nchips, p)
 						tra := ex.Traffic()

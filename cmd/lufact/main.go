@@ -46,26 +46,27 @@ import (
 
 func main() {
 	var (
-		n           = flag.Int("n", 512, "matrix order in coefficients")
-		q           = flag.Int("q", 32, "tile size in coefficients")
-		cores       = flag.Int("p", runtime.NumCPU(), "worker goroutines (cores); benchmark mode uses -bench-cores instead")
-		chips       = flag.Int("chips", 1, "chips the cores and the shared cache are split over (must divide -p)")
-		modeName    = flag.String("mode", parallel.ModePacked.String(), "executor mode: packed, view, shared or shared-pipelined (benchmark mode measures all four)")
-		verify      = flag.Bool("verify", true, "check |A - L·U| against the input (ignored in benchmark mode)")
-		seed        = flag.Uint64("seed", 1, "input matrix seed")
-		benchJSON   = flag.String("bench-json", "", "benchmark mode: write GFLOP/s records to this JSON file")
-		benchCores  = flag.String("bench-cores", "1,2,4", "core counts measured in benchmark mode")
-		benchReps   = flag.Int("bench-reps", 3, "repetitions per benchmark configuration (fastest wins)")
-		kernelShape = flag.String("kernel-shape", "", "kernel register-blocking shape: 4x4, 8x4 or 8x8 (default: TUNE.json, else 4x4)")
-		lookahead   = flag.Int("lookahead", 0, "pipeline lookahead depth of shared-pipelined mode (default: TUNE.json, else 1)")
-		tunePath    = flag.String("tune", "", "load tunables from this TUNE.json when it matches the host; explicit flags win")
-		optimize    = flag.Bool("optimize", true, "run the LU program through the schedule optimizer (benchmark mode measures baseline/optimized pairs for staged modes)")
-		faults      = flag.String("faults", "", "chaos mode: inject faults from this spec (e.g. 'panic@1:7', 'corrupt@*:5'; see internal/faultinject); the faulted run must fail with provenance, Reset, and re-run clean")
-		singularAt  = flag.Int("singular-at", -1, "factor a deliberately singular input whose pivot tile vanishes at this block step (demonstrates the singular failure path; exits non-zero)")
+		n          = flag.Int("n", 512, "matrix order in coefficients")
+		q          = flag.Int("q", 32, "tile size in coefficients")
+		cores      = flag.Int("p", runtime.NumCPU(), "worker goroutines (cores); benchmark mode uses -bench-cores instead")
+		chips      = flag.Int("chips", 1, "chips the cores and the shared cache are split over (must divide -p)")
+		modeName   = flag.String("mode", parallel.ModePacked.String(), "executor mode: packed, view, shared or shared-pipelined (benchmark mode measures all four)")
+		verify     = flag.Bool("verify", true, "check |A - L·U| against the input (ignored in benchmark mode)")
+		seed       = flag.Uint64("seed", 1, "input matrix seed")
+		benchJSON  = flag.String("bench-json", "", "benchmark mode: write GFLOP/s records to this JSON file")
+		benchCores = flag.String("bench-cores", "1,2,4", "core counts measured in benchmark mode")
+		benchReps  = flag.Int("bench-reps", 3, "repetitions per benchmark configuration (fastest wins)")
+		lookahead  = flag.Int("lookahead", 0, "pipeline lookahead depth of shared-pipelined mode (default: TUNE.json, else 1)")
+		tunePath   = flag.String("tune", "", "load tunables from this TUNE.json when it matches the host; explicit flags win")
+		optimize   = flag.Bool("optimize", true, "run the LU program through the schedule optimizer (benchmark mode measures baseline/optimized pairs for staged modes)")
+		faults     = flag.String("faults", "", "chaos mode: inject faults from this spec (e.g. 'panic@1:7', 'corrupt@*:5'; see internal/faultinject); the faulted run must fail with provenance, Reset, and re-run clean")
+		singularAt = flag.Int("singular-at", -1, "factor a deliberately singular input whose pivot tile vanishes at this block step (demonstrates the singular failure path; exits non-zero)")
 	)
 	flag.Parse()
 
-	params, err := resolveTuning(*tunePath, *kernelShape, *lookahead, *q)
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	params, err := tune.Resolve(os.Stderr, "lufact", *tunePath, func(f *tune.File) *tune.Entry { return f.LU }, explicit, *lookahead, *q)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lufact:", err)
 		os.Exit(1)
@@ -205,36 +206,6 @@ func singularRun(n, q, cores, chips int, seed uint64, mode parallel.Mode, tun pa
 		return err
 	}
 	return fmt.Errorf("singular input factored without error; the failure path is broken")
-}
-
-// resolveTuning composes the configuration in the documented order —
-// explicit flags > a host-matched TUNE.json's LU entry > defaults. The
-// returned Params always carries a concrete tile size (the file's
-// winner only replaces the default when -q was not given).
-func resolveTuning(tunePath, shapeFlag string, lookaheadFlag, qFlag int) (tune.Params, error) {
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	var params tune.Params
-	if tunePath != "" {
-		tf, err := tune.Load(tunePath)
-		if err != nil {
-			return tune.Params{}, err
-		}
-		if !tf.MatchesHost() {
-			fmt.Fprintf(os.Stderr, "lufact: %s was tuned on a different host; ignoring it\n", tunePath)
-		} else if tf.LU != nil {
-			params = tf.LU.Params
-		}
-	}
-	params = tune.Override{
-		Shape: shapeFlag, ShapeSet: explicit["kernel-shape"],
-		Lookahead: lookaheadFlag, LookaheadSet: explicit["lookahead"],
-		Q: qFlag, QSet: explicit["q"],
-	}.Apply(params)
-	if params.Q == 0 {
-		params.Q = qFlag
-	}
-	return params, nil
 }
 
 // optSettings returns the optimizer settings measured for one mode:
@@ -410,7 +381,6 @@ func bench(path string, n, q int, coreList []int, reps int, seed uint64, tun par
 				tra := stats.Traffic
 				r := rec.AddOp("LU", mode.String(), p, orderBlocks, q, luFlops(n), elapsed)
 				r.N = n
-				r.KernelShape = params.Shape
 				r.Lookahead = params.Lookahead
 				r.MSStageBytes = tra.MS.StageBytes
 				r.MSWriteBackBytes = tra.MS.WriteBackBytes

@@ -131,7 +131,6 @@ func tunedPair(t *testing.T, tunedSecs, defSecs time.Duration) (string, string) 
 	dir := t.TempDir()
 	tuned := report.NewBench("gemm")
 	r := tuned.Add("Tradeoff", "shared-pipelined", 2, 4, 16, tunedSecs)
-	r.KernelShape = "8x8"
 	r.Lookahead = 2
 	def := report.NewBench("gemm")
 	def.Add("Tradeoff", "shared-pipelined", 2, 8, 8, defSecs)

@@ -1,19 +1,25 @@
 // Command tune measures the machine-local optimum of the executor's
-// tunables — kernel register-blocking shape, block edge q, pipeline
-// lookahead depth — and writes the winners to TUNE.json, keyed by the
-// host's identity (CPU model, GOMAXPROCS, OS/arch) so the record never
-// silently applies to a different machine.
+// tunables — block edge q and pipeline lookahead depth — and writes the
+// winners to TUNE.json, keyed by the host's identity (CPU model,
+// GOMAXPROCS, OS/arch) so the record never silently applies to a
+// different machine.
 //
-// Two workloads are swept, each over the full (shape × q × lookahead)
-// grid with short timed repetitions, fastest repetition winning: the
+// Two workloads are swept, each over the (q × lookahead) grid: the
 // paper's shared-optimal product schedule and the blocked LU
 // factorisation, both in ModeSharedPipelined (the mode every knob
-// affects). cmd/gemm and cmd/lufact load the file at startup when
-// -tune points at it; explicit flags always win over the file, and the
-// file only applies when its host stanza matches the running machine.
+// affects). After one untimed warm-up round, the repetitions run in
+// rounds, each round timing every grid point once, and each point is
+// rated by the median GFLOP/s of its repetitions — a rate, not a time,
+// because the product's work grows with the block edge. The default
+// point (lookahead 1 at the first block edge) is kept unless another
+// point's median rate beats the default's by more than the default's
+// own spread (max − min of its repetitions' rates), so a win inside
+// the host's noise never changes the configuration. cmd/gemm and
+// cmd/lufact load the file at startup when -tune points at it; explicit
+// flags always win over the file, and the file only applies when its
+// host stanza matches the running machine.
 //
-// None of the knobs can change a computed result — every kernel shape
-// is pinned bitwise-identical to its reference and the pipeline plan is
+// Neither knob can change a computed result — the pipeline plan is
 // re-verified at every depth — so a stale TUNE.json costs performance,
 // never correctness.
 //
@@ -21,7 +27,7 @@
 //
 //	tune                                  # full default sweep, writes TUNE.json
 //	tune -order 8 -n 512 -reps 5 -out TUNE.json
-//	tune -qs 16,32 -shapes 4x4,8x8 -lookaheads 1,2,3
+//	tune -qs 16,32 -lookaheads 1,2,3
 package main
 
 import (
@@ -29,6 +35,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -47,15 +54,14 @@ func main() {
 		order      = flag.Int("order", 8, "gemm workload edge in blocks")
 		n          = flag.Int("n", 256, "LU matrix order in coefficients")
 		cores      = flag.Int("p", runtime.NumCPU(), "worker goroutines (recorded as the tuning's GOMAXPROCS context)")
-		qs         = flag.String("qs", "32", "comma-separated block edges to sweep")
-		shapes     = flag.String("shapes", "4x4,8x4,8x8", "comma-separated kernel shapes to sweep")
-		lookaheads = flag.String("lookaheads", "1,2,3", "comma-separated pipeline lookahead depths to sweep")
-		reps       = flag.Int("reps", 3, "timed repetitions per candidate (fastest wins)")
+		qs         = flag.String("qs", "32", "comma-separated block edges to sweep; the first is the default's")
+		lookaheads = flag.String("lookaheads", "1,2,3", "comma-separated pipeline lookahead depths to sweep; must include the default 1")
+		reps       = flag.Int("reps", 3, "rounds of timed repetitions (each candidate rated by its median GFLOP/s)")
 		seed       = flag.Uint64("seed", 1, "input matrix seed")
 	)
 	flag.Parse()
 
-	cfg, err := parseSweep(*qs, *shapes, *lookaheads)
+	cfg, err := parseSweep(*qs, *lookaheads)
 	if err == nil {
 		cfg.algoName, cfg.order, cfg.n = *algoName, *order, *n
 		cfg.cores, cfg.reps, cfg.seed = *cores, *reps, *seed
@@ -73,11 +79,10 @@ type sweepConfig struct {
 	cores, reps int
 	seed        uint64
 	qs          []int
-	shapes      []matrix.Shape
 	lookaheads  []int
 }
 
-func parseSweep(qs, shapes, lookaheads string) (sweepConfig, error) {
+func parseSweep(qs, lookaheads string) (sweepConfig, error) {
 	var cfg sweepConfig
 	for _, s := range strings.Split(qs, ",") {
 		q, err := strconv.Atoi(strings.TrimSpace(s))
@@ -86,13 +91,6 @@ func parseSweep(qs, shapes, lookaheads string) (sweepConfig, error) {
 		}
 		cfg.qs = append(cfg.qs, q)
 	}
-	for _, s := range strings.Split(shapes, ",") {
-		sh, err := matrix.ParseShape(strings.TrimSpace(s))
-		if err != nil {
-			return cfg, err
-		}
-		cfg.shapes = append(cfg.shapes, sh)
-	}
 	for _, s := range strings.Split(lookaheads, ",") {
 		k, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil || k < 1 {
@@ -100,19 +98,27 @@ func parseSweep(qs, shapes, lookaheads string) (sweepConfig, error) {
 		}
 		cfg.lookaheads = append(cfg.lookaheads, k)
 	}
+	if !slices.Contains(cfg.lookaheads, 1) {
+		return cfg, fmt.Errorf("lookaheads %v lack 1, the default every candidate is measured against", cfg.lookaheads)
+	}
 	return cfg, nil
 }
 
-// candidate is one grid point with its measured rate.
+// candidate is one grid point with the rate of each timed repetition.
 type candidate struct {
 	params tune.Params
-	gflops float64
+	rates  []float64 // GFLOP/s
 }
 
-// isDefault reports whether the point is the untuned configuration at
-// the sweep's first block edge — the baseline the ratchet compares to.
-func (c candidate) isDefault(q0 int) bool {
-	return c.params.Shape == matrix.Shape4x4.String() && c.params.Lookahead == 1 && c.params.Q == q0
+// median and spread summarise the repetitions' rates: the middle rate
+// (the mean of the two middle ones for an even count) and max − min.
+func (c *candidate) median() float64 {
+	s := slices.Sorted(slices.Values(c.rates))
+	return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
+}
+
+func (c *candidate) spread() float64 {
+	return slices.Max(c.rates) - slices.Min(c.rates)
 }
 
 func runSweep(cfg sweepConfig, out string) error {
@@ -124,7 +130,7 @@ func runSweep(cfg sweepConfig, out string) error {
 	}
 	host := tune.CurrentHost()
 	fmt.Printf("host: %s, GOMAXPROCS %d, %s %s/%s\n", host.CPUModel, host.GoMaxProcs, host.GoVersion, host.GOOS, host.GOARCH)
-	fmt.Printf("sweep: q %v × shapes %v × lookahead %v, best of %d\n\n", cfg.qs, cfg.shapes, cfg.lookaheads, cfg.reps)
+	fmt.Printf("sweep: q %v × lookahead %v, median of %d rounds\n\n", cfg.qs, cfg.lookaheads, cfg.reps)
 
 	gemm, err := sweepGemm(cfg)
 	if err != nil {
@@ -137,7 +143,7 @@ func runSweep(cfg sweepConfig, out string) error {
 
 	f := &tune.File{
 		Host:       host,
-		Candidates: len(cfg.qs) * len(cfg.shapes) * len(cfg.lookaheads),
+		Candidates: len(cfg.qs) * len(cfg.lookaheads),
 		Reps:       cfg.reps,
 		Gemm:       gemm,
 		LU:         luEntry,
@@ -146,57 +152,58 @@ func runSweep(cfg sweepConfig, out string) error {
 		return err
 	}
 	fmt.Printf("\nwrote %s\n", out)
-	fmt.Printf("  gemm: shape %s q %d lookahead %d  %.2f GFLOP/s (default %.2f)\n",
-		gemm.Shape, gemm.Q, gemm.Lookahead, gemm.GFlops, gemm.BaselineGFlops)
-	fmt.Printf("  lu:   shape %s q %d lookahead %d  %.2f GFLOP/s (default %.2f)\n",
-		luEntry.Shape, luEntry.Q, luEntry.Lookahead, luEntry.GFlops, luEntry.BaselineGFlops)
+	fmt.Printf("  gemm: q %d lookahead %d  %.2f GFLOP/s (default %.2f)\n",
+		gemm.Q, gemm.Lookahead, gemm.GFlops, gemm.BaselineGFlops)
+	fmt.Printf("  lu:   q %d lookahead %d  %.2f GFLOP/s (default %.2f)\n",
+		luEntry.Q, luEntry.Lookahead, luEntry.GFlops, luEntry.BaselineGFlops)
 	return nil
 }
 
-// pick runs the grid, timing each point with measure, and folds the
-// results into the workload's entry: the fastest point wins, and the
-// default point's rate is recorded as the baseline.
+// pick times the grid with measure and folds the results into the
+// workload's entry. The repetitions run in rounds, each visiting every
+// candidate once, so drift on the host lands on all of them alike.
+// measure returns a repetition's time and the flops it did; each
+// candidate is rated by its median GFLOP/s, so points whose block
+// edges do different work still compare fairly. The default point
+// (lookahead 1 at the sweep's first block edge) stays the winner
+// unless a candidate's median rate beats the default's by more than
+// the default's own spread; among those that do, the highest median
+// rate wins. The entry records the winner's and the default's median
+// rates.
 func pick(cfg sweepConfig, name string, measure func(q int, tun parallel.Tuning) (time.Duration, float64, error)) (*tune.Entry, error) {
 	var cands []candidate
 	for _, q := range cfg.qs {
-		for _, sh := range cfg.shapes {
-			for _, k := range cfg.lookaheads {
-				tun := parallel.Tuning{Kernels: matrix.KernelConfig{Shape: sh}, Lookahead: k}
-				var best time.Duration
-				var flops float64
-				for r := 0; r < cfg.reps; r++ {
-					d, fl, err := measure(q, tun)
-					if err != nil {
-						return nil, fmt.Errorf("%s shape %s q %d lookahead %d: %w", name, sh, q, k, err)
-					}
-					if best == 0 || d < best {
-						best = d
-					}
-					flops = fl
-				}
-				if best <= 0 {
-					best = time.Nanosecond
-				}
-				c := candidate{
-					params: tune.Params{Shape: sh.String(), Q: q, Lookahead: k},
-					gflops: flops / best.Seconds() / 1e9,
-				}
-				cands = append(cands, c)
-				fmt.Printf("%-5s shape %-4s q %-4d lookahead %d  %8.2f GFLOP/s\n", name, sh, q, k, c.gflops)
+		for _, k := range cfg.lookaheads {
+			cands = append(cands, candidate{params: tune.Params{Q: q, Lookahead: k}})
+		}
+	}
+	// Round 0 is an untimed warm-up, so first-touch costs (arena
+	// allocation, page faults, cold caches) land on no candidate.
+	for r := 0; r <= cfg.reps; r++ {
+		for i := range cands {
+			c := &cands[i]
+			d, fl, err := measure(c.params.Q, parallel.Tuning{Lookahead: c.params.Lookahead})
+			if err != nil {
+				return nil, fmt.Errorf("%s q %d lookahead %d: %w", name, c.params.Q, c.params.Lookahead, err)
+			}
+			if r > 0 {
+				c.rates = append(c.rates, fl/max(d, time.Nanosecond).Seconds()/1e9)
 			}
 		}
 	}
-	winner := cands[0]
-	baseline := 0.0
-	for _, c := range cands {
-		if c.gflops > winner.gflops {
+	// The default point: lookahead 1 (which parseSweep requires) in the
+	// first block edge's row of the grid.
+	base := &cands[slices.Index(cfg.lookaheads, 1)]
+	winner := base
+	for i := range cands {
+		c := &cands[i]
+		fmt.Printf("%-5s q %-4d lookahead %d  %8.2f GFLOP/s  (spread %.2f)\n",
+			name, c.params.Q, c.params.Lookahead, c.median(), c.spread())
+		if c.median()-base.median() > base.spread() && c.median() > winner.median() {
 			winner = c
 		}
-		if c.isDefault(cfg.qs[0]) {
-			baseline = c.gflops
-		}
 	}
-	return &tune.Entry{Params: winner.params, GFlops: winner.gflops, BaselineGFlops: baseline}, nil
+	return &tune.Entry{Params: winner.params, GFlops: winner.median(), BaselineGFlops: base.median()}, nil
 }
 
 // sweepGemm times the product schedule in ModeSharedPipelined at every

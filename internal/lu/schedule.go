@@ -262,9 +262,8 @@ func FactorParallelStats(a *matrix.Dense, q int, team *parallel.Team, mode paral
 }
 
 // FactorParallelTuned is FactorParallelStats with an explicit tuning
-// (kernel register-blocking shape, pipeline lookahead depth) applied to
-// the executor. Tuning never changes the factored matrix — every kernel
-// shape is pinned bitwise-identical to its reference, so the parallel
+// (pipeline lookahead depth, schedule optimizer switch) applied to the
+// executor. Tuning never changes the factored matrix — the parallel
 // result stays bitwise equal to the sequential Factor at any setting —
 // only the measured profile.
 func FactorParallelTuned(a *matrix.Dense, q int, team *parallel.Team, mode parallel.Mode, mach machine.Machine, tun parallel.Tuning) (Stats, error) {

@@ -270,12 +270,11 @@ func TestLUProgramRejectsBadInput(t *testing.T) {
 }
 
 // TestKernelDispatchLUTunedMatchesSequential sweeps the executor's
-// tuning surface over the factorisation: every kernel register-blocking
-// shape, every staging mode, and (in the pipelined mode) every
-// lookahead depth up to 3 must produce a factored matrix bitwise
-// identical to the sequential Factor — on a tight hierarchy whose
-// strips actually split and on the capacious benchmark machine. Tuning
-// is a pure timing knob; this is the proof.
+// tuning surface over the factorisation: every staging mode, and (in
+// the pipelined mode) every lookahead depth up to 3, must produce a
+// factored matrix bitwise identical to the sequential Factor — on a
+// tight hierarchy whose strips actually split and on the capacious
+// benchmark machine. Tuning is a pure timing knob; this is the proof.
 func TestKernelDispatchLUTunedMatchesSequential(t *testing.T) {
 	const n, q = 22, 4 // ragged: the last block row/column is 2 wide
 	orig := RandomDominant(n, 7)
@@ -294,17 +293,15 @@ func TestKernelDispatchLUTunedMatchesSequential(t *testing.T) {
 			if mode == parallel.ModeSharedPipelined {
 				depths = []int{0, 1, 2, 3}
 			}
-			for _, sh := range matrix.Shapes() {
-				for _, k := range depths {
-					a := orig.Clone()
-					tun := parallel.Tuning{Kernels: matrix.KernelConfig{Shape: sh}, Lookahead: k}
-					if _, err := FactorParallelTuned(a, q, team, mode, mach, tun); err != nil {
-						t.Fatalf("CS=%d mode %v shape %s lookahead %d: %v", mach.CS, mode, sh, k, err)
-					}
-					if d := want.MaxAbsDiff(a); d != 0 {
-						t.Errorf("CS=%d mode %v shape %s lookahead %d: differs from sequential Factor by %g",
-							mach.CS, mode, sh, k, d)
-					}
+			for _, k := range depths {
+				a := orig.Clone()
+				tun := parallel.Tuning{Lookahead: k}
+				if _, err := FactorParallelTuned(a, q, team, mode, mach, tun); err != nil {
+					t.Fatalf("CS=%d mode %v lookahead %d: %v", mach.CS, mode, k, err)
+				}
+				if d := want.MaxAbsDiff(a); d != 0 {
+					t.Errorf("CS=%d mode %v lookahead %d: differs from sequential Factor by %g",
+						mach.CS, mode, k, d)
 				}
 			}
 		}

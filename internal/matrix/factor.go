@@ -101,7 +101,7 @@ func TrsmLowerLeftUnit(diag, b *Dense) error {
 
 // MulSubUnrolled computes C -= A×B — the trailing GEMM update of the
 // factorisation — as the 4×4 register-blocked twin of MulAddUnrolled
-// and the 4×4 member of the MulSub shape family (see shapes.go): each
+// and the kernel KernelConfig.MulSub dispatches (see shapes.go): each
 // 4×4 tile of C lives in sixteen scalar accumulators while the k loop
 // streams four A and four B values, so the inner loop carries no C
 // loads or stores. Every C element still subtracts its k products in
@@ -175,4 +175,37 @@ func MulSubUnrolled(c, a, b *Dense) error {
 	}
 	mulSubRowsFrom(c, a, b, i)
 	return nil
+}
+
+// mulSubRowsFrom finishes rows i..m of C -= A×B with the scalar row
+// path (4-wide column unrolling, then scalar columns), preserving the
+// reference per-element accumulation order.
+//
+//repro:kernel
+func mulSubRowsFrom(c, a, b *Dense, i int) {
+	m, n, kk := a.rows, b.cols, a.cols
+	for ; i < m; i++ {
+		arow := a.data[i*a.stride : i*a.stride+kk]
+		crow := c.data[i*c.stride : i*c.stride+n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			s0, s1, s2, s3 := crow[j], crow[j+1], crow[j+2], crow[j+3]
+			for k := 0; k < kk; k++ {
+				av := arow[k]
+				brow := b.data[k*b.stride+j : k*b.stride+j+4 : k*b.stride+j+4]
+				s0 -= av * brow[0]
+				s1 -= av * brow[1]
+				s2 -= av * brow[2]
+				s3 -= av * brow[3]
+			}
+			crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			s := crow[j]
+			for k := 0; k < kk; k++ {
+				s -= arow[k] * b.data[k*b.stride+j]
+			}
+			crow[j] = s
+		}
+	}
 }

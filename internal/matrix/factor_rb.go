@@ -5,18 +5,18 @@ import (
 	"math"
 )
 
-// Register-blocked variants of the LU leaf kernels. The bitwise
-// contract mirrors the GEMM family's (see shapes.go): within one pivot
-// step of the factorisation every trailing element is updated exactly
-// once and every multiplier l depends only on state the step does not
-// modify, so processing rows in blocks of four or eight — sharing the
-// pivot-row loads across the block — reorders independent updates only
-// and the result is bitwise identical to the reference FactorTile.
-// Likewise the Trsm solves: TrsmUpperRight's rows of B are independent
-// solves (blocked to share U column loads), TrsmLowerLeftUnit's
-// columns of B are independent (blocked to share L row loads), and
-// each element keeps its reference k-ascending accumulation order and
-// its reference rounding sequence.
+// The 4×4 register-blocked LU leaf kernels that KernelConfig
+// dispatches (see shapes.go). Within one pivot step of the
+// factorisation every trailing element is updated exactly once and
+// every multiplier l depends only on state the step does not modify,
+// so processing rows in blocks of four — sharing the pivot-row loads
+// across the block — reorders independent updates only and the result
+// is bitwise identical to the reference FactorTile. Likewise the Trsm
+// solves: TrsmUpperRight's rows of B are independent solves (blocked
+// to share U column loads), TrsmLowerLeftUnit's columns of B are
+// independent (blocked to share L row loads), and each element keeps
+// its reference k-ascending accumulation order and its reference
+// rounding sequence.
 
 // factorTileRB4 is the 4-row register-blocked FactorTile: four trailing
 // rows per block hold their multipliers in scalars while the update
@@ -85,102 +85,6 @@ func factorTileRB4(d *Dense) error {
 	return nil
 }
 
-// factorTileRB8 is the 8-row register-blocked FactorTile serving the
-// 8×4 and 8×8 shapes: eight trailing rows per block, pivot row streamed
-// once per block, 4-wide column unrolling.
-//
-//repro:kernel
-func factorTileRB8(d *Dense) error {
-	if d.rows != d.cols {
-		return fmt.Errorf("matrix: factor %dx%d tile, need square: %w", d.rows, d.cols, ErrShape)
-	}
-	n := d.rows
-	for k := 0; k < n; k++ {
-		piv := d.data[k*d.stride+k]
-		if math.Abs(piv) < pivotFloor || math.IsNaN(piv) {
-			return fmt.Errorf("matrix: pivot %g at local index %d: %w", piv, k, ErrSingular)
-		}
-		krow := d.data[k*d.stride : k*d.stride+n]
-		i := k + 1
-		for ; i+8 <= n; i += 8 {
-			r0 := d.data[(i+0)*d.stride : (i+0)*d.stride+n]
-			r1 := d.data[(i+1)*d.stride : (i+1)*d.stride+n]
-			r2 := d.data[(i+2)*d.stride : (i+2)*d.stride+n]
-			r3 := d.data[(i+3)*d.stride : (i+3)*d.stride+n]
-			r4 := d.data[(i+4)*d.stride : (i+4)*d.stride+n]
-			r5 := d.data[(i+5)*d.stride : (i+5)*d.stride+n]
-			r6 := d.data[(i+6)*d.stride : (i+6)*d.stride+n]
-			r7 := d.data[(i+7)*d.stride : (i+7)*d.stride+n]
-			l0 := r0[k] / piv
-			l1 := r1[k] / piv
-			l2 := r2[k] / piv
-			l3 := r3[k] / piv
-			l4 := r4[k] / piv
-			l5 := r5[k] / piv
-			l6 := r6[k] / piv
-			l7 := r7[k] / piv
-			r0[k], r1[k], r2[k], r3[k] = l0, l1, l2, l3
-			r4[k], r5[k], r6[k], r7[k] = l4, l5, l6, l7
-			j := k + 1
-			for ; j+4 <= n; j += 4 {
-				k0, k1, k2, k3 := krow[j], krow[j+1], krow[j+2], krow[j+3]
-				r0[j] -= l0 * k0
-				r0[j+1] -= l0 * k1
-				r0[j+2] -= l0 * k2
-				r0[j+3] -= l0 * k3
-				r1[j] -= l1 * k0
-				r1[j+1] -= l1 * k1
-				r1[j+2] -= l1 * k2
-				r1[j+3] -= l1 * k3
-				r2[j] -= l2 * k0
-				r2[j+1] -= l2 * k1
-				r2[j+2] -= l2 * k2
-				r2[j+3] -= l2 * k3
-				r3[j] -= l3 * k0
-				r3[j+1] -= l3 * k1
-				r3[j+2] -= l3 * k2
-				r3[j+3] -= l3 * k3
-				r4[j] -= l4 * k0
-				r4[j+1] -= l4 * k1
-				r4[j+2] -= l4 * k2
-				r4[j+3] -= l4 * k3
-				r5[j] -= l5 * k0
-				r5[j+1] -= l5 * k1
-				r5[j+2] -= l5 * k2
-				r5[j+3] -= l5 * k3
-				r6[j] -= l6 * k0
-				r6[j+1] -= l6 * k1
-				r6[j+2] -= l6 * k2
-				r6[j+3] -= l6 * k3
-				r7[j] -= l7 * k0
-				r7[j+1] -= l7 * k1
-				r7[j+2] -= l7 * k2
-				r7[j+3] -= l7 * k3
-			}
-			for ; j < n; j++ {
-				kv := krow[j]
-				r0[j] -= l0 * kv
-				r1[j] -= l1 * kv
-				r2[j] -= l2 * kv
-				r3[j] -= l3 * kv
-				r4[j] -= l4 * kv
-				r5[j] -= l5 * kv
-				r6[j] -= l6 * kv
-				r7[j] -= l7 * kv
-			}
-		}
-		for ; i < n; i++ {
-			irow := d.data[i*d.stride : i*d.stride+n]
-			l := irow[k] / piv
-			irow[k] = l
-			for j := k + 1; j < n; j++ {
-				irow[j] -= l * krow[j]
-			}
-		}
-	}
-	return nil
-}
-
 // trsmUpperRightRB4 solves X·U = B in place, four rows of B per block:
 // the rows are independent solves, so blocking them shares each U
 // column load without touching any row's accumulation order.
@@ -224,58 +128,6 @@ func trsmUpperRightRB4(diag, b *Dense) error {
 	return nil
 }
 
-// trsmUpperRightRB8 is trsmUpperRightRB4 with eight rows of B per
-// block, serving the 8×4 and 8×8 shapes.
-//
-//repro:kernel
-func trsmUpperRightRB8(diag, b *Dense) error {
-	if diag.rows != diag.cols || b.cols != diag.rows {
-		return fmt.Errorf("matrix: trsm B(%dx%d)·U⁻¹ with diag %dx%d: %w",
-			b.rows, b.cols, diag.rows, diag.cols, ErrShape)
-	}
-	n := diag.rows
-	i := 0
-	for ; i+8 <= b.rows; i += 8 {
-		b0 := b.data[(i+0)*b.stride : (i+0)*b.stride+n]
-		b1 := b.data[(i+1)*b.stride : (i+1)*b.stride+n]
-		b2 := b.data[(i+2)*b.stride : (i+2)*b.stride+n]
-		b3 := b.data[(i+3)*b.stride : (i+3)*b.stride+n]
-		b4 := b.data[(i+4)*b.stride : (i+4)*b.stride+n]
-		b5 := b.data[(i+5)*b.stride : (i+5)*b.stride+n]
-		b6 := b.data[(i+6)*b.stride : (i+6)*b.stride+n]
-		b7 := b.data[(i+7)*b.stride : (i+7)*b.stride+n]
-		for j := 0; j < n; j++ {
-			s0, s1, s2, s3 := b0[j], b1[j], b2[j], b3[j]
-			s4, s5, s6, s7 := b4[j], b5[j], b6[j], b7[j]
-			for k := 0; k < j; k++ {
-				u := diag.data[k*diag.stride+j]
-				s0 -= b0[k] * u
-				s1 -= b1[k] * u
-				s2 -= b2[k] * u
-				s3 -= b3[k] * u
-				s4 -= b4[k] * u
-				s5 -= b5[k] * u
-				s6 -= b6[k] * u
-				s7 -= b7[k] * u
-			}
-			d := diag.data[j*diag.stride+j]
-			b0[j], b1[j], b2[j], b3[j] = s0/d, s1/d, s2/d, s3/d
-			b4[j], b5[j], b6[j], b7[j] = s4/d, s5/d, s6/d, s7/d
-		}
-	}
-	for ; i < b.rows; i++ {
-		brow := b.data[i*b.stride : i*b.stride+n]
-		for j := 0; j < n; j++ {
-			s := brow[j]
-			for k := 0; k < j; k++ {
-				s -= brow[k] * diag.data[k*diag.stride+j]
-			}
-			brow[j] = s / diag.data[j*diag.stride+j]
-		}
-	}
-	return nil
-}
-
 // trsmLowerLeftRB4 solves L·X = B in place, four columns of B per
 // block: the columns are independent solves, so blocking them shares
 // each L row load without touching any column's accumulation order.
@@ -302,52 +154,6 @@ func trsmLowerLeftRB4(diag, b *Dense) error {
 				s3 -= lv * krow[3]
 			}
 			brow[0], brow[1], brow[2], brow[3] = s0, s1, s2, s3
-		}
-	}
-	for ; j < b.cols; j++ {
-		for i := 0; i < n; i++ {
-			s := b.data[i*b.stride+j]
-			irow := diag.data[i*diag.stride : i*diag.stride+i]
-			for k := 0; k < i; k++ {
-				s -= irow[k] * b.data[k*b.stride+j]
-			}
-			b.data[i*b.stride+j] = s
-		}
-	}
-	return nil
-}
-
-// trsmLowerLeftRB8 is trsmLowerLeftRB4 with eight columns of B per
-// block, serving the 8×8 shape.
-//
-//repro:kernel
-func trsmLowerLeftRB8(diag, b *Dense) error {
-	if diag.rows != diag.cols || b.rows != diag.rows {
-		return fmt.Errorf("matrix: trsm L⁻¹·B(%dx%d) with diag %dx%d: %w",
-			b.rows, b.cols, diag.rows, diag.cols, ErrShape)
-	}
-	n := diag.rows
-	j := 0
-	for ; j+8 <= b.cols; j += 8 {
-		for i := 0; i < n; i++ {
-			brow := b.data[i*b.stride+j : i*b.stride+j+8 : i*b.stride+j+8]
-			s0, s1, s2, s3 := brow[0], brow[1], brow[2], brow[3]
-			s4, s5, s6, s7 := brow[4], brow[5], brow[6], brow[7]
-			irow := diag.data[i*diag.stride : i*diag.stride+i]
-			for k := 0; k < i; k++ {
-				lv := irow[k]
-				krow := b.data[k*b.stride+j : k*b.stride+j+8 : k*b.stride+j+8]
-				s0 -= lv * krow[0]
-				s1 -= lv * krow[1]
-				s2 -= lv * krow[2]
-				s3 -= lv * krow[3]
-				s4 -= lv * krow[4]
-				s5 -= lv * krow[5]
-				s6 -= lv * krow[6]
-				s7 -= lv * krow[7]
-			}
-			brow[0], brow[1], brow[2], brow[3] = s0, s1, s2, s3
-			brow[4], brow[5], brow[6], brow[7] = s4, s5, s6, s7
 		}
 	}
 	for ; j < b.cols; j++ {

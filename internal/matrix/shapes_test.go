@@ -2,15 +2,14 @@ package matrix
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 )
 
-// Reference kernels the shape family is pinned against. MulAdd is its
-// own reference; MulSub's is the plain i-k-j subtract loop the old
-// MulSubUnrolled implemented; FactorTile and the Trsm solves are the
-// plain loops in factor.go. Pinning is bitwise: MaxAbsDiff must be
-// exactly zero, not small.
+// Reference kernels the KernelConfig dispatch is pinned against.
+// MulAdd is its own reference; MulSub's is the plain i-k-j subtract
+// loop the old MulSubUnrolled implemented; FactorTile and the Trsm
+// solves are the plain loops in factor.go. Pinning is bitwise:
+// MaxAbsDiff must be exactly zero, not small.
 
 func mulSubRef(c, a, b *Dense) error {
 	if err := checkMul(c, a, b); err != nil {
@@ -29,8 +28,8 @@ func mulSubRef(c, a, b *Dense) error {
 	return nil
 }
 
-// mulDims covers full blocks, every mr/nr remainder class of the 4-
-// and 8-row kernels, and degenerate edges.
+// mulDims covers full blocks, every remainder class of the 4×4 tile,
+// and degenerate edges.
 var mulDims = [][3]int{
 	{16, 16, 16}, {8, 8, 8}, {4, 4, 4},
 	{13, 7, 11}, {9, 5, 3}, {7, 9, 2}, {17, 13, 5},
@@ -43,39 +42,37 @@ func randomDense(t *testing.T, rows, cols int, seed uint64) *Dense {
 }
 
 func TestKernelShapesMulBitwise(t *testing.T) {
-	for _, shape := range Shapes() {
-		kc := KernelConfig{Shape: shape}
-		for _, dims := range mulDims {
-			m, n, k := dims[0], dims[1], dims[2]
-			a := randomDense(t, m, k, 11)
-			b := randomDense(t, k, n, 23)
-			want := randomDense(t, m, n, 37)
-			got := want.Clone()
-			if err := MulAdd(want, a, b); err != nil {
-				t.Fatal(err)
-			}
-			if err := kc.MulAdd(got, a, b); err != nil {
-				t.Fatal(err)
-			}
-			if d := got.MaxAbsDiff(want); d != 0 {
-				t.Fatalf("shape %v MulAdd %v deviates from reference by %g", shape, dims, d)
-			}
-			want = randomDense(t, m, n, 41)
-			got = want.Clone()
-			if err := mulSubRef(want, a, b); err != nil {
-				t.Fatal(err)
-			}
-			if err := kc.MulSub(got, a, b); err != nil {
-				t.Fatal(err)
-			}
-			if d := got.MaxAbsDiff(want); d != 0 {
-				t.Fatalf("shape %v MulSub %v deviates from reference by %g", shape, dims, d)
-			}
+	var kc KernelConfig
+	for _, dims := range mulDims {
+		m, n, k := dims[0], dims[1], dims[2]
+		a := randomDense(t, m, k, 11)
+		b := randomDense(t, k, n, 23)
+		want := randomDense(t, m, n, 37)
+		got := want.Clone()
+		if err := MulAdd(want, a, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := kc.MulAdd(got, a, b); err != nil {
+			t.Fatal(err)
+		}
+		if d := got.MaxAbsDiff(want); d != 0 {
+			t.Fatalf("MulAdd %v deviates from reference by %g", dims, d)
+		}
+		want = randomDense(t, m, n, 41)
+		got = want.Clone()
+		if err := mulSubRef(want, a, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := kc.MulSub(got, a, b); err != nil {
+			t.Fatal(err)
+		}
+		if d := got.MaxAbsDiff(want); d != 0 {
+			t.Fatalf("MulSub %v deviates from reference by %g", dims, d)
 		}
 	}
 }
 
-// The shape family must stay pinned on strided views too — the
+// The kernels must stay pinned on strided views too — the
 // executor's ModeView runs kernels over views, and a stride bug would
 // hide on contiguous operands.
 func TestKernelShapesMulBitwiseOnViews(t *testing.T) {
@@ -83,137 +80,107 @@ func TestKernelShapesMulBitwiseOnViews(t *testing.T) {
 	a := big.View(1, 2, 13, 9)
 	b2 := randomDense(t, 30, 30, 7)
 	b := b2.View(3, 1, 9, 11)
-	for _, shape := range Shapes() {
-		kc := KernelConfig{Shape: shape}
-		cBase := randomDense(t, 25, 25, 9)
-		cRef := cBase.Clone()
-		if err := MulAdd(cRef.View(2, 2, 13, 11), a, b); err != nil {
-			t.Fatal(err)
-		}
-		cGot := cBase.Clone()
-		if err := kc.MulAdd(cGot.View(2, 2, 13, 11), a, b); err != nil {
-			t.Fatal(err)
-		}
-		if d := cGot.MaxAbsDiff(cRef); d != 0 {
-			t.Fatalf("shape %v MulAdd over views deviates by %g", shape, d)
-		}
+	var kc KernelConfig
+	cBase := randomDense(t, 25, 25, 9)
+	cRef := cBase.Clone()
+	if err := MulAdd(cRef.View(2, 2, 13, 11), a, b); err != nil {
+		t.Fatal(err)
+	}
+	cGot := cBase.Clone()
+	if err := kc.MulAdd(cGot.View(2, 2, 13, 11), a, b); err != nil {
+		t.Fatal(err)
+	}
+	if d := cGot.MaxAbsDiff(cRef); d != 0 {
+		t.Fatalf("MulAdd over views deviates by %g", d)
 	}
 }
 
 func TestKernelShapesFactorBitwise(t *testing.T) {
-	for _, shape := range Shapes() {
-		kc := KernelConfig{Shape: shape}
-		for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 32} {
-			d := randomDense(t, n, n, uint64(n))
-			// Diagonal dominance keeps every pivot well away from the floor.
-			for i := 0; i < n; i++ {
-				d.data[i*d.stride+i] += float64(2 * n)
-			}
-			want := d.Clone()
-			if err := FactorTile(want); err != nil {
-				t.Fatal(err)
-			}
-			got := d.Clone()
-			if err := kc.FactorTile(got); err != nil {
-				t.Fatal(err)
-			}
-			if diff := got.MaxAbsDiff(want); diff != 0 {
-				t.Fatalf("shape %v FactorTile n=%d deviates from reference by %g", shape, n, diff)
-			}
+	var kc KernelConfig
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 32} {
+		d := randomDense(t, n, n, uint64(n))
+		// Diagonal dominance keeps every pivot well away from the floor.
+		for i := 0; i < n; i++ {
+			d.data[i*d.stride+i] += float64(2 * n)
+		}
+		want := d.Clone()
+		if err := FactorTile(want); err != nil {
+			t.Fatal(err)
+		}
+		got := d.Clone()
+		if err := kc.FactorTile(got); err != nil {
+			t.Fatal(err)
+		}
+		if diff := got.MaxAbsDiff(want); diff != 0 {
+			t.Fatalf("FactorTile n=%d deviates from reference by %g", n, diff)
 		}
 	}
 }
 
 func TestKernelShapesFactorSingular(t *testing.T) {
-	for _, shape := range Shapes() {
-		kc := KernelConfig{Shape: shape}
-		d := randomDense(t, 8, 8, 3)
-		for i := 0; i < 8; i++ {
-			d.data[i*d.stride+i] += 16
+	var kc KernelConfig
+	d := randomDense(t, 8, 8, 3)
+	for i := 0; i < 8; i++ {
+		d.data[i*d.stride+i] += 16
+	}
+	d.data[4*d.stride+4] = 0
+	// Zero the rest of row/column 4 so elimination cannot refill the
+	// pivot before step 4 reaches it.
+	for j := 0; j < 8; j++ {
+		if j != 4 {
+			d.data[4*d.stride+j] = 0
+			d.data[j*d.stride+4] = 0
 		}
-		d.data[4*d.stride+4] = 0
-		// Zero the rest of row/column 4 so elimination cannot refill the
-		// pivot before step 4 reaches it.
-		for j := 0; j < 8; j++ {
-			if j != 4 {
-				d.data[4*d.stride+j] = 0
-				d.data[j*d.stride+4] = 0
-			}
-		}
-		err := kc.FactorTile(d.Clone())
-		if !errors.Is(err, ErrSingular) {
-			t.Fatalf("shape %v: singular tile not rejected: %v", shape, err)
-		}
+	}
+	err := kc.FactorTile(d.Clone())
+	if !errors.Is(err, ErrSingular) {
+		t.Fatalf("singular tile not rejected: %v", err)
 	}
 }
 
 func TestKernelShapesTrsmBitwise(t *testing.T) {
-	for _, shape := range Shapes() {
-		kc := KernelConfig{Shape: shape}
-		for _, n := range []int{1, 3, 4, 5, 8, 11, 16} {
-			for _, rows := range []int{1, 2, 4, 5, 8, 9, 13} {
-				diag := randomDense(t, n, n, uint64(10*n))
-				for i := 0; i < n; i++ {
-					diag.data[i*diag.stride+i] += float64(2 * n)
-				}
-				if err := FactorTile(diag); err != nil {
-					t.Fatal(err)
-				}
+	var kc KernelConfig
+	for _, n := range []int{1, 3, 4, 5, 8, 11, 16} {
+		for _, rows := range []int{1, 2, 4, 5, 8, 9, 13} {
+			diag := randomDense(t, n, n, uint64(10*n))
+			for i := 0; i < n; i++ {
+				diag.data[i*diag.stride+i] += float64(2 * n)
+			}
+			if err := FactorTile(diag); err != nil {
+				t.Fatal(err)
+			}
 
-				bur := randomDense(t, rows, n, uint64(rows))
-				want := bur.Clone()
-				if err := TrsmUpperRight(diag, want); err != nil {
-					t.Fatal(err)
-				}
-				got := bur.Clone()
-				if err := kc.TrsmUpperRight(diag, got); err != nil {
-					t.Fatal(err)
-				}
-				if d := got.MaxAbsDiff(want); d != 0 {
-					t.Fatalf("shape %v TrsmUpperRight n=%d rows=%d deviates by %g", shape, n, rows, d)
-				}
+			bur := randomDense(t, rows, n, uint64(rows))
+			want := bur.Clone()
+			if err := TrsmUpperRight(diag, want); err != nil {
+				t.Fatal(err)
+			}
+			got := bur.Clone()
+			if err := kc.TrsmUpperRight(diag, got); err != nil {
+				t.Fatal(err)
+			}
+			if d := got.MaxAbsDiff(want); d != 0 {
+				t.Fatalf("TrsmUpperRight n=%d rows=%d deviates by %g", n, rows, d)
+			}
 
-				bll := randomDense(t, n, rows, uint64(rows+1))
-				want = bll.Clone()
-				if err := TrsmLowerLeftUnit(diag, want); err != nil {
-					t.Fatal(err)
-				}
-				got = bll.Clone()
-				if err := kc.TrsmLowerLeftUnit(diag, got); err != nil {
-					t.Fatal(err)
-				}
-				if d := got.MaxAbsDiff(want); d != 0 {
-					t.Fatalf("shape %v TrsmLowerLeftUnit n=%d cols=%d deviates by %g", shape, n, rows, d)
-				}
+			bll := randomDense(t, n, rows, uint64(rows+1))
+			want = bll.Clone()
+			if err := TrsmLowerLeftUnit(diag, want); err != nil {
+				t.Fatal(err)
+			}
+			got = bll.Clone()
+			if err := kc.TrsmLowerLeftUnit(diag, got); err != nil {
+				t.Fatal(err)
+			}
+			if d := got.MaxAbsDiff(want); d != 0 {
+				t.Fatalf("TrsmLowerLeftUnit n=%d cols=%d deviates by %g", n, rows, d)
 			}
 		}
 	}
 }
 
-func TestShapeParseRoundTrip(t *testing.T) {
-	for _, shape := range Shapes() {
-		got, err := ParseShape(shape.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != shape {
-			t.Fatalf("round trip %v -> %q -> %v", shape, shape.String(), got)
-		}
-		mr, nr := shape.Dims()
-		if want := fmt.Sprintf("%dx%d", mr, nr); want != shape.String() {
-			t.Fatalf("shape %v dims %dx%d disagree with its name", shape, mr, nr)
-		}
-	}
-	if _, err := ParseShape("16x16"); err == nil {
-		t.Fatal("unknown shape accepted")
-	}
-	if DefaultKernelConfig.Shape != Shape4x4 {
-		t.Fatalf("default shape %v, want the historical 4x4", DefaultKernelConfig.Shape)
-	}
-}
-
-// FuzzKernelShapesVsReference drives every shape against the reference
-// MulAdd/MulSub on fuzzer-chosen dimensions and seeds: any deviation —
+// FuzzKernelShapesVsReference drives the KernelConfig kernels against
+// the reference MulAdd/MulSub on fuzzer-chosen dimensions and seeds: any deviation —
 // even one ulp — fails.
 func FuzzKernelShapesVsReference(f *testing.F) {
 	f.Add(uint(16), uint(16), uint(16), uint64(1))
@@ -234,22 +201,20 @@ func FuzzKernelShapesVsReference(f *testing.F) {
 		if err := mulSubRef(subRef, a, b); err != nil {
 			t.Fatal(err)
 		}
-		for _, shape := range Shapes() {
-			kc := KernelConfig{Shape: shape}
-			got := base.Clone()
-			if err := kc.MulAdd(got, a, b); err != nil {
-				t.Fatal(err)
-			}
-			if d := got.MaxAbsDiff(addRef); d != 0 {
-				t.Fatalf("shape %v MulAdd %dx%dx%d deviates by %g", shape, m, n, k, d)
-			}
-			got = base.Clone()
-			if err := kc.MulSub(got, a, b); err != nil {
-				t.Fatal(err)
-			}
-			if d := got.MaxAbsDiff(subRef); d != 0 {
-				t.Fatalf("shape %v MulSub %dx%dx%d deviates by %g", shape, m, n, k, d)
-			}
+		var kc KernelConfig
+		got := base.Clone()
+		if err := kc.MulAdd(got, a, b); err != nil {
+			t.Fatal(err)
+		}
+		if d := got.MaxAbsDiff(addRef); d != 0 {
+			t.Fatalf("MulAdd %dx%dx%d deviates by %g", m, n, k, d)
+		}
+		got = base.Clone()
+		if err := kc.MulSub(got, a, b); err != nil {
+			t.Fatal(err)
+		}
+		if d := got.MaxAbsDiff(subRef); d != 0 {
+			t.Fatalf("MulSub %dx%dx%d deviates by %g", m, n, k, d)
 		}
 	})
 }

@@ -208,10 +208,10 @@ type Executor struct {
 	// compile it only once. SetTuning and SetStrictVerify drop it.
 	comp *compiled
 
-	// kernels selects the register-blocking shape the kernel dispatch
-	// uses; its zero value is the historical 4×4 family. lookahead is
-	// the pipeline planning depth of ModeSharedPipelined (0 means the
-	// default depth 1). Both are tunables — see SetTuning and cmd/tune.
+	// kernels is the tile-kernel set the kernel dispatch calls (the
+	// 4×4 register-blocked kernels). lookahead is the pipeline planning
+	// depth of ModeSharedPipelined (0 means the default depth 1), a
+	// tunable — see SetTuning and cmd/tune.
 	kernels   matrix.KernelConfig
 	lookahead int
 

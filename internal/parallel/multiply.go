@@ -46,9 +46,9 @@ func ExecuteMode(a algo.Algorithm, t *matrix.Triple, mach machine.Machine, probe
 	return ExecuteTuned(a, t, mach, probe, mode, DefaultTuning)
 }
 
-// MultiplyTuned is MultiplyMode with an explicit tuning: the kernel
-// register-blocking shape and (in ModeSharedPipelined) the pipeline
-// lookahead depth. The zero Tuning reproduces MultiplyMode exactly.
+// MultiplyTuned is MultiplyMode with an explicit tuning: the schedule
+// optimizer switch and (in ModeSharedPipelined) the pipeline lookahead
+// depth. The zero Tuning reproduces MultiplyMode exactly.
 func MultiplyTuned(name string, t *matrix.Triple, mach machine.Machine, mode Mode, tun Tuning) error {
 	a, err := algo.ByName(name)
 	if err != nil {
@@ -59,8 +59,8 @@ func MultiplyTuned(name string, t *matrix.Triple, mach machine.Machine, mode Mod
 
 // ExecuteTuned is ExecuteMode with an explicit tuning, applied to the
 // executor before the program runs. Tuning cannot change a result —
-// every kernel shape is pinned bitwise-identical to its reference and
-// the pipeline plan is re-verified at every lookahead — only timing.
+// the optimizer keeps results bitwise identical and the pipeline plan
+// is re-verified at every lookahead — only traffic and timing.
 func ExecuteTuned(a algo.Algorithm, t *matrix.Triple, mach machine.Machine, probe *schedule.Probe, mode Mode, tun Tuning) error {
 	if err := t.Validate(); err != nil {
 		return err

@@ -2,16 +2,17 @@ package parallel
 
 import "repro/internal/matrix"
 
-// Tuning bundles the executor's machine-local tunables: the kernel
-// register-blocking shape and the pipeline lookahead depth. The zero
-// value reproduces the untuned executor exactly — 4×4 kernels, depth-1
-// lookahead — so every existing call site keeps its behaviour until it
-// opts in. cmd/tune sweeps these knobs and TUNE.json persists the
-// winner; none of them can change a result, only its timing, because
-// every kernel shape is pinned bitwise-identical to its reference and
-// the pipeline plan is re-verified at every depth.
+// Tuning bundles the executor's machine-local tunables: the pipeline
+// lookahead depth and the schedule optimizer switch. The zero value
+// reproduces the untuned executor exactly — depth-1 lookahead, no
+// optimizer — so every existing call site keeps its behaviour until it
+// opts in. cmd/tune sweeps the lookahead (with the block edge) and
+// TUNE.json persists the winner; none of them can change a result,
+// only its timing, because the pipeline plan is re-verified at every
+// depth.
 type Tuning struct {
-	// Kernels selects the register-blocking shape family.
+	// Kernels is the tile-kernel set the executor dispatches; its one
+	// value is the 4×4 register-blocked kernels.
 	Kernels matrix.KernelConfig
 	// Lookahead is the pipeline planning depth k of ModeSharedPipelined:
 	// a stage may prefetch up to k regions ahead of its gap. 0 means the

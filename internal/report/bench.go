@@ -64,13 +64,10 @@ type BenchRun struct {
 	ComputeSeconds    float64 `json:"compute_seconds,omitempty"`
 	OverlapEfficiency float64 `json:"overlap_efficiency,omitempty"`
 
-	// Tuning of the measured run, when it was taken with an explicit
-	// configuration (cmd/gemm and cmd/lufact record these when a flag or
-	// TUNE.json set them): the kernel register-blocking shape ("4x4",
-	// "8x4", "8x8") and the pipeline lookahead depth. Untuned records
-	// omit both — the defaults are 4x4 and depth 1.
-	KernelShape string `json:"kernel_shape,omitempty"`
-	Lookahead   int    `json:"lookahead,omitempty"`
+	// Lookahead is the pipeline lookahead depth of the measured run,
+	// when a flag or TUNE.json set one (cmd/gemm and cmd/lufact record
+	// it). Untuned records omit it — the default is depth 1.
+	Lookahead int `json:"lookahead,omitempty"`
 
 	// Optimizer provenance. Optimized marks a run whose program went
 	// through schedule.Optimize before replay; MSElidedBytes is the MS

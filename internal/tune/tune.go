@@ -1,32 +1,29 @@
 // Package tune defines the machine-local tuning record (TUNE.json):
-// the kernel register-blocking shape, block edge and pipeline lookahead
-// that cmd/tune measured fastest on one concrete host, keyed by that
-// host's identity so the record is never silently applied elsewhere.
+// the block edge and pipeline lookahead that cmd/tune measured fastest
+// on one concrete host, keyed by that host's identity so the record is
+// never silently applied elsewhere.
 //
-// The tunables are pure timing knobs — every kernel shape is pinned
-// bitwise-identical to its reference and the pipeline plan is
+// The tunables are pure timing knobs — the pipeline plan is
 // re-verified at every lookahead — so loading a stale or foreign file
 // can cost performance but never correctness. Resolution order at the
 // CLIs is: explicit flags > a host-matched TUNE.json > built-in
-// defaults (4×4 kernels, lookahead 1).
+// defaults (lookahead 1, the command's -q default).
 package tune
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
-	"repro/internal/matrix"
 	"repro/internal/parallel"
 	"repro/internal/report"
 )
 
 // Params is one tuned operating point.
 type Params struct {
-	// Shape names the kernel register-blocking family ("4x4", "8x4",
-	// "8x8"); empty means the 4×4 default.
-	Shape string `json:"shape,omitempty"`
 	// Q is the winning block edge in coefficients; 0 leaves the caller's
 	// choice alone.
 	Q int `json:"q,omitempty"`
@@ -35,28 +32,12 @@ type Params struct {
 	Lookahead int `json:"lookahead,omitempty"`
 }
 
-// KernelConfig resolves the named shape, rejecting unknown names.
-func (p Params) KernelConfig() (matrix.KernelConfig, error) {
-	if p.Shape == "" {
-		return matrix.DefaultKernelConfig, nil
-	}
-	sh, err := matrix.ParseShape(p.Shape)
-	if err != nil {
-		return matrix.KernelConfig{}, err
-	}
-	return matrix.KernelConfig{Shape: sh}, nil
-}
-
 // Tuning converts the point to the executor's tuning bundle.
 func (p Params) Tuning() (parallel.Tuning, error) {
-	kc, err := p.KernelConfig()
-	if err != nil {
-		return parallel.Tuning{}, err
-	}
 	if p.Lookahead < 0 {
 		return parallel.Tuning{}, fmt.Errorf("tune: negative lookahead %d", p.Lookahead)
 	}
-	return parallel.Tuning{Kernels: kc, Lookahead: p.Lookahead}, nil
+	return parallel.Tuning{Lookahead: p.Lookahead}, nil
 }
 
 // Host identifies the machine a tuning was measured on.
@@ -93,10 +74,11 @@ func (h Host) Matches(cur Host) bool {
 // Entry is one workload's winning point with the evidence next to it.
 type Entry struct {
 	Params
-	// GFlops is the winner's measured rate in the sweep; BaselineGFlops
-	// the untuned default's rate under identical conditions. The ratio
-	// is what cmd/perfguard's tuned ratchet re-verifies from fresh
-	// benchmark records.
+	// GFlops is the winner's median rate in the sweep; BaselineGFlops
+	// the untuned default's median rate, measured in the same rounds.
+	// The two are equal when no candidate beat the default beyond its
+	// spread. The ratio is what cmd/perfguard's tuned ratchet
+	// re-verifies from fresh benchmark records.
 	GFlops         float64 `json:"gflops,omitempty"`
 	BaselineGFlops float64 `json:"baseline_gflops,omitempty"`
 }
@@ -118,17 +100,23 @@ func (f *File) MatchesHost() bool {
 	return f.Host.Matches(CurrentHost())
 }
 
-// Load reads and validates a TUNE.json. Both entries' parameters must
-// parse — a file with an unknown shape is rejected whole, so a caller
-// can trust any loaded entry.
+// Load reads and validates a TUNE.json. A key the document does not
+// define — a misspelling, or a field an older cmd/tune wrote — is an
+// error naming it, and both entries' parameters must be valid, so a
+// caller can trust any loaded entry.
 func Load(path string) (*File, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
 	var f File
-	if err := json.Unmarshal(b, &f); err != nil {
+	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("tune: parsing %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("tune: parsing %s: data after the document", path)
 	}
 	for _, e := range []*Entry{f.Gemm, f.LU} {
 		if e == nil {
@@ -144,32 +132,35 @@ func Load(path string) (*File, error) {
 	return &f, nil
 }
 
-// Override carries a command line's explicit tunable flags. Set flags
-// (the *Set booleans, from flag.Visit) win over whatever a TUNE.json
-// proposes; unset ones fall through to the file and then the defaults.
-type Override struct {
-	Shape        string
-	ShapeSet     bool
-	Lookahead    int
-	LookaheadSet bool
-	Q            int
-	QSet         bool
-}
-
-// Apply layers the explicit flags over a base point (typically a
-// host-matched TUNE.json entry, or the zero Params when none applies).
-func (ov Override) Apply(base Params) Params {
-	out := base
-	if ov.ShapeSet {
-		out.Shape = ov.Shape
+// Resolve composes a command's configuration in the documented order:
+// explicit flags > a host-matched TUNE.json > built-in defaults. set
+// names the flags given on the command line (from flag.Visit), and
+// lookahead and q are the flag values. When path is not empty the file
+// is loaded and entry picks the workload's point from it; a file tuned
+// on a different host is reported on w, prefixed with the command's
+// name, and ignored. A missing or malformed file is an error. The
+// result always carries a concrete block edge: the file's q replaces
+// the flag's default only when -q was not given.
+func Resolve(w io.Writer, name, path string, entry func(*File) *Entry, set map[string]bool, lookahead, q int) (Params, error) {
+	var p Params
+	if path != "" {
+		f, err := Load(path)
+		if err != nil {
+			return Params{}, err
+		}
+		if !f.MatchesHost() {
+			fmt.Fprintf(w, "%s: %s was tuned on a different host; ignoring it\n", name, path)
+		} else if e := entry(f); e != nil {
+			p = e.Params
+		}
 	}
-	if ov.LookaheadSet {
-		out.Lookahead = ov.Lookahead
+	if set["lookahead"] {
+		p.Lookahead = lookahead
 	}
-	if ov.QSet {
-		out.Q = ov.Q
+	if set["q"] || p.Q == 0 {
+		p.Q = q
 	}
-	return out
+	return p, nil
 }
 
 // WriteFile writes the document as indented JSON.

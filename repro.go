@@ -169,33 +169,14 @@ func NewTripleDims(rows, cols, inner, q int, seed uint64) (*Triple, error) {
 // maximum absolute deviation of C.
 func Verify(t *Triple) (float64, error) { return parallel.Verify(t) }
 
-// Tuning bundles the executor's machine-local tunables: the kernel
-// register-blocking shape and the pipeline lookahead depth of
-// ExecSharedPipelined. The zero value is the untuned default (4×4
-// kernels, depth-1 lookahead). Tunings are pure timing knobs — every
-// kernel shape is pinned bitwise-identical to its reference and the
-// pipeline plan is re-verified at every depth — so they can never
+// Tuning bundles the executor's machine-local tunables: the pipeline
+// lookahead depth of ExecSharedPipelined and the schedule optimizer
+// switch. The zero value is the untuned default (depth-1 lookahead,
+// optimizer off); Tuning{Lookahead: k} sets a depth. Tunings are pure
+// timing knobs — the pipeline plan is re-verified at every depth and
+// the optimizer keeps results bitwise identical — so they can never
 // change a result.
 type Tuning = parallel.Tuning
-
-// KernelShape names a register-blocking family of the compute kernels.
-type KernelShape = matrix.Shape
-
-// The available kernel shapes.
-const (
-	Kernel4x4 = matrix.Shape4x4
-	Kernel8x4 = matrix.Shape8x4
-	Kernel8x8 = matrix.Shape8x8
-)
-
-// ParseKernelShape resolves a shape name ("4x4", "8x4", "8x8").
-func ParseKernelShape(name string) (KernelShape, error) { return matrix.ParseShape(name) }
-
-// NewTuning builds a Tuning from a kernel shape and a pipeline
-// lookahead depth (0 means the default depth 1).
-func NewTuning(shape KernelShape, lookahead int) Tuning {
-	return parallel.Tuning{Kernels: matrix.KernelConfig{Shape: shape}, Lookahead: lookahead}
-}
 
 // DefaultTuning loads the machine-local tuning flywheel's product entry
 // from a TUNE.json written by cmd/tune. A file measured on a different
