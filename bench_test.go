@@ -101,7 +101,7 @@ func BenchmarkRealExecution(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := Multiply(name, tr, mach); err != nil {
+				if err := Multiply(name, tr, mach, ExecPacked, Tuning{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -36,7 +36,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/faultinject"
-	"repro/internal/machine"
+	"repro/internal/lu"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 	"repro/internal/report"
@@ -127,8 +127,9 @@ func chaos(algoName, spec string, order, q, cores, chips int, seed uint64, mode 
 	if err != nil {
 		return err
 	}
-	mach, err := bigMachine(cores, q, chips)
-	if err != nil {
+	mach := lu.MachineFor(cores, q)
+	mach.Chips = chips
+	if err := mach.Validate(); err != nil {
 		return err
 	}
 	tr, err := matrix.NewTriple(order, order, order, q, seed)
@@ -197,35 +198,6 @@ func chaos(algoName, spec string, order, q, cores, chips int, seed uint64, mode 
 	return nil
 }
 
-// bigMachine models the benchmark host for p cores and block size q:
-// the 8MB-shared/256KB-distributed quad-core of §4.1 generalised to
-// arbitrary p and q, with the capacities clamped to stay a valid
-// hierarchy. chips > 1 splits the cores over that many chips, each
-// with its own CS-block shared cache (the CS clamp to p·CD already
-// dominates the per-chip floor (p/chips)·CD, so the hierarchy stays
-// valid for every divisor of p).
-func bigMachine(p, q, chips int) (machine.Machine, error) {
-	mach := machine.Machine{
-		P:      p,
-		CS:     machine.BlocksFromBytes(8<<20, q, 1.0),
-		CD:     machine.BlocksFromBytes(256<<10, q, 2.0/3.0),
-		SigmaS: machine.DefaultSigmaS,
-		SigmaD: machine.DefaultSigmaD,
-		Q:      q,
-		Chips:  chips,
-	}
-	if mach.CD < 3 {
-		mach.CD = 3
-	}
-	if mach.CS < mach.P*mach.CD {
-		mach.CS = mach.P * mach.CD
-	}
-	if err := mach.Validate(); err != nil {
-		return machine.Machine{}, err
-	}
-	return mach, nil
-}
-
 // optSettings returns the optimizer settings measured for one mode:
 // staged modes get a baseline/optimized pair when the optimizer is
 // enabled, so every record carries its own control. View staging moves
@@ -263,8 +235,9 @@ func run(algoName string, order, q, cores, chips int, verify bool, seed uint64, 
 		return err
 	}
 
-	mach, err := bigMachine(cores, q, chips)
-	if err != nil {
+	mach := lu.MachineFor(cores, q)
+	mach.Chips = chips
+	if err := mach.Validate(); err != nil {
 		return err
 	}
 	fmt.Printf("machine: %s\nmode: %v\nworkload: %d×%d×%d blocks of %d×%d coefficients\n\n",
@@ -278,7 +251,7 @@ func run(algoName string, order, q, cores, chips int, verify bool, seed uint64, 
 			return err
 		}
 		start := time.Now()
-		if err := parallel.MultiplyTuned(name, tr, mach, mode, tun); err != nil {
+		if err := parallel.Multiply(name, tr, mach, mode, tun, nil); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		elapsed := time.Since(start)
@@ -392,8 +365,9 @@ func bench(path, algoName string, order, q int, coreList, chipList []int, reps i
 				fmt.Printf("(skipping chips=%d at p=%d: cores must split evenly)\n", nchips, p)
 				continue
 			}
-			mach, err := bigMachine(p, q, nchips)
-			if err != nil {
+			mach := lu.MachineFor(p, q)
+			mach.Chips = nchips
+			if err := mach.Validate(); err != nil {
 				team.Close()
 				return err
 			}

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/parallel"
@@ -129,4 +131,51 @@ func TestBenchSmoke(t *testing.T) {
 	if sharedMS["shared"] != sharedMS["shared-pipelined"] {
 		t.Fatalf("pipelined MS bytes %d differ from serial %d", sharedMS["shared-pipelined"], sharedMS["shared"])
 	}
+}
+
+// TestChaosRecovers runs CI's chaos smoke cases in process, with the
+// CLI's default tuning (optimizer on): each injected fault must surface
+// as a RunError, and the Reset executor must re-run clean.
+func TestChaosRecovers(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		mode parallel.Mode
+	}{
+		{"panic@1:*", parallel.ModePacked},
+		{"stagerr@*:3", parallel.ModeShared},
+		{"corrupt@*:9", parallel.ModeSharedPipelined},
+	} {
+		out, err := captureStdout(t, func() error {
+			return chaos("", tc.spec, 4, 8, 2, 1, 1, tc.mode, parallel.Tuning{Optimize: true})
+		})
+		if err != nil {
+			t.Errorf("%s (%v): %v", tc.spec, tc.mode, err)
+		} else if !strings.Contains(out, "faulted as expected") {
+			t.Errorf("%s (%v): the fault never fired:\n%s", tc.spec, tc.mode, out)
+		}
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected into a pipe and
+// returns what f printed, with f's error.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	out := make(chan string)
+	go func() {
+		// A read error leaves the output short, which the caller's
+		// check then reports.
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	err = f()
+	os.Stdout = stdout
+	w.Close()
+	return <-out, err
 }

@@ -2,10 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/lu"
 	"repro/internal/parallel"
 	"repro/internal/tune"
 )
@@ -109,4 +112,58 @@ func TestBenchSmoke(t *testing.T) {
 	if elided == 0 {
 		t.Fatal("no optimized run measured any elided MS bytes")
 	}
+}
+
+// TestChaosRecovers runs CI's LU chaos smoke case in process, with the
+// CLI's default tuning (optimizer on): the injected fault must surface
+// as a RunError, and the Reset executor must re-run bitwise clean.
+func TestChaosRecovers(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		mode parallel.Mode
+	}{
+		{"panic@0:*", parallel.ModeShared},
+	} {
+		out, err := captureStdout(t, func() error {
+			return chaos(tc.spec, 64, 8, 2, 1, 1, tc.mode, parallel.Tuning{Optimize: true})
+		})
+		if err != nil {
+			t.Errorf("%s (%v): %v", tc.spec, tc.mode, err)
+		} else if !strings.Contains(out, "faulted as expected") {
+			t.Errorf("%s (%v): the fault never fired:\n%s", tc.spec, tc.mode, out)
+		}
+	}
+}
+
+// TestSingularRunNamesStep runs CI's singular smoke case in process: the
+// error must name the vanishing pivot's block step.
+func TestSingularRunNamesStep(t *testing.T) {
+	err := singularRun(64, 8, 2, 1, 1, parallel.ModeShared, parallel.Tuning{Optimize: true}, 3)
+	if step, ok := lu.SingularStep(err); !ok || step != 3 {
+		t.Fatalf("SingularStep = (%d, %v), want (3, true); error: %v", step, ok, err)
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected into a pipe and
+// returns what f printed, with f's error.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	out := make(chan string)
+	go func() {
+		// A read error leaves the output short, which the caller's
+		// check then reports.
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	err = f()
+	os.Stdout = stdout
+	w.Close()
+	return <-out, err
 }

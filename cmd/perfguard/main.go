@@ -15,6 +15,10 @@
 //     executor; the guard degrades to a warning there instead of
 //     failing, so older snapshots stay checkable.
 //
+// The same run enforces the optimizer's traffic ratchet: the geomean of
+// the optimized/baseline MS byte ratios must hold ≤ 1.0 exactly (see
+// guardTraffic). All three checks always run on the given records.
+//
 // With -tuned and -untuned a third ratchet runs: two records of the
 // same workload, one taken with a TUNE.json configuration and one with
 // the defaults, are joined on (algorithm, mode, cores) — deliberately
@@ -43,12 +47,8 @@ import (
 func main() {
 	var (
 		noise     = flag.Float64("noise", 0.25, "tolerated regression margin: fail when a guarded geomean ratio is below 1-noise")
-		mode      = flag.String("mode", "packed", "mode whose GFLOP/s forms the primary ratio's numerator")
-		base      = flag.String("base", "view", "baseline mode forming the primary denominator")
-		pipelined = flag.Bool("pipelined", true, "also guard the shared-pipelined/shared ratio (warns instead of failing on records that predate the pipelined mode)")
 		tunedPath = flag.String("tuned", "", "benchmark record taken with a tuned configuration; guarded against -untuned")
 		untuned   = flag.String("untuned", "", "benchmark record of the same workload with the default configuration")
-		traffic   = flag.Bool("traffic", true, "also guard the optimized/baseline MS byte ratio (warns instead of failing on records that predate the optimizer)")
 	)
 	flag.Parse()
 	if (*tunedPath == "") != (*untuned == "") {
@@ -60,21 +60,17 @@ func main() {
 		os.Exit(2)
 	}
 	if flag.NArg() > 0 {
-		if err := guard(os.Stdout, flag.Args(), *mode, *base, *noise); err != nil {
+		if err := guard(os.Stdout, flag.Args(), "packed", "view", *noise); err != nil {
 			fmt.Fprintln(os.Stderr, "perfguard:", err)
 			os.Exit(1)
 		}
-		if *pipelined {
-			if err := guardLenient(os.Stdout, flag.Args(), "shared-pipelined", "shared", *noise); err != nil {
-				fmt.Fprintln(os.Stderr, "perfguard:", err)
-				os.Exit(1)
-			}
+		if err := guardLenient(os.Stdout, flag.Args(), "shared-pipelined", "shared", *noise); err != nil {
+			fmt.Fprintln(os.Stderr, "perfguard:", err)
+			os.Exit(1)
 		}
-		if *traffic {
-			if err := guardTraffic(os.Stdout, flag.Args()); err != nil {
-				fmt.Fprintln(os.Stderr, "perfguard:", err)
-				os.Exit(1)
-			}
+		if err := guardTraffic(os.Stdout, flag.Args()); err != nil {
+			fmt.Fprintln(os.Stderr, "perfguard:", err)
+			os.Exit(1)
 		}
 	}
 	if *tunedPath != "" {

@@ -58,7 +58,7 @@ func main() {
 	for _, mode := range []parallel.Mode{parallel.ModePacked, parallel.ModeShared, parallel.ModeSharedPipelined} {
 		par := a.Clone()
 		start = time.Now()
-		tra, err := lu.FactorParallelMode(par, q, team, mode, mach)
+		stats, err := lu.FactorParallelTuned(par, q, team, mode, mach, parallel.DefaultTuning)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func main() {
 		fmt.Printf("%-28s %10v   |A-LU| = %.2e   MS = %7.2f MiB   MD = %7.2f MiB\n",
 			fmt.Sprintf("schedule %v (p=%d)", mode, p),
 			elapsed.Round(time.Microsecond), lu.Verify(a, par),
-			float64(tra.MS.Bytes())/(1<<20), float64(tra.MD.Bytes())/(1<<20))
+			float64(stats.Traffic.MS.Bytes())/(1<<20), float64(stats.Traffic.MD.Bytes())/(1<<20))
 		if !par.Equal(seq) {
 			log.Fatalf("%v factorisation is not bitwise equal to sequential", mode)
 		}

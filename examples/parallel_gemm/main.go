@@ -50,7 +50,7 @@ func main() {
 		seq := mach
 		seq.P = 1
 		start := time.Now()
-		if err := repro.Multiply("Tradeoff", tr, seq); err != nil {
+		if err := repro.Multiply("Tradeoff", tr, seq, repro.ExecPacked, repro.Tuning{}); err != nil {
 			log.Fatal(err)
 		}
 		seqTime = time.Since(start)
@@ -65,7 +65,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		if err := repro.MultiplyMode(name, tr, mach, mode); err != nil {
+		if err := repro.Multiply(name, tr, mach, mode, repro.Tuning{}); err != nil {
 			log.Fatal(err)
 		}
 		elapsed := time.Since(start)

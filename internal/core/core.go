@@ -5,9 +5,9 @@
 //
 // A Simulator owns one machine configuration; Run executes one algorithm
 // under one of the paper's four named settings (IDEAL, LRU, LRU(2C),
-// LRU-50), Execute replays the same schedule for real on float64 data,
-// and Compare produces side-by-side results with the §2.3 lower bounds
-// for whole-figure reproduction.
+// LRU-50), and Compare produces side-by-side results with the §2.3
+// lower bounds for whole-figure reproduction. parallel.Multiply runs
+// the same schedules for real on float64 data.
 package core
 
 import (
@@ -18,8 +18,6 @@ import (
 	"repro/internal/algo"
 	"repro/internal/bounds"
 	"repro/internal/machine"
-	"repro/internal/matrix"
-	"repro/internal/parallel"
 )
 
 // RunSetting names the four experimental settings of §4.
@@ -83,24 +81,6 @@ func (s *Simulator) RunByName(name string, w algo.Workload, set RunSetting) (alg
 		return algo.Result{}, err
 	}
 	return s.Run(a, w, set)
-}
-
-// Execute runs algorithm a's schedule for real on the triple's float64
-// data, with one worker goroutine per core of this simulator's machine.
-// Simulation and execution consume the same schedule.Program, so the
-// executed loop nest is exactly the one Run analyses.
-func (s *Simulator) Execute(a algo.Algorithm, t *matrix.Triple) error {
-	return parallel.Execute(a, t, s.mach, nil)
-}
-
-// ExecuteByName resolves name through the algorithm registry and runs it
-// for real.
-func (s *Simulator) ExecuteByName(name string, t *matrix.Triple) error {
-	a, err := algo.ByName(name)
-	if err != nil {
-		return err
-	}
-	return s.Execute(a, t)
 }
 
 // Predict returns the closed-form MS/MD for the algorithm under the

@@ -45,7 +45,7 @@ func FuzzLUPackedVsNaive(f *testing.F) {
 		}
 		defer team.Close()
 		got := orig.Clone()
-		if _, err := FactorParallelMode(got, q, team, mode, MachineFor(p, q)); err != nil {
+		if _, err := FactorParallelTuned(got, q, team, mode, MachineFor(p, q), parallel.DefaultTuning); err != nil {
 			t.Fatalf("n=%d q=%d p=%d %v: %v", n, q, p, mode, err)
 		}
 		if !got.Equal(want) {

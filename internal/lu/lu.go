@@ -33,8 +33,9 @@ var ErrSingular = matrix.ErrSingular
 // triangle holds U. The matrix must be square.
 //
 // The per-tile operations are exactly the executor's kernels, applied in
-// the same panel-then-update order the schedule emits, so FactorParallel
-// reproduces this result bitwise in every executor mode.
+// the same panel-then-update order the schedule emits, so
+// FactorParallelTuned reproduces this result bitwise in every executor
+// mode.
 func Factor(a *matrix.Dense, q int) error {
 	if err := check(a, q); err != nil {
 		return err

@@ -88,7 +88,7 @@ func TestFactorParallelBitwiseEqualsSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		par := orig.Clone()
-		if err := FactorParallel(par, 3, team); err != nil {
+		if _, err := FactorParallelTuned(par, 3, team, parallel.ModePacked, MachineFor(team.Size(), 3), parallel.DefaultTuning); err != nil {
 			t.Fatal(err)
 		}
 		if !par.Equal(seq) {
@@ -100,10 +100,10 @@ func TestFactorParallelBitwiseEqualsSequential(t *testing.T) {
 func TestFactorParallelValidation(t *testing.T) {
 	team, _ := parallel.NewTeam(2)
 	defer team.Close()
-	if err := FactorParallel(matrix.New(2, 3), 2, team); err == nil {
+	if _, err := FactorParallelTuned(matrix.New(2, 3), 2, team, parallel.ModePacked, MachineFor(team.Size(), 2), parallel.DefaultTuning); err == nil {
 		t.Fatal("non-square must fail")
 	}
-	if err := FactorParallel(matrix.New(2, 2), 2, nil); err == nil {
+	if _, err := FactorParallelTuned(matrix.New(2, 2), 2, nil, parallel.ModePacked, MachineFor(2, 2), parallel.DefaultTuning); err == nil {
 		t.Fatal("nil team must fail")
 	}
 }
@@ -113,7 +113,7 @@ func TestFactorParallelReconstructs(t *testing.T) {
 	defer team.Close()
 	orig := RandomDominant(20, 5)
 	lu := orig.Clone()
-	if err := FactorParallel(lu, 4, team); err != nil {
+	if _, err := FactorParallelTuned(lu, 4, team, parallel.ModePacked, MachineFor(team.Size(), 4), parallel.DefaultTuning); err != nil {
 		t.Fatal(err)
 	}
 	if diff := Verify(orig, lu); diff > 1e-8 {
@@ -219,7 +219,7 @@ func BenchmarkFactorParallel(b *testing.B) {
 		if err := work.CopyFrom(orig); err != nil {
 			b.Fatal(err)
 		}
-		if err := FactorParallel(work, 32, team); err != nil {
+		if _, err := FactorParallelTuned(work, 32, team, parallel.ModePacked, MachineFor(team.Size(), 32), parallel.DefaultTuning); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -200,8 +200,10 @@ func Program(declared machine.Machine, nb int) (*schedule.Program, error) {
 
 // MachineFor models the execution host for p cores and tile size q: the
 // paper's 8MB-shared/256KB-distributed quad-core generalised to
-// arbitrary p and q (as cmd/gemm's benchmark machine is), with the
-// capacities clamped to stay a valid hierarchy.
+// arbitrary p and q, with the capacities clamped to stay a valid
+// hierarchy. Both workloads' CLIs run on it. Setting Chips to any
+// divisor of p keeps it valid: the CS clamp to p·CD already dominates
+// the per-chip floor (p/chips)·CD.
 func MachineFor(p, q int) machine.Machine {
 	m := machine.Machine{
 		P:      p,
@@ -220,20 +222,6 @@ func MachineFor(p, q int) machine.Machine {
 	return m
 }
 
-// FactorParallel is Factor with the schedule executed by the team's
-// workers in ModePacked: the factorisation runs on packed arena-resident
-// tiles, through the very kernels and per-tile order of the sequential
-// version, so the result is bitwise identical. The declared machine is
-// derived from the team size and tile size; FactorParallelMode exposes
-// the full control surface.
-func FactorParallel(a *matrix.Dense, q int, team *parallel.Team) error {
-	if team == nil {
-		return errors.New("lu: nil team")
-	}
-	_, err := FactorParallelMode(a, q, team, parallel.ModePacked, MachineFor(team.Size(), q))
-	return err
-}
-
 // Stats carries the measured execution profile of one schedule-driven
 // factorisation: the per-level physical traffic plus the driving
 // goroutine's critical-path split (see parallel.Executor.StageWait).
@@ -243,29 +231,18 @@ type Stats struct {
 	Compute   time.Duration
 }
 
-// FactorParallelMode factors a in place through the schedule IR: it
-// compiles the blocked-LU Program for mach, binds the matrix as the
-// executor's single operand and runs it on the team in the given mode,
-// returning the executor's per-level physical traffic (zero in
-// ModeView, the memory↔core stream as MD in ModePacked, both streams in
-// the shared-level modes). mach.P must equal the team size.
-func FactorParallelMode(a *matrix.Dense, q int, team *parallel.Team, mode parallel.Mode, mach machine.Machine) (parallel.Traffic, error) {
-	stats, err := FactorParallelStats(a, q, team, mode, mach)
-	return stats.Traffic, err
-}
-
-// FactorParallelStats is FactorParallelMode with the full measured
-// profile — the benchmark pipeline uses it to record the stage-wait
-// versus compute split next to the traffic counts.
-func FactorParallelStats(a *matrix.Dense, q int, team *parallel.Team, mode parallel.Mode, mach machine.Machine) (Stats, error) {
-	return FactorParallelTuned(a, q, team, mode, mach, parallel.DefaultTuning)
-}
-
-// FactorParallelTuned is FactorParallelStats with an explicit tuning
-// (pipeline lookahead depth, schedule optimizer switch) applied to the
-// executor. Tuning never changes the factored matrix — the parallel
-// result stays bitwise equal to the sequential Factor at any setting —
-// only the measured profile.
+// FactorParallelTuned factors a in place through the schedule IR, the
+// one-shot entry point of the factorisation: it compiles the
+// blocked-LU Program for mach, binds the matrix as the executor's
+// single operand, applies the tuning (pipeline lookahead depth,
+// schedule optimizer switch) and runs it on the team in the given
+// mode. It returns the measured profile: the executor's per-level
+// physical traffic (zero in ModeView, the memory↔core stream as MD in
+// ModePacked, both streams in the shared-level modes) and the
+// stage-wait versus compute split. mach.P must equal the team size;
+// MachineFor(team.Size(), q) is the default host model. The factors
+// are bitwise equal to the sequential Factor's in every mode and at
+// every tuning; only the profile changes.
 func FactorParallelTuned(a *matrix.Dense, q int, team *parallel.Team, mode parallel.Mode, mach machine.Machine, tun parallel.Tuning) (Stats, error) {
 	run, err := NewRun(a, q, team, mode, mach, tun)
 	if err != nil {
@@ -328,11 +305,12 @@ func (r *Run) Stats() Stats {
 	return Stats{Traffic: r.Ex.Traffic(), StageWait: r.Ex.StageWait(), Compute: r.Ex.ComputeTime()}
 }
 
-// SingularStep inspects a FactorParallel* error: if the factorisation
-// died on a vanishing pivot, it returns the block step k (the diagonal
-// tile A[k,k] whose FactorTile failed) and true. The step comes from the
-// RunError's provenance — the failing kernel's line — so it names the
-// exact pivot tile, not just "somewhere mid-run".
+// SingularStep inspects an error from FactorParallelTuned or a Run's
+// replay: if the factorisation died on a vanishing pivot, it returns
+// the block step k (the diagonal tile A[k,k] whose FactorTile failed)
+// and true. The step comes from the RunError's provenance — the failing
+// kernel's line — so it names the exact pivot tile, not just "somewhere
+// mid-run".
 func SingularStep(err error) (step int, ok bool) {
 	if !errors.Is(err, ErrSingular) {
 		return 0, false

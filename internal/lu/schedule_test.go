@@ -243,7 +243,7 @@ func TestLUSingularPropagatesThroughExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer team.Close()
-	if err := FactorParallel(matrix.New(8, 8), 4, team); !errors.Is(err, ErrSingular) {
+	if _, err := FactorParallelTuned(matrix.New(8, 8), 4, team, parallel.ModePacked, MachineFor(team.Size(), 4), parallel.DefaultTuning); !errors.Is(err, ErrSingular) {
 		t.Fatalf("zero matrix through the executor: want ErrSingular, got %v", err)
 	}
 }
@@ -264,7 +264,7 @@ func TestLUProgramRejectsBadInput(t *testing.T) {
 	}
 	defer team.Close()
 	wrong := luTestMachine(3, 4) // machine/team core mismatch
-	if _, err := FactorParallelMode(RandomDominant(8, 1), 4, team, parallel.ModePacked, wrong); err == nil {
+	if _, err := FactorParallelTuned(RandomDominant(8, 1), 4, team, parallel.ModePacked, wrong, parallel.DefaultTuning); err == nil {
 		t.Fatal("machine/team core mismatch must fail")
 	}
 }

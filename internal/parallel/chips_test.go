@@ -285,7 +285,7 @@ func TestMultiChipRaggedCoefficients(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := MultiplyMode(a.Name(), tr, mach, mode); err != nil {
+				if err := Multiply(a.Name(), tr, mach, mode, DefaultTuning, nil); err != nil {
 					t.Fatalf("%s %v %v: %v", a.Name(), s, mode, err)
 				}
 				want := matrix.New(s[0], s[1])
@@ -326,7 +326,7 @@ func FuzzMultiChipSharedVsNaive(f *testing.F) {
 		}
 		mach := chipMachine(4, 2)
 		mach.Q = q
-		if err := MultiplyMode(a.Name(), tr, mach, ModeShared); err != nil {
+		if err := Multiply(a.Name(), tr, mach, ModeShared, DefaultTuning, nil); err != nil {
 			t.Fatalf("%s %dx%dx%d q=%d: %v", a.Name(), rows, cols, inner, q, err)
 		}
 		want := matrix.New(rows, cols)

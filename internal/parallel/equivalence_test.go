@@ -50,7 +50,7 @@ func TestSimExecStreamEquivalence(t *testing.T) {
 				mq := mach
 				mq.Q = q
 				execRec := schedule.NewRecorder(mach.P)
-				if err := ExecuteMode(a, tr, mq, execRec.Probe(), mode); err != nil {
+				if err := Multiply(a.Name(), tr, mq, mode, DefaultTuning, execRec.Probe()); err != nil {
 					t.Fatalf("%s %v %v: execute: %v", a.Name(), s, mode, err)
 				}
 
@@ -105,7 +105,7 @@ func TestSimExecStreamEquivalenceRagged(t *testing.T) {
 				mq := mach
 				mq.Q = q
 				execRec := schedule.NewRecorder(mach.P)
-				if err := ExecuteMode(a, tr, mq, execRec.Probe(), mode); err != nil {
+				if err := Multiply(a.Name(), tr, mq, mode, DefaultTuning, execRec.Probe()); err != nil {
 					t.Fatalf("%s %v %v: execute: %v", a.Name(), s, mode, err)
 				}
 
@@ -282,7 +282,7 @@ func TestExecStreamCoversAllProducts(t *testing.T) {
 		mq := mach
 		mq.Q = 4
 		rec := schedule.NewRecorder(mach.P)
-		if err := Execute(a, tr, mq, rec.Probe()); err != nil {
+		if err := Multiply(a.Name(), tr, mq, ModePacked, DefaultTuning, rec.Probe()); err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
 		var writes int

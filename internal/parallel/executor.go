@@ -44,9 +44,9 @@ const (
 	// the next region's StageShared lines into spare shared slots and
 	// retires the previous gap's write-backs concurrently with the
 	// workers, under the statically verified phase plan of
-	// schedule.PlanPipeline. The executed operation stream — and with it
-	// every MS/MD block and byte count — is bit-identical to ModeShared;
-	// only the timing overlaps.
+	// schedule.PlanPipelineDepth. The executed operation stream — and
+	// with it every MS/MD block and byte count — is bit-identical to
+	// ModeShared; only the timing overlaps.
 	ModeSharedPipelined
 )
 
@@ -244,7 +244,7 @@ type compiled struct {
 // NewExecutor binds a backend to a team and a product triple. probe may
 // be nil. coreBlocks is the per-core arena capacity in tiles of Q×Q
 // values, Q the triple's tile size — pass the declared machine's CD, as
-// Execute does. sharedBlocks is the shared arena's capacity (the
+// Multiply does. sharedBlocks is the shared arena's capacity (the
 // machine's CS), used only by ModeShared; ModeView ignores both. Arenas
 // are allocated by Run, and only for programs that actually stage, so
 // demand-driven schedules pay nothing for the capability.

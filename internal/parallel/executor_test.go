@@ -75,7 +75,7 @@ func TestAllModesMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := MultiplyMode(name, tr, mach, mode); err != nil {
+			if err := Multiply(name, tr, mach, mode, DefaultTuning, nil); err != nil {
 				t.Fatalf("%s/%v: %v", name, mode, err)
 			}
 			diff, err := Verify(tr)
@@ -441,7 +441,7 @@ func TestPackedExecutorIgnoresSharedOverclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := MultiplyMode("Tradeoff", tr, mach, ModePacked); err != nil {
+	if err := Multiply("Tradeoff", tr, mach, ModePacked, DefaultTuning, nil); err != nil {
 		t.Fatalf("shared overclaim must not gate execution: %v", err)
 	}
 	diff, err := Verify(tr)
@@ -461,7 +461,7 @@ func TestSharedExecutorRejectsSharedOverclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = MultiplyMode("Tradeoff", tr, mach, ModeShared)
+	err = Multiply("Tradeoff", tr, mach, ModeShared, DefaultTuning, nil)
 	if err == nil || !strings.Contains(err.Error(), "CS=7") {
 		t.Fatalf("shared overclaim must be rejected in ModeShared: %v", err)
 	}
@@ -478,7 +478,7 @@ func TestPackedExecutorRaggedTiles(t *testing.T) {
 	}
 	mq := mach
 	mq.Q = 4
-	if err := MultiplyMode("Tradeoff", tr, mq, ModePacked); err != nil {
+	if err := Multiply("Tradeoff", tr, mq, ModePacked, DefaultTuning, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := matrix.New(13, 7)

@@ -34,7 +34,7 @@ func FuzzPackedExecutorVsNaive(f *testing.F) {
 		}
 		mach := testMachine(4)
 		mach.Q = q
-		if err := MultiplyMode(a.Name(), tr, mach, ModePacked); err != nil {
+		if err := Multiply(a.Name(), tr, mach, ModePacked, DefaultTuning, nil); err != nil {
 			t.Fatalf("%s %dx%dx%d q=%d: %v", a.Name(), rows, cols, inner, q, err)
 		}
 		want := matrix.New(rows, cols)
@@ -76,7 +76,7 @@ func FuzzSharedExecutorVsNaive(f *testing.F) {
 		}
 		mach := testMachine(4)
 		mach.Q = q
-		if err := MultiplyMode(a.Name(), tr, mach, ModeShared); err != nil {
+		if err := Multiply(a.Name(), tr, mach, ModeShared, DefaultTuning, nil); err != nil {
 			t.Fatalf("%s %dx%dx%d q=%d: %v", a.Name(), rows, cols, inner, q, err)
 		}
 		want := matrix.New(rows, cols)

@@ -8,60 +8,23 @@ import (
 )
 
 // Multiply executes algorithm name (an algo display name, resolved
-// through the registry) for real on the triple's data, using the
-// machine's core count and cache-derived parameters to shape the loop
-// nest exactly as the simulator does — both consume the same
-// schedule.Program. Staging is physical: blocks are packed into
-// per-core arenas sized from the machine's distributed-cache capacity.
-func Multiply(name string, t *matrix.Triple, mach machine.Machine) error {
-	return MultiplyMode(name, t, mach, ModePacked)
-}
-
-// MultiplyMode is Multiply with an explicit executor mode, so callers
-// (benchmarks, examples) can compare packed staging against the strided
-// ModeView baseline, or run the full two-level hierarchy (ModeShared)
-// where the shared arena sits between memory and the core arenas.
-func MultiplyMode(name string, t *matrix.Triple, mach machine.Machine, mode Mode) error {
+// through the registry) for real on the triple's data: the one-shot
+// entry point of the product. It shapes the loop nest from the
+// machine's core count and cache-derived parameters exactly as the
+// simulator does — both consume the same schedule.Program — and runs
+// it with one worker goroutine per core of mach in the given mode,
+// staging into per-core arenas of mach.CD tiles (and, in the
+// shared-level modes, a shared arena of mach.CS tiles). The tuning
+// cannot change a result, only traffic and timing. An optional probe
+// observes the per-core and shared access streams, identical to those
+// a simulator probe sees for the same declared machine. To replay one
+// program repeatedly, or to drive the failure path, use NewExecutor
+// and Run.
+func Multiply(name string, t *matrix.Triple, mach machine.Machine, mode Mode, tun Tuning, probe *schedule.Probe) error {
 	a, err := algo.ByName(name)
 	if err != nil {
 		return err
 	}
-	return ExecuteMode(a, t, mach, nil, mode)
-}
-
-// Execute runs algorithm a's schedule on the triple with one worker
-// goroutine per core of mach, staging blocks into per-core packed
-// arenas of mach.CD tiles (ModeShared additionally routes them through
-// a Team-wide shared arena of mach.CS tiles). An optional probe
-// observes the access
-// streams (per-core and shared), which are identical to the streams a
-// simulator probe sees for the same declared machine — the schedule IR
-// is the single source for both backends.
-func Execute(a algo.Algorithm, t *matrix.Triple, mach machine.Machine, probe *schedule.Probe) error {
-	return ExecuteMode(a, t, mach, probe, ModePacked)
-}
-
-// ExecuteMode is Execute with an explicit executor mode.
-func ExecuteMode(a algo.Algorithm, t *matrix.Triple, mach machine.Machine, probe *schedule.Probe, mode Mode) error {
-	return ExecuteTuned(a, t, mach, probe, mode, DefaultTuning)
-}
-
-// MultiplyTuned is MultiplyMode with an explicit tuning: the schedule
-// optimizer switch and (in ModeSharedPipelined) the pipeline lookahead
-// depth. The zero Tuning reproduces MultiplyMode exactly.
-func MultiplyTuned(name string, t *matrix.Triple, mach machine.Machine, mode Mode, tun Tuning) error {
-	a, err := algo.ByName(name)
-	if err != nil {
-		return err
-	}
-	return ExecuteTuned(a, t, mach, nil, mode, tun)
-}
-
-// ExecuteTuned is ExecuteMode with an explicit tuning, applied to the
-// executor before the program runs. Tuning cannot change a result —
-// the optimizer keeps results bitwise identical and the pipeline plan
-// is re-verified at every lookahead — only traffic and timing.
-func ExecuteTuned(a algo.Algorithm, t *matrix.Triple, mach machine.Machine, probe *schedule.Probe, mode Mode, tun Tuning) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}

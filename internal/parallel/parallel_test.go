@@ -90,7 +90,7 @@ func TestRegistryCoversRealExecutor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Multiply(a.Name(), tr, mach); err != nil {
+		if err := Multiply(a.Name(), tr, mach, ModePacked, DefaultTuning, nil); err != nil {
 			t.Fatalf("%s: not runnable by the real executor: %v", a.Name(), err)
 		}
 		diff, err := Verify(tr)
@@ -118,7 +118,7 @@ func TestMultiplyMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Multiply(name, tr, mach); err != nil {
+			if err := Multiply(name, tr, mach, ModePacked, DefaultTuning, nil); err != nil {
 				t.Fatalf("%s %v: %v", name, s, err)
 			}
 			diff, err := Verify(tr)
@@ -134,7 +134,7 @@ func TestMultiplyMatchesReference(t *testing.T) {
 
 func TestMultiplyUnknownAlgorithm(t *testing.T) {
 	tr, _ := matrix.NewTriple(2, 2, 2, 4, 1)
-	if err := Multiply("nope", tr, testMachine(2)); err == nil {
+	if err := Multiply("nope", tr, testMachine(2), ModePacked, DefaultTuning, nil); err == nil {
 		t.Fatal("unknown algorithm must error")
 	}
 }
@@ -143,7 +143,7 @@ func TestMultiplyValidatesInputs(t *testing.T) {
 	tr, _ := matrix.NewTriple(2, 2, 2, 4, 1)
 	bad := testMachine(4)
 	bad.CD = 1 // invalid machine
-	if err := Multiply("Shared Opt.", tr, bad); err == nil {
+	if err := Multiply("Shared Opt.", tr, bad, ModePacked, DefaultTuning, nil); err == nil {
 		t.Fatal("invalid machine must be rejected")
 	}
 }
@@ -160,7 +160,7 @@ func TestMultiplyVariousCoreCounts(t *testing.T) {
 		}
 		for _, name := range algorithms() {
 			tr.C.Dense().Zero()
-			if err := Multiply(name, tr, mach); err != nil {
+			if err := Multiply(name, tr, mach, ModePacked, DefaultTuning, nil); err != nil {
 				t.Fatalf("p=%d %s: %v", p, name, err)
 			}
 			diff, err := Verify(tr)
@@ -186,7 +186,7 @@ func TestMultiplyProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := Multiply("Tradeoff", tr, mach); err != nil {
+		if err := Multiply("Tradeoff", tr, mach, ModePacked, DefaultTuning, nil); err != nil {
 			return false
 		}
 		diff, err := Verify(tr)
@@ -201,11 +201,11 @@ func TestMultiplyProperty(t *testing.T) {
 func TestMultiplyAccumulates(t *testing.T) {
 	mach := testMachine(4)
 	tr, _ := matrix.NewTriple(6, 6, 6, 4, 7)
-	if err := Multiply("Distributed Opt.", tr, mach); err != nil {
+	if err := Multiply("Distributed Opt.", tr, mach, ModePacked, DefaultTuning, nil); err != nil {
 		t.Fatal(err)
 	}
 	once := tr.C.Dense().Clone()
-	if err := Multiply("Distributed Opt.", tr, mach); err != nil {
+	if err := Multiply("Distributed Opt.", tr, mach, ModePacked, DefaultTuning, nil); err != nil {
 		t.Fatal(err)
 	}
 	twice := once.Clone()
@@ -279,7 +279,7 @@ func BenchmarkParallelTradeoff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := Multiply("Tradeoff", tr, mach); err != nil {
+		if err := Multiply("Tradeoff", tr, mach, ModePacked, DefaultTuning, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -33,7 +33,7 @@ func TestPipelinedMatchesSerialSharedBitwise(t *testing.T) {
 				}
 				mq := mach
 				mq.Q = q
-				if err := ExecuteMode(a, tr, mq, nil, mode); err != nil {
+				if err := Multiply(a.Name(), tr, mq, mode, DefaultTuning, nil); err != nil {
 					t.Fatalf("%s %v %v: %v", a.Name(), s, mode, err)
 				}
 				team, err := NewTeam(mach.P)
@@ -63,7 +63,7 @@ func TestPipelinedMatchesSerialSharedBitwise(t *testing.T) {
 					perCore[c] = ex.CoreTraffic(c)
 				}
 				if d := tr.C.Dense().MaxAbsDiff(tr2.C.Dense()); d != 0 {
-					t.Fatalf("%s %v %v: ExecuteMode and persistent executor disagree by %g", a.Name(), s, mode, d)
+					t.Fatalf("%s %v %v: Multiply and persistent executor disagree by %g", a.Name(), s, mode, d)
 				}
 				return tr2.C.Dense(), ex.Traffic(), perCore
 			}
@@ -226,7 +226,7 @@ func TestPipelinedDemandDrivenFallsThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := MultiplyMode("Outer Product", tr, mach, ModeSharedPipelined); err != nil {
+	if err := Multiply("Outer Product", tr, mach, ModeSharedPipelined, DefaultTuning, nil); err != nil {
 		t.Fatal(err)
 	}
 	diff, err := Verify(tr)

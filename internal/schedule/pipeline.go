@@ -144,17 +144,12 @@ func (p *PipelinePlan) Overlapped() float64 {
 	return float64(p.Hoisted+p.Retired) / float64(total)
 }
 
-// PlanPipeline is PlanPipelineDepth at depth 1: the classic 2-region
-// double buffer, where a gap's stages may prefetch only over the region
-// immediately before it.
-func PlanPipeline(p *Program, sharedCap int) (*PipelinePlan, error) {
-	return PlanPipelineDepth(p, sharedCap, 1)
-}
-
 // PlanPipelineDepth walks p's trace (see Lower) and phases every
 // shared staging gap for a double-buffered backend with sharedCap
 // slots and the given lookahead depth (how many regions ahead of its
-// gap a stage may prefetch). It fails when the program violates the
+// gap a stage may prefetch); depth 1 is the classic 2-region double
+// buffer, where a gap's stages prefetch only over the region just
+// before it. It fails when the program violates the
 // inclusion discipline (a shared unstage of a line still staged in
 // some core) or when the planned overlapped footprint cannot fit
 // sharedCap, which cannot happen for a program whose serial working

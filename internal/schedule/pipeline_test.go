@@ -54,7 +54,7 @@ func pipeProg(cores int) *Program {
 }
 
 func TestPlanPipelineOverlapsWithSpareCapacity(t *testing.T) {
-	plan, err := PlanPipeline(pipeProg(1), 4)
+	plan, err := PlanPipelineDepth(pipeProg(1), 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestPlanPipelineOverlapsWithSpareCapacity(t *testing.T) {
 		t.Fatalf("hoisted/retired = %d/%d, want 2/2", plan.Hoisted, plan.Retired)
 	}
 	if plan.Depth != 1 {
-		t.Fatalf("PlanPipeline must plan at depth 1, got %d", plan.Depth)
+		t.Fatalf("PlanPipelineDepth must plan at depth 1, got %d", plan.Depth)
 	}
 	if got := plan.Overlapped(); got <= 0.3 {
 		t.Fatalf("overlap fraction %g unexpectedly low", got)
@@ -96,7 +96,7 @@ func TestPlanPipelineOverlapsWithSpareCapacity(t *testing.T) {
 // except the trailing unstages, which still retire — they need no spare
 // capacity, only the region hand-off).
 func TestPlanPipelineDegradesWithoutSpareCapacity(t *testing.T) {
-	plan, err := PlanPipeline(pipeProg(1), 2)
+	plan, err := PlanPipelineDepth(pipeProg(1), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,14 +358,14 @@ func TestPlanPipelineRejectsInclusionViolation(t *testing.T) {
 			b.UnstageShared(l)
 		},
 	}
-	_, err := PlanPipeline(prog, 4)
+	_, err := PlanPipelineDepth(prog, 4, 1)
 	if err == nil || !strings.Contains(err.Error(), "still holds") {
 		t.Fatalf("inclusion violation not rejected: %v", err)
 	}
 }
 
 func TestPlanPipelineRejectsBadCapacity(t *testing.T) {
-	if _, err := PlanPipeline(pipeProg(1), 0); err == nil {
+	if _, err := PlanPipelineDepth(pipeProg(1), 0, 1); err == nil {
 		t.Fatal("non-positive capacity must be rejected")
 	}
 	if _, err := PlanPipelineDepth(pipeProg(1), 4, 0); err == nil {

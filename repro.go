@@ -147,16 +147,12 @@ func NewTriple(mBlocks, nBlocks, zBlocks, q int, seed uint64) (*Triple, error) {
 }
 
 // Multiply executes algorithm name for real on the triple's data using
-// one goroutine per core of mach, staging blocks into per-core packed
-// arenas sized from the machine's distributed-cache capacity.
-func Multiply(name string, t *Triple, mach Machine) error {
-	return parallel.Multiply(name, t, mach)
-}
-
-// MultiplyMode is Multiply with an explicit executor mode, for
-// comparing packed staging against the strided-view baseline.
-func MultiplyMode(name string, t *Triple, mach Machine, mode ExecMode) error {
-	return parallel.MultiplyMode(name, t, mach, mode)
+// one goroutine per core of mach, in the given executor mode and with
+// the given tuning. ExecPacked with the zero Tuning stages blocks into
+// per-core packed arenas sized from the machine's distributed-cache
+// capacity, with the optimizer off.
+func Multiply(name string, t *Triple, mach Machine, mode ExecMode, tun Tuning) error {
+	return parallel.Multiply(name, t, mach, mode, tun, nil)
 }
 
 // NewTripleDims allocates operands by coefficient dimensions, allowing
@@ -193,9 +189,4 @@ func DefaultTuning(path string) (Tuning, error) {
 		return Tuning{}, nil
 	}
 	return f.Gemm.Tuning()
-}
-
-// MultiplyTuned is MultiplyMode with an explicit tuning.
-func MultiplyTuned(name string, t *Triple, mach Machine, mode ExecMode, tun Tuning) error {
-	return parallel.MultiplyTuned(name, t, mach, mode, tun)
 }

@@ -51,7 +51,7 @@ func TestFacadeRealExecution(t *testing.T) {
 	}
 	mach := QuadCore(32, false)
 	mach.Q = 8
-	if err := Multiply("Distributed Opt.", tr, mach); err != nil {
+	if err := Multiply("Distributed Opt.", tr, mach, ExecPacked, Tuning{}); err != nil {
 		t.Fatal(err)
 	}
 	diff, err := Verify(tr)
