@@ -111,16 +111,17 @@ func BenchmarkRealExecution(b *testing.B) {
 
 // BenchmarkSimulatorThroughput isolates the cache simulator cost per
 // elementary block product (3 accesses plus staging) for the LRU-50 and
-// IDEAL settings.
+// IDEAL settings. Its paper sub-benchmark is one op of the figure path:
+// Shared Opt., Distributed Opt. and Tradeoff on Square(64) under LRU-50
+// on the q=32 quad-core.
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	sim, err := NewSimulator(QuadCore(32, false))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, setting := range []RunSetting{SettingIdeal, SettingLRU50} {
 		b.Run(string(setting), func(b *testing.B) {
-			sim, err := NewSimulator(QuadCore(32, false))
-			if err != nil {
-				b.Fatal(err)
-			}
 			w := Square(32)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sim.RunByName("Tradeoff", w, setting); err != nil {
 					b.Fatal(err)
@@ -129,6 +130,18 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			b.ReportMetric(w.Products()*float64(b.N)/b.Elapsed().Seconds(), "products/s")
 		})
 	}
+	b.Run("paper", func(b *testing.B) {
+		names := []string{"Shared Opt.", "Distributed Opt.", "Tradeoff"}
+		w := Square(64)
+		for i := 0; i < b.N; i++ {
+			for _, name := range names {
+				if _, err := sim.RunByName(name, w, SettingLRU50); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(len(names))*w.Products()*float64(b.N)/b.Elapsed().Seconds(), "products/s")
+	})
 }
 
 // BenchmarkCompile times the compile passes an executor runs before a

@@ -1,6 +1,10 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/matrix"
+)
 
 // Metrics is the read-only view of a hierarchy's miss counters shared by
 // both policies. MS and MD follow the paper's notation: MS is the number
@@ -39,6 +43,7 @@ func sumMD(m Metrics) uint64 {
 // cache level (top of hierarchy); if a miss occurs, operations are
 // propagated throughout the hierarchy until a cache hit happens."
 type LRUHierarchy struct {
+	index  *matrix.BlockIndex // numbers lines for every level
 	shared *LRU
 	dist   []*LRU
 	memWB  uint64
@@ -55,9 +60,10 @@ func NewLRUHierarchy(p, sharedCap, distCap int) (*LRUHierarchy, error) {
 		return nil, fmt.Errorf("cache: inclusion requires CS ≥ p·CD, got CS=%d < %d·%d",
 			sharedCap, p, distCap)
 	}
-	h := &LRUHierarchy{shared: NewLRU(sharedCap), dist: make([]*LRU, p)}
+	index := new(matrix.BlockIndex)
+	h := &LRUHierarchy{index: index, shared: newLRU(sharedCap, index), dist: make([]*LRU, p)}
 	for i := range h.dist {
-		h.dist[i] = NewLRU(distCap)
+		h.dist[i] = newLRU(distCap, index)
 	}
 	return h, nil
 }
@@ -75,24 +81,21 @@ func (h *LRUHierarchy) Read(core int, l Line) { h.access(core, l, false) }
 func (h *LRUHierarchy) Write(core int, l Line) { h.access(core, l, true) }
 
 func (h *LRUHierarchy) access(core int, l Line, write bool) {
+	id := lineID(h.index, l)
 	d := h.dist[core]
-	if d.Touch(l) {
+	if d.touch(id) {
 		if write {
-			d.MarkDirty(l)
+			d.markDirty(id)
 		}
 		return
 	}
-	// Distributed miss (counted by Touch). Seek the line in the shared
-	// cache; a miss there (counted by Touch) loads it from memory.
-	if !h.shared.Touch(l) {
-		if ev, evicted := h.shared.Insert(l); evicted {
-			h.backInvalidate(ev)
-		}
-	}
+	// Distributed miss (counted by touch). Seek the line in the shared
+	// cache; a miss there (counted by touch) loads it from memory.
+	h.sharedAccess(id, l)
 	// Fill the distributed cache; a line it evicts is still resident in
 	// the shared cache by inclusion, so a dirty eviction merges there.
-	if ev, evicted := d.Insert(l); evicted && ev.Dirty {
-		if !h.shared.MarkDirty(ev.Line) {
+	if victim, ev, evicted := d.insert(id, l); evicted && ev.Dirty {
+		if !h.shared.markDirty(victim) {
 			// Inclusion guarantees residency; reaching here means the
 			// hierarchy invariant was broken.
 			panic(fmt.Sprintf("cache: inclusion violated, %v dirty in core %d but absent from shared cache",
@@ -100,7 +103,7 @@ func (h *LRUHierarchy) access(core int, l Line, write bool) {
 		}
 	}
 	if write {
-		d.MarkDirty(l)
+		d.markDirty(id)
 	}
 }
 
@@ -109,10 +112,14 @@ func (h *LRUHierarchy) access(core int, l Line, write bool) {
 // shared cache" operation executed under the LRU policy: a prefetch-like
 // read that installs the line in the shared cache (or refreshes its
 // recency), counted as a shared miss if absent.
-func (h *LRUHierarchy) SharedRead(l Line) {
-	if !h.shared.Touch(l) {
-		if ev, evicted := h.shared.Insert(l); evicted {
-			h.backInvalidate(ev)
+func (h *LRUHierarchy) SharedRead(l Line) { h.sharedAccess(lineID(h.index, l), l) }
+
+// sharedAccess touches line l, whose ID is id, in the shared cache,
+// installing it from memory on a miss.
+func (h *LRUHierarchy) sharedAccess(id int32, l Line) {
+	if !h.shared.touch(id) {
+		if victim, ev, evicted := h.shared.insert(id, l); evicted {
+			h.backInvalidate(victim, ev.Dirty)
 		}
 	}
 }
@@ -120,10 +127,9 @@ func (h *LRUHierarchy) SharedRead(l Line) {
 // backInvalidate removes a line evicted from the shared cache from every
 // distributed cache (inclusive hierarchy) and counts the memory
 // write-back if any copy was dirty.
-func (h *LRUHierarchy) backInvalidate(ev Evicted) {
-	dirty := ev.Dirty
+func (h *LRUHierarchy) backInvalidate(victim int32, dirty bool) {
 	for _, d := range h.dist {
-		if wd, present := d.Invalidate(ev.Line); present && wd {
+		if wd, present := d.invalidate(victim); present && wd {
 			dirty = true
 		}
 	}
@@ -133,20 +139,22 @@ func (h *LRUHierarchy) backInvalidate(ev Evicted) {
 }
 
 // Flush drains every cache, pushing dirty lines to memory, and returns
-// the number of memory write-backs it caused. Used at end of simulation
-// so that write-back accounting is complete.
+// the number of memory write-backs it caused: one per line dirty at any
+// level. Used at end of simulation so that write-back accounting is
+// complete.
 func (h *LRUHierarchy) Flush() uint64 {
+	seen := make([]bool, h.index.Len())
 	var n uint64
-	dirtyShared := make(map[Line]bool)
-	for _, ev := range h.shared.Flush() {
-		dirtyShared[ev.Line] = true
-	}
-	for _, d := range h.dist {
-		for _, ev := range d.Flush() {
-			dirtyShared[ev.Line] = true
+	mark := func(id int32, _ Line, dirty bool) {
+		if dirty && !seen[id] {
+			seen[id] = true
+			n++
 		}
 	}
-	n = uint64(len(dirtyShared))
+	h.shared.drain(mark)
+	for _, d := range h.dist {
+		d.drain(mark)
+	}
 	h.memWB += n
 	return n
 }
@@ -202,7 +210,8 @@ func (h *LRUHierarchy) CheckInclusion() error {
 // single-chip constructor and the chip-less methods keep the paper's
 // original model intact at chip 0.
 type IdealHierarchy struct {
-	shared []*Ideal // one per chip
+	index  *matrix.BlockIndex // numbers lines for every level
+	shared []*Ideal           // one per chip
 	chips  int
 	dist   []*Ideal
 	memWB  uint64
@@ -234,7 +243,9 @@ func NewIdealHierarchyChips(p, chips, sharedCap, distCap int) (*IdealHierarchy, 
 		return nil, fmt.Errorf("cache: inclusion requires CS ≥ (p/chips)·CD, got CS=%d < %d·%d",
 			sharedCap, per, distCap)
 	}
+	index := new(matrix.BlockIndex)
 	h := &IdealHierarchy{
+		index:   index,
 		shared:  make([]*Ideal, chips),
 		chips:   chips,
 		dist:    make([]*Ideal, p),
@@ -242,12 +253,12 @@ func NewIdealHierarchyChips(p, chips, sharedCap, distCap int) (*IdealHierarchy, 
 		icWB:    make([][]uint64, chips),
 	}
 	for i := range h.shared {
-		h.shared[i] = NewIdeal(sharedCap)
+		h.shared[i] = newIdeal(sharedCap, index)
 		h.icStage[i] = make([]uint64, chips)
 		h.icWB[i] = make([]uint64, chips)
 	}
 	for i := range h.dist {
-		h.dist[i] = NewIdeal(distCap)
+		h.dist[i] = newIdeal(distCap, index)
 	}
 	return h, nil
 }
@@ -273,7 +284,7 @@ func (h *IdealHierarchy) LoadSharedChip(chip int, l Line) error {
 	if chip < 0 || chip >= h.chips {
 		return fmt.Errorf("cache: shared load of %v on chip %d of %d", l, chip, h.chips)
 	}
-	return h.shared[chip].Load(l)
+	return h.shared[chip].load(lineID(h.index, l), l)
 }
 
 // EvictShared drops l from chip 0's shared cache.
@@ -285,12 +296,13 @@ func (h *IdealHierarchy) EvictSharedChip(chip int, l Line) error {
 	if chip < 0 || chip >= h.chips {
 		return fmt.Errorf("cache: shared evict of %v on chip %d of %d", l, chip, h.chips)
 	}
+	id := lineID(h.index, l)
 	for c, d := range h.dist {
-		if d.Contains(l) {
+		if d.at(id) != 0 {
 			return fmt.Errorf("cache: evicting %v from shared cache while resident in core %d", l, c)
 		}
 	}
-	dirty, err := h.shared[chip].Evict(l)
+	dirty, err := h.shared[chip].evict(id, l)
 	if err != nil {
 		return err
 	}
@@ -315,10 +327,11 @@ func (h *IdealHierarchy) LoadDistributedFrom(core, home int, l Line) error {
 	if home < 0 || home >= h.chips {
 		return fmt.Errorf("cache: core %d loading %v from chip %d of %d", core, l, home, h.chips)
 	}
-	if !h.shared[home].Contains(l) {
+	id := lineID(h.index, l)
+	if h.shared[home].at(id) == 0 {
 		return fmt.Errorf("cache: core %d loading %v not resident in chip %d's shared cache", core, l, home)
 	}
-	if err := h.dist[core].Load(l); err != nil {
+	if err := h.dist[core].load(id, l); err != nil {
 		return err
 	}
 	if user := h.ChipOf(core); user != home {
@@ -341,12 +354,13 @@ func (h *IdealHierarchy) EvictDistributedTo(core, home int, l Line) error {
 	if home < 0 || home >= h.chips {
 		return fmt.Errorf("cache: core %d evicting %v to chip %d of %d", core, l, home, h.chips)
 	}
-	dirty, err := h.dist[core].Evict(l)
+	id := lineID(h.index, l)
+	dirty, err := h.dist[core].evict(id, l)
 	if err != nil {
 		return err
 	}
 	if dirty {
-		if err := h.shared[home].MarkDirty(l); err != nil {
+		if err := h.shared[home].markDirty(id, l); err != nil {
 			return err
 		}
 		if user := h.ChipOf(core); user != home {
@@ -358,15 +372,16 @@ func (h *IdealHierarchy) EvictDistributedTo(core, home int, l Line) error {
 
 // Reference records a compute use of l by core (a distributed hit).
 func (h *IdealHierarchy) Reference(core int, l Line) error {
-	return h.dist[core].Reference(l)
+	return h.dist[core].reference(lineID(h.index, l), l)
 }
 
 // WriteDistributed records a write by core: a reference plus dirtying.
 func (h *IdealHierarchy) WriteDistributed(core int, l Line) error {
-	if err := h.dist[core].Reference(l); err != nil {
+	id := lineID(h.index, l)
+	if err := h.dist[core].reference(id, l); err != nil {
 		return err
 	}
-	return h.dist[core].MarkDirty(l)
+	return h.dist[core].markDirty(id, l)
 }
 
 // WriteShared marks a shared-resident line dirty without involving a
@@ -374,28 +389,32 @@ func (h *IdealHierarchy) WriteDistributed(core int, l Line) error {
 // shared level, e.g. "Update block Cc in the shared cache"). The line
 // is sought on every chip; its home holds the only copy.
 func (h *IdealHierarchy) WriteShared(l Line) error {
+	id := lineID(h.index, l)
 	for _, s := range h.shared {
-		if s.Contains(l) {
-			return s.MarkDirty(l)
+		if s.at(id) != 0 {
+			return s.markDirty(id, l)
 		}
 	}
-	return h.shared[0].MarkDirty(l)
+	return h.shared[0].markDirty(id, l)
 }
 
-// Flush drains every cache to memory and returns the write-back count.
+// Flush drains every cache to memory and returns the write-back count:
+// one per line dirty at any level.
 func (h *IdealHierarchy) Flush() uint64 {
-	dirty := make(map[Line]bool)
-	for _, d := range h.dist {
-		for _, ev := range d.Flush() {
-			dirty[ev.Line] = true
+	seen := make([]bool, h.index.Len())
+	var n uint64
+	mark := func(id int32, _ Line, dirty bool) {
+		if dirty && !seen[id] {
+			seen[id] = true
+			n++
 		}
+	}
+	for _, d := range h.dist {
+		d.drain(mark)
 	}
 	for _, s := range h.shared {
-		for _, ev := range s.Flush() {
-			dirty[ev.Line] = true
-		}
+		s.drain(mark)
 	}
-	n := uint64(len(dirty))
 	h.memWB += n
 	return n
 }

@@ -236,3 +236,33 @@ func TestIdealHierarchyCores(t *testing.T) {
 		t.Fatalf("Cores = %d", h.Cores())
 	}
 }
+
+// TestHierarchiesKeepAliasedLinesApart replays pairs of lines that a
+// packed uint64 key (4 bits of matrix, 30 bits each of row and column)
+// merged: each line of a pair must miss on its own.
+func TestHierarchiesKeepAliasedLinesApart(t *testing.T) {
+	pairs := [][2]Line{
+		{ln(16, 0, 0), ln(matrix.MatA, 0, 0)},
+		{ln(matrix.MatA, 1<<30, 0), ln(matrix.MatB, 0, 0)},
+		{ln(matrix.MatA, 0, -1), ln(matrix.MatB, 0, -1)},
+		{ln(matrix.MatC, -1, 3), ln(matrix.MatA, -1, 3)},
+	}
+	for _, p := range pairs {
+		lru, _ := NewLRUHierarchy(1, 4, 2)
+		lru.Read(0, p[0])
+		lru.Read(0, p[1])
+		if lru.MS() != 2 || lru.MD(0) != 2 {
+			t.Fatalf("LRU: %v then %v: MS=%d MD=%d, want 2/2", p[0], p[1], lru.MS(), lru.MD(0))
+		}
+		ideal, _ := NewIdealHierarchy(1, 4, 2)
+		if err := ideal.LoadShared(p[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := ideal.LoadShared(p[1]); err != nil {
+			t.Fatalf("IDEAL: %v after %v: %v", p[1], p[0], err)
+		}
+		if err := ideal.Reference(0, p[1]); err == nil {
+			t.Fatalf("IDEAL: %v referenced without a load", p[1])
+		}
+	}
+}

@@ -9,36 +9,30 @@ import (
 // Line is the unit of caching: one q×q matrix block.
 type Line = matrix.BlockCoord
 
-// Block coordinates are non-negative and bounded by the matrix sizes, so
-// a Line packs losslessly into one uint64 (4 bits of matrix id, 30 bits
-// each of row and column). Hashing a uint64 is several times cheaper
-// than hashing the 24-byte struct, and the simulator spends most of its
-// time in these map operations.
-const (
-	packShiftRow = 30
-	packShiftMat = 60
-	packMask30   = (1 << 30) - 1
-)
-
-func packLine(l Line) uint64 {
-	return uint64(l.Matrix)<<packShiftMat | uint64(l.Row)<<packShiftRow | uint64(l.Col)
+// lineID returns l's ID in x, numbering l on first sight.
+func lineID(x *matrix.BlockIndex, l Line) int32 {
+	id, _ := x.ID(l)
+	return int32(id)
 }
 
-func unpackLine(k uint64) Line {
-	return Line{
-		Matrix: matrix.MatrixID(k >> packShiftMat),
-		Row:    int(k >> packShiftRow & packMask30),
-		Col:    int(k & packMask30),
+// growSlots extends a slot table to cover line id, zero-filling the new
+// entries and at least doubling the table, so growth is amortised.
+func growSlots(s []int32, id int32) []int32 {
+	if int(id) < len(s) {
+		return s
 	}
+	t := make([]int32, max(int(id)+1, 2*len(s)))
+	copy(t, s)
+	return t
 }
 
-// node is an entry in the intrusive recency list of an LRU cache.
-// Hand-rolled (rather than container/list) to avoid interface boxing on
-// the simulator's hottest path.
+// node is an entry in the intrusive recency list of an LRU cache,
+// linked by indices into LRU.nodes.
 type node struct {
 	line       Line
+	id         int32
+	prev, next int32
 	dirty      bool
-	prev, next *node
 }
 
 // LRU is a fully-associative cache with least-recently-used replacement,
@@ -46,58 +40,48 @@ type node struct {
 // usable; construct with NewLRU.
 type LRU struct {
 	capacity int
-	table    map[uint64]*node
-	// sentinel.next is the most recently used node, sentinel.prev the
-	// least recently used one.
-	sentinel node
-	// free chains recycled nodes through their next pointers, so steady
-	// state eviction/insertion allocates nothing.
-	free  *node
+	index    *matrix.BlockIndex // numbers lines; shared by a hierarchy's levels
+	// nodes[0] is the list sentinel: its next is the most recently used
+	// node, its prev the least recently used one.
+	nodes []node
+	// slot maps a line ID to its node's index, 0 when not resident.
+	slot []int32
+	// free chains recycled nodes through their next links (0 ends it),
+	// so steady-state eviction/insertion allocates nothing.
+	free  int32
+	n     int // resident lines
 	stats Stats
 }
 
 // NewLRU returns an empty LRU cache holding at most capacity lines.
-func NewLRU(capacity int) *LRU {
+func NewLRU(capacity int) *LRU { return newLRU(capacity, new(matrix.BlockIndex)) }
+
+func newLRU(capacity int, index *matrix.BlockIndex) *LRU {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cache: LRU capacity %d must be positive", capacity))
 	}
-	c := &LRU{
-		capacity: capacity,
-		table:    make(map[uint64]*node, capacity),
-	}
-	c.sentinel.prev = &c.sentinel
-	c.sentinel.next = &c.sentinel
-	return c
+	return &LRU{capacity: capacity, index: index, nodes: make([]node, 1)}
 }
 
 // Capacity returns the maximum number of lines the cache can hold.
 func (c *LRU) Capacity() int { return c.capacity }
 
 // Len returns the number of lines currently resident.
-func (c *LRU) Len() int { return len(c.table) }
+func (c *LRU) Len() int { return c.n }
 
 // Stats returns a copy of the event counters.
 func (c *LRU) Stats() Stats { return c.stats }
 
 // Contains reports residency without affecting recency or counters.
 func (c *LRU) Contains(l Line) bool {
-	_, ok := c.table[packLine(l)]
-	return ok
+	id, ok := c.index.Lookup(l)
+	return ok && c.at(int32(id)) != 0
 }
 
 // Touch records an access to l. If resident, it becomes most recently
 // used and Touch reports a hit; otherwise Touch reports a miss and leaves
 // the cache unchanged (the caller decides whether to Insert).
-func (c *LRU) Touch(l Line) bool {
-	n, ok := c.table[packLine(l)]
-	if !ok {
-		c.stats.Misses++
-		return false
-	}
-	c.stats.Hits++
-	c.moveToFront(n)
-	return true
-}
+func (c *LRU) Touch(l Line) bool { return c.touch(lineID(c.index, l)) }
 
 // Evicted describes a line removed from a cache, and whether it was dirty
 // (needing a write-back to the level below).
@@ -110,122 +94,179 @@ type Evicted struct {
 // the least recently used line is evicted and returned. Inserting an
 // already-resident line only refreshes its recency.
 func (c *LRU) Insert(l Line) (ev Evicted, evicted bool) {
-	key := packLine(l)
-	if n, ok := c.table[key]; ok {
-		c.moveToFront(n)
-		return Evicted{}, false
-	}
-	if len(c.table) >= c.capacity {
-		lru := c.sentinel.prev
-		c.unlink(lru)
-		delete(c.table, packLine(lru.line))
-		c.stats.Evictions++
-		if lru.dirty {
-			c.stats.WriteBacks++
-		}
-		ev, evicted = Evicted{Line: lru.line, Dirty: lru.dirty}, true
-		c.recycle(lru)
-	}
-	n := c.newNode(l)
-	c.table[key] = n
-	c.pushFront(n)
+	_, ev, evicted = c.insert(lineID(c.index, l), l)
 	return ev, evicted
-}
-
-// newNode takes a node from the free list or allocates one.
-func (c *LRU) newNode(l Line) *node {
-	if n := c.free; n != nil {
-		c.free = n.next
-		n.line = l
-		n.dirty = false
-		n.prev, n.next = nil, nil
-		return n
-	}
-	return &node{line: l}
-}
-
-func (c *LRU) recycle(n *node) {
-	n.next = c.free
-	n.prev = nil
-	c.free = n
 }
 
 // MarkDirty flags l as modified; a later eviction will report a
 // write-back. Marking a non-resident line is a no-op and returns false.
 func (c *LRU) MarkDirty(l Line) bool {
-	n, ok := c.table[packLine(l)]
-	if ok {
-		n.dirty = true
-	}
-	return ok
+	id, ok := c.index.Lookup(l)
+	return ok && c.markDirty(int32(id))
 }
 
 // IsDirty reports whether l is resident and dirty.
 func (c *LRU) IsDirty(l Line) bool {
-	n, ok := c.table[packLine(l)]
-	return ok && n.dirty
+	id, ok := c.index.Lookup(l)
+	if !ok {
+		return false
+	}
+	i := c.at(int32(id))
+	return i != 0 && c.nodes[i].dirty
 }
 
 // Invalidate removes l without counting an eviction (used for
 // back-invalidation when an inclusive parent level drops the line). It
 // returns the line's dirty state so the caller can merge it upward.
 func (c *LRU) Invalidate(l Line) (wasDirty, wasPresent bool) {
-	key := packLine(l)
-	n, ok := c.table[key]
+	id, ok := c.index.Lookup(l)
 	if !ok {
 		return false, false
 	}
-	c.unlink(n)
-	delete(c.table, key)
-	c.stats.Invalids++
-	dirty := n.dirty
-	c.recycle(n)
-	return dirty, true
+	return c.invalidate(int32(id))
 }
 
 // Flush removes every line, returning the dirty ones in eviction
 // (LRU-first) order.
 func (c *LRU) Flush() []Evicted {
 	var dirty []Evicted
-	for n := c.sentinel.prev; n != &c.sentinel; n = n.prev {
-		if n.dirty {
-			dirty = append(dirty, Evicted{Line: n.line, Dirty: true})
+	c.drain(func(_ int32, l Line, d bool) {
+		if d {
+			dirty = append(dirty, Evicted{Line: l, Dirty: true})
 		}
-	}
-	c.table = make(map[uint64]*node, c.capacity)
-	c.sentinel.prev = &c.sentinel
-	c.sentinel.next = &c.sentinel
-	c.free = nil
+	})
 	return dirty
 }
 
 // Resident returns all resident lines in most-recently-used-first order.
 // Intended for tests and debugging.
 func (c *LRU) Resident() []Line {
-	out := make([]Line, 0, len(c.table))
-	for n := c.sentinel.next; n != &c.sentinel; n = n.next {
-		out = append(out, n.line)
+	out := make([]Line, 0, c.n)
+	for i := c.nodes[0].next; i != 0; i = c.nodes[i].next {
+		out = append(out, c.nodes[i].line)
 	}
 	return out
 }
 
-func (c *LRU) pushFront(n *node) {
-	n.prev = &c.sentinel
-	n.next = c.sentinel.next
-	n.prev.next = n
-	n.next.prev = n
+// at returns the node index of line id, 0 when not resident.
+func (c *LRU) at(id int32) int32 {
+	if int(id) < len(c.slot) {
+		return c.slot[id]
+	}
+	return 0
 }
 
-func (c *LRU) unlink(n *node) {
-	n.prev.next = n.next
-	n.next.prev = n.prev
-	n.prev, n.next = nil, nil
+// touch is Touch by line ID.
+func (c *LRU) touch(id int32) bool {
+	i := c.at(id)
+	if i == 0 {
+		c.stats.Misses++
+		return false
+	}
+	c.stats.Hits++
+	c.moveToFront(i)
+	return true
 }
 
-func (c *LRU) moveToFront(n *node) {
-	if c.sentinel.next == n {
+// insert is Insert of line l, whose ID is id; it also returns the
+// evicted line's ID.
+func (c *LRU) insert(id int32, l Line) (victim int32, ev Evicted, evicted bool) {
+	if i := c.at(id); i != 0 {
+		c.moveToFront(i)
+		return 0, Evicted{}, false
+	}
+	var i int32
+	if c.n >= c.capacity {
+		i = c.nodes[0].prev
+		c.unlink(i)
+		n := &c.nodes[i]
+		victim, ev, evicted = n.id, Evicted{Line: n.line, Dirty: n.dirty}, true
+		c.slot[victim] = 0
+		c.stats.Evictions++
+		if ev.Dirty {
+			c.stats.WriteBacks++
+		}
+	} else {
+		i = c.newNode()
+		c.n++
+	}
+	c.nodes[i] = node{line: l, id: id}
+	c.slot = growSlots(c.slot, id)
+	c.slot[id] = i
+	c.pushFront(i)
+	return victim, ev, evicted
+}
+
+// newNode takes a node from the free chain or appends one.
+func (c *LRU) newNode() int32 {
+	if i := c.free; i != 0 {
+		c.free = c.nodes[i].next
+		return i
+	}
+	c.nodes = append(c.nodes, node{})
+	return int32(len(c.nodes) - 1)
+}
+
+// markDirty is MarkDirty by line ID.
+func (c *LRU) markDirty(id int32) bool {
+	i := c.at(id)
+	if i != 0 {
+		c.nodes[i].dirty = true
+	}
+	return i != 0
+}
+
+// invalidate is Invalidate by line ID.
+func (c *LRU) invalidate(id int32) (wasDirty, wasPresent bool) {
+	i := c.at(id)
+	if i == 0 {
+		return false, false
+	}
+	c.unlink(i)
+	c.slot[id] = 0
+	c.n--
+	c.stats.Invalids++
+	wasDirty = c.nodes[i].dirty
+	c.nodes[i].next = c.free
+	c.free = i
+	return wasDirty, true
+}
+
+// drain empties the cache, visiting every line it held in eviction
+// (LRU-first) order with its ID and dirty state.
+func (c *LRU) drain(visit func(id int32, l Line, dirty bool)) {
+	for i := c.nodes[0].prev; i != 0; i = c.nodes[i].prev {
+		n := &c.nodes[i]
+		c.slot[n.id] = 0
+		visit(n.id, n.line, n.dirty)
+	}
+	c.nodes = c.nodes[:1]
+	c.nodes[0] = node{}
+	c.free = 0
+	c.n = 0
+}
+
+func (c *LRU) pushFront(i int32) {
+	nodes := c.nodes
+	head := nodes[0].next
+	nodes[i].prev, nodes[i].next = 0, head
+	nodes[head].prev = i
+	nodes[0].next = i
+}
+
+// unlink takes node i out of the recency list, leaving its own links
+// stale for pushFront or the free chain to overwrite.
+func (c *LRU) unlink(i int32) {
+	nodes := c.nodes
+	prev, next := nodes[i].prev, nodes[i].next
+	nodes[prev].next = next
+	nodes[next].prev = prev
+}
+
+func (c *LRU) moveToFront(i int32) {
+	if c.nodes[0].next == i {
 		return
 	}
-	c.unlink(n)
-	c.pushFront(n)
+	c.unlink(i)
+	c.pushFront(i)
 }

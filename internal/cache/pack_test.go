@@ -2,50 +2,9 @@ package cache
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/matrix"
 )
-
-// Property: packLine is a bijection on the coordinate ranges the
-// simulator uses (matrix id < 16, row/col < 2^30).
-func TestPackLineRoundTrip(t *testing.T) {
-	f := func(mat uint8, row, col uint32) bool {
-		l := Line{
-			Matrix: matrix.MatrixID(mat % 3),
-			Row:    int(row & packMask30),
-			Col:    int(col & packMask30),
-		}
-		return unpackLine(packLine(l)) == l
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPackLineDistinct(t *testing.T) {
-	// Adjacent coordinates must pack to distinct keys (no aliasing).
-	seen := map[uint64]Line{}
-	for _, m := range []matrix.MatrixID{matrix.MatA, matrix.MatB, matrix.MatC} {
-		for r := 0; r < 8; r++ {
-			for c := 0; c < 8; c++ {
-				l := Line{Matrix: m, Row: r, Col: c}
-				k := packLine(l)
-				if prev, ok := seen[k]; ok {
-					t.Fatalf("key collision: %v and %v both pack to %d", prev, l, k)
-				}
-				seen[k] = l
-			}
-		}
-	}
-}
-
-func TestPackLineBoundary(t *testing.T) {
-	l := Line{Matrix: matrix.MatC, Row: packMask30, Col: packMask30}
-	if unpackLine(packLine(l)) != l {
-		t.Fatal("boundary coordinates do not round-trip")
-	}
-}
 
 func BenchmarkLRUTouchHit(b *testing.B) {
 	c := NewLRU(1024)

@@ -5,7 +5,13 @@
 //
 // The simulator "basically counts the number of cache misses in each
 // cache level". Lines are matrix.BlockCoord values, capacities are in
-// blocks — exactly the units the paper uses (CS and CD).
+// blocks — exactly the units the paper uses (CS and CD). A hierarchy
+// numbers each access's line once through one matrix.BlockIndex shared
+// by all its levels, and every level finds the line through a slot
+// table indexed by that dense ID: an LRU level its recency-list node
+// (linked by int32 indices), an IDEAL level its entry in the resident
+// list. The Line-keyed methods of LRU and Ideal resolve the line
+// through the same index.
 //
 // All types in this package are single-goroutine by design: the
 // simulation driver interleaves per-core access streams deterministically

@@ -27,11 +27,12 @@
 // same trace: Optimize rewrites it into a compacted one, and Measure and
 // the phase planners walk it, all keeping their per-line state in
 // slices indexed by ID; the executor's arenas find their slots by ID the
-// same way. Only Lower hashes a Line. Because both backends consume the
-// identical stream, "the executor runs the schedule the simulator
-// analysed" is an invariant checked by tests, not a convention
-// maintained by hand — and it now holds for any workload expressible
-// in the kernel set, not just C = A×B.
+// same way. Lower numbers lines through a matrix.BlockIndex, which
+// hashes only lines with negative or far-out coordinates. Because both
+// backends consume the identical stream, "the executor runs the
+// schedule the simulator analysed" is an invariant checked by tests,
+// not a convention maintained by hand — and it now holds for any
+// workload expressible in the kernel set, not just C = A×B.
 package schedule
 
 import (

@@ -3,17 +3,21 @@ package schedule
 import (
 	"fmt"
 	"slices"
+
+	"repro/internal/matrix"
 )
 
 // This file is the lowered form of the IR: a Program's Body recorded
 // once into a flat Trace that the compile passes and the executor walk
-// directly. Lower is the only code that records a Body, and the only
-// code that hashes a Line: it numbers every line the program touches
-// with a dense LineID, and everything downstream of it indexes slices by
-// ID — the optimizer's and the planners' per-line state, Measure's
-// residency sets and the executor's arena slot tables. Trace.Lines maps
-// each ID back to its line for probes, errors and the operands, and
-// Trace.Homes caches each line's home chip.
+// directly. Lower is the only code that records a Body: it numbers
+// every line the program touches with a dense LineID, in first-sight
+// order, through a matrix.BlockIndex — a grid of IDs per matrix that
+// hashes only lines with negative or far-out coordinates — and
+// everything downstream of it indexes slices by ID: the optimizer's and
+// the planners' per-line state, Measure's residency sets and the
+// executor's arena slot tables. Trace.Lines maps each ID back to its
+// line for probes, errors and the operands, and Trace.Homes caches each
+// line's home chip.
 //
 // The simulator (internal/algo) and the verifier
 // (internal/schedule/verify) keep streaming the Body, because a trace of
@@ -152,7 +156,7 @@ func (p *Program) Lower() (*Trace, error) {
 		return nil, fmt.Errorf("schedule: program %q has no body", p.Algorithm)
 	}
 	cores := max(p.Cores, 0)
-	l := &lowerer{cores: cores, idx: make([]int, cores), ids: make(map[Line]LineID)}
+	l := &lowerer{cores: cores, idx: make([]int, cores)}
 	p.Body(l)
 	if l.err != nil {
 		return nil, fmt.Errorf("schedule: program %q: %w", p.Algorithm, l.err)
@@ -203,7 +207,7 @@ func (t *Trace) addRegion(cores [][]Op) {
 type lowerer struct {
 	cores    int
 	t        Trace
-	ids      map[Line]LineID // the interning table behind t.Lines
+	ids      matrix.BlockIndex // the interning table behind t.Lines
 	inRegion bool
 	core     int
 	idx      []int // per-core cumulative count of working ops, for error coordinates
@@ -213,13 +217,11 @@ type lowerer struct {
 
 // id returns line's ID, numbering it on first sight.
 func (l *lowerer) id(line Line) LineID {
-	id, ok := l.ids[line]
-	if !ok {
-		id = LineID(len(l.t.Lines))
-		l.ids[line] = id
+	id, fresh := l.ids.ID(line)
+	if fresh {
 		l.t.Lines = append(l.t.Lines, line)
 	}
-	return id
+	return LineID(id)
 }
 
 func (l *lowerer) fail(format string, args ...any) {
