@@ -200,18 +200,15 @@ func (m *Dense) Equal(other *Dense) bool {
 }
 
 // EqualTol reports whether m and other have the same shape and all
-// elements within tol of each other (absolute difference).
+// elements within tol of each other (absolute difference, see absDiff
+// for NaN).
 func (m *Dense) EqualTol(other *Dense, tol float64) bool {
 	if m.rows != other.rows || m.cols != other.cols {
 		return false
 	}
 	for i := 0; i < m.rows; i++ {
 		for j := 0; j < m.cols; j++ {
-			d := m.data[i*m.stride+j] - other.data[i*other.stride+j]
-			if d < 0 {
-				d = -d
-			}
-			if d > tol {
+			if absDiff(m.data[i*m.stride+j], other.data[i*other.stride+j]) > tol {
 				return false
 			}
 		}
@@ -220,7 +217,7 @@ func (m *Dense) EqualTol(other *Dense, tol float64) bool {
 }
 
 // MaxAbsDiff returns the maximum absolute element-wise difference between
-// m and other, or NaN if shapes differ.
+// m and other (see absDiff for NaN), or NaN if shapes differ.
 func (m *Dense) MaxAbsDiff(other *Dense) float64 {
 	if m.rows != other.rows || m.cols != other.cols {
 		return math.NaN()
@@ -228,13 +225,28 @@ func (m *Dense) MaxAbsDiff(other *Dense) float64 {
 	var best float64
 	for i := 0; i < m.rows; i++ {
 		for j := 0; j < m.cols; j++ {
-			d := math.Abs(m.data[i*m.stride+j] - other.data[i*other.stride+j])
+			d := absDiff(m.data[i*m.stride+j], other.data[i*other.stride+j])
 			if d > best {
 				best = d
 			}
 		}
 	}
 	return best
+}
+
+// absDiff is |x − y| for the comparisons, with NaN handled so that no
+// comparison passes by accident: equal values (equal infinities
+// included) and two NaNs differ by 0, and a NaN on one side only
+// differs by +Inf.
+func absDiff(x, y float64) float64 {
+	d := math.Abs(x - y)
+	if d != d { // a NaN operand, or two infinities of one sign
+		if x == y || (x != x && y != y) {
+			return 0
+		}
+		return math.Inf(1)
+	}
+	return d
 }
 
 // FrobeniusNorm returns the Frobenius norm of m.

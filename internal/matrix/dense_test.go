@@ -225,6 +225,42 @@ func TestMaxAbsDiff(t *testing.T) {
 	}
 }
 
+// A NaN on one side only must fail every comparison: every bitwise pin
+// goes through Equal and MaxAbsDiff, and NaN compares false with
+// everything.
+func TestCompareNaN(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		x, y  float64
+		diff  float64
+		equal bool
+	}{
+		{1, 1, 0, true},
+		{1, 3, 2, false},
+		{nan, 1, inf, false},
+		{1, nan, inf, false},
+		{nan, inf, inf, false},
+		{nan, nan, 0, true},
+		{inf, inf, 0, true},
+		{-inf, -inf, 0, true},
+		{inf, -inf, inf, false},
+		{inf, 1, inf, false},
+	}
+	for _, c := range cases {
+		a, _ := NewFromSlice(1, 2, []float64{0, c.x})
+		b, _ := NewFromSlice(1, 2, []float64{0, c.y})
+		if got := a.MaxAbsDiff(b); got != c.diff {
+			t.Errorf("MaxAbsDiff(%v, %v) = %v, want %v", c.x, c.y, got, c.diff)
+		}
+		if got := a.Equal(b); got != c.equal {
+			t.Errorf("Equal(%v, %v) = %v, want %v", c.x, c.y, got, c.equal)
+		}
+		if got := a.EqualTol(b, 1e300); got != (c.diff != inf) {
+			t.Errorf("EqualTol(%v, %v, 1e300) = %v, want %v", c.x, c.y, got, c.diff != inf)
+		}
+	}
+}
+
 func TestIdentity(t *testing.T) {
 	id := Identity(4)
 	m := Random(4, 4, 13)

@@ -100,15 +100,14 @@ func TrsmLowerLeftUnit(diag, b *Dense) error {
 }
 
 // MulSubUnrolled computes C -= A×B — the trailing GEMM update of the
-// factorisation — as the 4×4 register-blocked twin of MulAddUnrolled
-// and the kernel KernelConfig.MulSub dispatches (see shapes.go): each
-// 4×4 tile of C lives in sixteen scalar accumulators while the k loop
-// streams four A and four B values, so the inner loop carries no C
-// loads or stores. Every C element still subtracts its k products in
-// ascending order starting from the prior C value, so the result is
-// bitwise identical to the plain i-k-j subtract loop this kernel
-// replaced, and the flop count stays exactly 2·m·n·k regardless of the
-// data.
+// factorisation — as the subtracting twin of MulAddUnrolled and the
+// kernel KernelConfig.MulSub dispatches (see shapes.go): the same 2×3
+// tile of six register accumulators, two A values and one B value at a
+// time, with the same two-row and one-row remainders. Every C element
+// still subtracts its k products in ascending order starting from the
+// prior C value, so the result is bitwise identical to the plain i-k-j
+// subtract loop, and the flop count stays exactly 2·m·n·k regardless of
+// the data.
 //
 //repro:kernel
 func MulSubUnrolled(c, a, b *Dense) error {
@@ -116,96 +115,60 @@ func MulSubUnrolled(c, a, b *Dense) error {
 		return err
 	}
 	m, n, kk := a.rows, b.cols, a.cols
+	bd, bs := b.data, b.stride
 	i := 0
-	for ; i+4 <= m; i += 4 {
-		a0 := a.data[(i+0)*a.stride : (i+0)*a.stride+kk]
-		a1 := a.data[(i+1)*a.stride : (i+1)*a.stride+kk]
-		a2 := a.data[(i+2)*a.stride : (i+2)*a.stride+kk]
-		a3 := a.data[(i+3)*a.stride : (i+3)*a.stride+kk]
-		c0 := c.data[(i+0)*c.stride : (i+0)*c.stride+n]
-		c1 := c.data[(i+1)*c.stride : (i+1)*c.stride+n]
-		c2 := c.data[(i+2)*c.stride : (i+2)*c.stride+n]
-		c3 := c.data[(i+3)*c.stride : (i+3)*c.stride+n]
+	for ; i+2 <= m; i += 2 {
+		a0 := a.data[i*a.stride : i*a.stride+kk]
+		a1 := a.data[(i+1)*a.stride:][:len(a0)]
+		c0 := c.data[i*c.stride : i*c.stride+n]
+		c1 := c.data[(i+1)*c.stride:][:len(c0)]
 		j := 0
-		for ; j+4 <= n; j += 4 {
-			s00, s01, s02, s03 := c0[j], c0[j+1], c0[j+2], c0[j+3]
-			s10, s11, s12, s13 := c1[j], c1[j+1], c1[j+2], c1[j+3]
-			s20, s21, s22, s23 := c2[j], c2[j+1], c2[j+2], c2[j+3]
-			s30, s31, s32, s33 := c3[j], c3[j+1], c3[j+2], c3[j+3]
-			for k := 0; k < kk; k++ {
-				brow := b.data[k*b.stride+j : k*b.stride+j+4 : k*b.stride+j+4]
-				b0, b1, b2, b3 := brow[0], brow[1], brow[2], brow[3]
-				av := a0[k]
-				s00 -= av * b0
-				s01 -= av * b1
-				s02 -= av * b2
-				s03 -= av * b3
-				av = a1[k]
-				s10 -= av * b0
-				s11 -= av * b1
-				s12 -= av * b2
-				s13 -= av * b3
-				av = a2[k]
-				s20 -= av * b0
-				s21 -= av * b1
-				s22 -= av * b2
-				s23 -= av * b3
-				av = a3[k]
-				s30 -= av * b0
-				s31 -= av * b1
-				s32 -= av * b2
-				s33 -= av * b3
+		for ; j+3 <= n; j += 3 {
+			cr0, cr1 := c0[j:j+3:j+3], c1[j:j+3:j+3]
+			s00, s01, s02 := cr0[0], cr0[1], cr0[2]
+			s10, s11, s12 := cr1[0], cr1[1], cr1[2]
+			off := j
+			for k, av0 := range a0 {
+				av1 := a1[k]
+				brow := bd[off : off+3 : off+3]
+				bv := brow[0]
+				s00 -= av0 * bv
+				s10 -= av1 * bv
+				bv = brow[1]
+				s01 -= av0 * bv
+				s11 -= av1 * bv
+				bv = brow[2]
+				s02 -= av0 * bv
+				s12 -= av1 * bv
+				off += bs
 			}
-			c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
-			c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
-			c2[j], c2[j+1], c2[j+2], c2[j+3] = s20, s21, s22, s23
-			c3[j], c3[j+1], c3[j+2], c3[j+3] = s30, s31, s32, s33
+			cr0[0], cr0[1], cr0[2] = s00, s01, s02
+			cr1[0], cr1[1], cr1[2] = s10, s11, s12
 		}
 		for ; j < n; j++ {
-			s0, s1, s2, s3 := c0[j], c1[j], c2[j], c3[j]
-			for k := 0; k < kk; k++ {
-				bv := b.data[k*b.stride+j]
-				s0 -= a0[k] * bv
+			s0, s1 := c0[j], c1[j]
+			off := j
+			for k, av0 := range a0 {
+				bv := bd[off]
+				s0 -= av0 * bv
 				s1 -= a1[k] * bv
-				s2 -= a2[k] * bv
-				s3 -= a3[k] * bv
+				off += bs
 			}
-			c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
+			c0[j], c1[j] = s0, s1
 		}
 	}
-	mulSubRowsFrom(c, a, b, i)
-	return nil
-}
-
-// mulSubRowsFrom finishes rows i..m of C -= A×B with the scalar row
-// path (4-wide column unrolling, then scalar columns), preserving the
-// reference per-element accumulation order.
-//
-//repro:kernel
-func mulSubRowsFrom(c, a, b *Dense, i int) {
-	m, n, kk := a.rows, b.cols, a.cols
 	for ; i < m; i++ {
 		arow := a.data[i*a.stride : i*a.stride+kk]
 		crow := c.data[i*c.stride : i*c.stride+n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			s0, s1, s2, s3 := crow[j], crow[j+1], crow[j+2], crow[j+3]
-			for k := 0; k < kk; k++ {
-				av := arow[k]
-				brow := b.data[k*b.stride+j : k*b.stride+j+4 : k*b.stride+j+4]
-				s0 -= av * brow[0]
-				s1 -= av * brow[1]
-				s2 -= av * brow[2]
-				s3 -= av * brow[3]
-			}
-			crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
+		for j := range crow {
 			s := crow[j]
-			for k := 0; k < kk; k++ {
-				s -= arow[k] * b.data[k*b.stride+j]
+			off := j
+			for _, av := range arow {
+				s -= av * bd[off]
+				off += bs
 			}
 			crow[j] = s
 		}
 	}
+	return nil
 }

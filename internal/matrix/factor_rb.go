@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// The 4×4 register-blocked LU leaf kernels that KernelConfig
+// The four-row register-blocked LU leaf kernels that KernelConfig
 // dispatches (see shapes.go). Within one pivot step of the
 // factorisation every trailing element is updated exactly once and
 // every multiplier l depends only on state the step does not modify,

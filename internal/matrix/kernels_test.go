@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -117,7 +118,7 @@ func TestAXPYBlock(t *testing.T) {
 
 // The register-blocked micro-kernel must stay *bitwise* identical to
 // MulAdd: both add each C element's k products in ascending order onto
-// the prior C value, so the 4×4 blocking may change speed but never a
+// the prior C value, so the 2×3 blocking may change speed but never a
 // single bit of the result. The executor's bitwise guarantees (view vs
 // packed, run-twice reproducibility) lean on this.
 func TestMulAddUnrolledBitwiseMatchesMulAdd(t *testing.T) {
@@ -213,10 +214,6 @@ func BenchmarkMulAdd64(b *testing.B) {
 	benchKernel(b, MulAdd, 64)
 }
 
-func BenchmarkMulAddUnrolled64(b *testing.B) {
-	benchKernel(b, MulAddUnrolled, 64)
-}
-
 func BenchmarkMulNaive64(b *testing.B) {
 	benchKernel(b, MulNaive, 64)
 }
@@ -230,6 +227,42 @@ func benchKernel(b *testing.B, kern func(c, a, b *Dense) error, n int) {
 	for i := 0; i < b.N; i++ {
 		if err := kern(c, a, bb); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTileKernels times the executor's MulAdd and MulSub tile
+// kernels through KernelConfig at the workloads' tile sizes, q=16
+// (gemm-fine) and q=32 (gemm-replay, lu-oneshot), and reports GFLOP/s.
+// "contiguous" operands are the staging modes' arena-resident tiles;
+// "view1024" operands are q×q views of 1024-wide matrices, the ModeView
+// and lu.Factor case at n=1024. Compare two commits with
+//
+//	go test -run '^$' -bench TileKernels -count 10 ./internal/matrix/
+func BenchmarkTileKernels(b *testing.B) {
+	var kc KernelConfig
+	kernels := []struct {
+		name string
+		run  func(c, a, b *Dense) error
+	}{{"MulAdd", kc.MulAdd}, {"MulSub", kc.MulSub}}
+	for _, kern := range kernels {
+		for _, q := range []int{16, 32} {
+			for _, layout := range []string{"contiguous", "view1024"} {
+				a, bb, c := Random(q, q, 1), Random(q, q, 2), Random(q, q, 3)
+				if layout == "view1024" {
+					a = Random(q, 1024, 1).View(0, q, q, q)
+					bb = Random(q, 1024, 2).View(0, q, q, q)
+					c = Random(q, 1024, 3).View(0, q, q, q)
+				}
+				b.Run(fmt.Sprintf("%s/q=%d/%s", kern.name, q, layout), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if err := kern.run(c, a, bb); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(2*float64(q*q*q)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
 		}
 	}
 }

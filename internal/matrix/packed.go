@@ -47,11 +47,12 @@ func Unpack(dst *Dense, src []float64) error {
 // MulAddPacked computes C += A×B over packed tiles: c is m×n, a is m×k
 // and b is k×n, all contiguous row-major. It is the standalone entry
 // point for computing on raw packed buffers (the executor itself
-// dispatches MulAddUnrolled on Dense headers it caches per staged
-// tile): after the slice-length checks it wraps the buffers as compact
-// headers and runs the very same MulAddUnrolled kernel, so both routes
-// are bitwise identical and the flop count stays exactly 2·m·n·k
-// regardless of the data.
+// dispatches the 2×3 register-tiled MulAddUnrolled, through
+// KernelConfig, on Dense headers it caches per staged tile): after the
+// slice-length checks it wraps the buffers as compact headers and runs
+// the very same MulAddUnrolled kernel, so both routes are bitwise
+// identical and the flop count stays exactly 2·m·n·k regardless of the
+// data.
 //
 //repro:kernel
 func MulAddPacked(c, a, b []float64, m, n, k int) error {

@@ -1,12 +1,15 @@
 package matrix
 
 // This file is the executor's kernel dispatch: the hot tile kernels —
-// MulAdd/MulSub, FactorTile and both Trsm solves — in their 4×4
-// register-blocked form, reached through a KernelConfig. The paper's
-// model prices a tile kernel at its flop count and assumes it runs at
-// machine speed; measured end to end (one-shot LU and a pipelined
-// Tradeoff replay), the 4×4 accumulator tile was the fastest blocking
-// on the build host, so it is the one kernel set rather than a tunable.
+// MulAdd/MulSub in their 2×3 register-blocked form, FactorTile and both
+// Trsm solves in their four-row/four-column form — reached through a
+// KernelConfig. The paper's model prices a tile kernel at its flop
+// count and assumes it runs at machine speed. The register tile is the
+// one whose accumulators, A values and B value stay in the 15 XMM
+// registers Go's amd64 ABI leaves: six accumulators in a 2×3 tile beat
+// the spilling 4×4 tile (and the 8×4 and 8×8 tiles measured before it)
+// in paired rounds on contiguous and strided q=16 and q=32 tiles, so it
+// is the one kernel set rather than a tunable.
 //
 // Every kernel is pinned bitwise-identical to its reference kernel
 // (MulAdd's i-k-j loop, plain FactorTile, the plain Trsm solves): each
@@ -17,15 +20,21 @@ package matrix
 // not the sequential/parallel bitwise equality, not the sim↔exec
 // stream equivalence — only the time it takes to produce it.
 
-// Shape names a register-blocking accumulator tiling of the kernels.
-// Shape4x4 is its only value.
+// Shape is the type of Shape4x4, KernelConfig's only field value.
 type Shape uint8
 
-// Shape4x4 holds a 4×4 C tile in 16 scalar accumulators.
+// Shape4x4 is KernelConfig's only shape value. It no longer names the
+// register tile, which is 2×3 in MulAddUnrolled and MulSubUnrolled. The
+// identifier stays only because the repository benchmark (perfbench)
+// compiles matrix.KernelConfig{Shape: matrix.Shape4x4}; it goes when
+// KernelConfig does.
 const Shape4x4 Shape = 0
 
 // KernelConfig is the kernel set the executor's dispatch runs. Its zero
-// value, Shape4x4, is the only configuration.
+// value is the only configuration: MulAdd and MulSub run the 2×3
+// register tile, FactorTile and the Trsm solves their four-row or
+// four-column blocking. It stays, with its Shape field, only because
+// perfbench compiles it.
 type KernelConfig struct {
 	Shape Shape
 }

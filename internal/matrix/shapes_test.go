@@ -28,12 +28,16 @@ func mulSubRef(c, a, b *Dense) error {
 	return nil
 }
 
-// mulDims covers full blocks, every remainder class of the 4×4 tile,
-// and degenerate edges.
+// mulDims covers full blocks, every (m mod 2, n mod 3) remainder class
+// of the 2×3 register tile next to at least one full tile, operands
+// smaller than one tile, the workloads' q=16 and q=32 tiles, and
+// degenerate edges.
 var mulDims = [][3]int{
 	{16, 16, 16}, {8, 8, 8}, {4, 4, 4},
 	{13, 7, 11}, {9, 5, 3}, {7, 9, 2}, {17, 13, 5},
 	{1, 1, 1}, {3, 3, 3}, {8, 3, 8}, {3, 8, 8}, {11, 12, 1},
+	{2, 3, 1}, {6, 9, 4}, {4, 7, 6}, {5, 6, 7}, {3, 4, 2}, {1, 2, 5},
+	{2, 1, 3}, {32, 32, 32}, {32, 16, 32},
 }
 
 func randomDense(t *testing.T, rows, cols int, seed uint64) *Dense {
@@ -92,6 +96,18 @@ func TestKernelShapesMulBitwiseOnViews(t *testing.T) {
 	}
 	if d := cGot.MaxAbsDiff(cRef); d != 0 {
 		t.Fatalf("MulAdd over views deviates by %g", d)
+	}
+	// lu.Factor and ModeView LU run MulSub over views of the matrix.
+	cRef = cBase.Clone()
+	if err := mulSubRef(cRef.View(2, 2, 13, 11), a, b); err != nil {
+		t.Fatal(err)
+	}
+	cGot = cBase.Clone()
+	if err := kc.MulSub(cGot.View(2, 2, 13, 11), a, b); err != nil {
+		t.Fatal(err)
+	}
+	if d := cGot.MaxAbsDiff(cRef); d != 0 {
+		t.Fatalf("MulSub over views deviates by %g", d)
 	}
 }
 
@@ -181,14 +197,17 @@ func TestKernelShapesTrsmBitwise(t *testing.T) {
 
 // FuzzKernelShapesVsReference drives the KernelConfig kernels against
 // the reference MulAdd/MulSub on fuzzer-chosen dimensions and seeds: any deviation —
-// even one ulp — fails.
+// even one ulp — fails. Each case runs twice: on compact operands, and
+// on views of larger parents at fuzzer-chosen offsets, where the
+// parent of C must be unchanged outside C's view.
 func FuzzKernelShapesVsReference(f *testing.F) {
-	f.Add(uint(16), uint(16), uint(16), uint64(1))
-	f.Add(uint(13), uint(7), uint(11), uint64(2))
-	f.Add(uint(9), uint(5), uint(3), uint64(3))
-	f.Add(uint(8), uint(12), uint(4), uint64(4))
-	f.Add(uint(1), uint(17), uint(2), uint64(5))
-	f.Fuzz(func(t *testing.T, um, un, uk uint, seed uint64) {
+	f.Add(uint(16), uint(16), uint(16), uint64(1), uint(0))
+	f.Add(uint(13), uint(7), uint(11), uint64(2), uint(9))
+	f.Add(uint(9), uint(5), uint(3), uint64(3), uint(23))
+	f.Add(uint(8), uint(12), uint(4), uint64(4), uint(41))
+	f.Add(uint(1), uint(17), uint(2), uint64(5), uint(6))
+	f.Add(uint(31), uint(31), uint(31), uint64(6), uint(17)) // q=32
+	f.Fuzz(func(t *testing.T, um, un, uk uint, seed uint64, off uint) {
 		m, n, k := int(um%33)+1, int(un%33)+1, int(uk%33)+1
 		a := Random(m, k, seed)
 		b := Random(k, n, seed+1)
@@ -215,6 +234,41 @@ func FuzzKernelShapesVsReference(f *testing.F) {
 		}
 		if d := got.MaxAbsDiff(subRef); d != 0 {
 			t.Fatalf("MulSub %dx%dx%d deviates by %g", m, n, k, d)
+		}
+
+		// The same case on views at row offset ro and column offset co
+		// of parents with spare rows and columns on every side; pad
+		// gives each operand its own stride.
+		ro, co := int(off%4), int(off/4%8)
+		view := func(d *Dense, s uint64, pad int) (*Dense, *Dense) {
+			p := Random(d.rows+ro+2, d.cols+co+pad, s)
+			v := p.View(ro, co, d.rows, d.cols)
+			if err := v.CopyFrom(d); err != nil {
+				t.Fatal(err)
+			}
+			return p, v
+		}
+		_, av := view(a, seed+3, 3)
+		_, bv := view(b, seed+4, 5)
+		for _, kern := range []struct {
+			name string
+			run  func(c, a, b *Dense) error
+			want *Dense
+		}{{"MulAdd", kc.MulAdd, addRef}, {"MulSub", kc.MulSub, subRef}} {
+			cp, cv := view(base, seed+5, 7)
+			wantParent := cp.Clone()
+			if err := wantParent.View(ro, co, m, n).CopyFrom(kern.want); err != nil {
+				t.Fatal(err)
+			}
+			if err := kern.run(cv, av, bv); err != nil {
+				t.Fatal(err)
+			}
+			if d := cv.MaxAbsDiff(kern.want); d != 0 {
+				t.Fatalf("%s %dx%dx%d on views at (%d,%d) deviates by %g", kern.name, m, n, k, ro, co, d)
+			}
+			if !cp.Equal(wantParent) {
+				t.Fatalf("%s %dx%dx%d on views at (%d,%d) wrote outside C's view", kern.name, m, n, k, ro, co)
+			}
 		}
 	})
 }

@@ -209,7 +209,8 @@ type Executor struct {
 	comp *compiled
 
 	// kernels is the tile-kernel set the kernel dispatch calls (the
-	// 4×4 register-blocked kernels). lookahead is the pipeline planning
+	// 2×3 register-tiled MulAdd/MulSub and the four-row LU kernels,
+	// matrix.KernelConfig's only value). lookahead is the pipeline planning
 	// depth of ModeSharedPipelined (0 means the default depth 1), a
 	// tunable — see SetTuning and cmd/tune.
 	kernels   matrix.KernelConfig

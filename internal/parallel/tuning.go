@@ -12,7 +12,8 @@ import "repro/internal/matrix"
 // depth.
 type Tuning struct {
 	// Kernels is the tile-kernel set the executor dispatches; its one
-	// value is the 4×4 register-blocked kernels.
+	// value is the 2×3 register-tiled MulAdd/MulSub with the four-row
+	// LU kernels (see matrix.KernelConfig).
 	Kernels matrix.KernelConfig
 	// Lookahead is the pipeline planning depth k of ModeSharedPipelined:
 	// a stage may prefetch up to k regions ahead of its gap. 0 means the

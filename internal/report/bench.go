@@ -20,7 +20,7 @@ import (
 // BenchRun is one measured execution.
 type BenchRun struct {
 	Algorithm   string  `json:"algorithm"`    // algo display name, or "sequential blocked"
-	Mode        string  `json:"mode"`         // "naive", "view", "packed" or "shared"
+	Mode        string  `json:"mode"`         // "naive", "view", "packed", "shared" or "shared-pipelined"
 	Cores       int     `json:"cores"`        // worker goroutines
 	OrderBlocks int     `json:"order_blocks"` // square workload edge, in blocks
 	Q           int     `json:"q"`            // block edge, in coefficients
