@@ -101,19 +101,29 @@ func TrsmLowerLeftUnit(diag, b *Dense) error {
 
 // MulSubUnrolled computes C -= A×B — the trailing GEMM update of the
 // factorisation — as the subtracting twin of MulAddUnrolled and the
-// kernel KernelConfig.MulSub dispatches (see shapes.go): the same 2×3
-// tile of six register accumulators, two A values and one B value at a
-// time, with the same two-row and one-row remainders. Every C element
+// kernel KernelConfig.MulSub dispatches: full 4×8 blocks of C through
+// the AVX2 body mulSub4x8 where the CPU has it, the edge strips and
+// every other case through the 2×3 Go tile mulSub2x3. Every C element
 // still subtracts its k products in ascending order starting from the
 // prior C value, so the result is bitwise identical to the plain i-k-j
-// subtract loop, and the flop count stays exactly 2·m·n·k regardless of
-// the data.
+// subtract loop on either path, and the flop count stays exactly
+// 2·m·n·k regardless of the data.
 //
 //repro:kernel
 func MulSubUnrolled(c, a, b *Dense) error {
 	if err := checkMul(c, a, b); err != nil {
 		return err
 	}
+	mulTiled(c, a, b, true)
+	return nil
+}
+
+// mulSub2x3 is mulAdd2x3 with every update subtracting: the same 2×3
+// tile of six register accumulators, two A values and one B value at a
+// time, with the same two-row and one-row remainders.
+//
+//repro:kernel
+func mulSub2x3(c, a, b *Dense) {
 	m, n, kk := a.rows, b.cols, a.cols
 	bd, bs := b.data, b.stride
 	i := 0
@@ -170,5 +180,4 @@ func MulSubUnrolled(c, a, b *Dense) error {
 			crow[j] = s
 		}
 	}
-	return nil
 }

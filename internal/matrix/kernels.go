@@ -52,7 +52,88 @@ func MulAdd(c, a, b *Dense) error {
 	return nil
 }
 
-// MulAddUnrolled is MulAdd restructured as a 2×3 register-blocked
+// MulAddUnrolled computes C += A×B as the executor's q×q tile kernel in
+// every mode — over strided views in ModeView and over the cached
+// contiguous headers of arena-resident tiles in the staging modes — so
+// packed-vs-view ratios measure data layout, not loop shape. Where the
+// CPU has AVX2 (see useAVX2), every full 4×8 block of C runs through
+// the amd64 assembly body mulAdd4x8, and the strips the blocks leave —
+// the last n mod 8 columns and m mod 4 rows — through the 2×3 Go
+// register tile mulAdd2x3, which is also the whole kernel on other
+// architectures, on CPUs without AVX2 and in race builds. Both paths
+// give every C element its k products in ascending order starting from
+// the prior C value, each product and each sum rounded on its own, so
+// the result is bitwise identical to MulAdd's on either path, and the
+// flop count stays exactly 2·m·n·k regardless of the data.
+//
+//repro:kernel
+func MulAddUnrolled(c, a, b *Dense) error {
+	if err := checkMul(c, a, b); err != nil {
+		return err
+	}
+	mulTiled(c, a, b, false)
+	return nil
+}
+
+// useAVX2 sends the full 4×8 blocks of MulAddUnrolled and
+// MulSubUnrolled through the AVX2 assembly bodies. Only the amd64 init
+// sets it, once, from CPUID, and never in race builds: the race
+// detector does not see the loads and stores assembly makes, and the
+// tile reads and writes are what its concurrency tests check. Tests
+// flip it to run both paths on the same inputs; nothing else writes it.
+var useAVX2 bool
+
+// mulTiled runs C += A×B, or C -= A×B when sub is set, for
+// MulAddUnrolled and MulSubUnrolled: the full 4×8 blocks of C through
+// the AVX2 body when useAVX2 is on, and everything else through the 2×3
+// Go tile. Assembly has no bounds checks, so before the call it indexes
+// the last element the blocks touch in each operand — strides are never
+// negative — and a malformed header panics here instead of reaching
+// outside its slice. The edge strips run on sub-headers that stay on
+// the stack.
+//
+//repro:kernel
+func mulTiled(c, a, b *Dense, sub bool) {
+	m, n, k := a.rows, b.cols, a.cols
+	m4, n8 := m&^3, n&^7
+	if !useAVX2 || m4 == 0 || n8 == 0 || k == 0 {
+		mulTile2x3(c, a, b, sub)
+		return
+	}
+	_ = c.data[(m4-1)*c.stride+n8-1]
+	_ = a.data[(m4-1)*a.stride+k-1]
+	_ = b.data[(k-1)*b.stride+n8-1]
+	if sub {
+		mulSub4x8(&c.data[0], &a.data[0], &b.data[0], m4, n8, k, c.stride, a.stride, b.stride)
+	} else {
+		mulAdd4x8(&c.data[0], &a.data[0], &b.data[0], m4, n8, k, c.stride, a.stride, b.stride)
+	}
+	if n8 < n {
+		cr := Dense{rows: m4, cols: n - n8, stride: c.stride, data: c.data[n8:]}
+		ar := Dense{rows: m4, cols: k, stride: a.stride, data: a.data}
+		br := Dense{rows: k, cols: n - n8, stride: b.stride, data: b.data[n8:]}
+		mulTile2x3(&cr, &ar, &br, sub)
+	}
+	if m4 < m {
+		cb := Dense{rows: m - m4, cols: n, stride: c.stride, data: c.data[m4*c.stride:]}
+		ab := Dense{rows: m - m4, cols: k, stride: a.stride, data: a.data[m4*a.stride:]}
+		mulTile2x3(&cb, &ab, b, sub)
+	}
+}
+
+// mulTile2x3 runs the Go register tile of C += A×B, or of C -= A×B when
+// sub is set.
+//
+//repro:kernel
+func mulTile2x3(c, a, b *Dense, sub bool) {
+	if sub {
+		mulSub2x3(c, a, b)
+	} else {
+		mulAdd2x3(c, a, b)
+	}
+}
+
+// mulAdd2x3 is MulAdd restructured as a 2×3 register-blocked
 // micro-kernel: each 2×3 tile of C is held in six scalar accumulators
 // while the k loop loads two A values and, one at a time, the three B
 // values of row k, so the inner loop carries no C loads or stores. Six
@@ -61,20 +142,10 @@ func MulAdd(c, a, b *Dense) error {
 // zero); a 4×4 tile needs about twenty, and its k loop moves a dozen
 // of them through the stack on every step. Columns left over by the
 // 3-wide tiles finish two rows at a time, and an odd last row one
-// element at a time. It is the executor's q×q tile kernel in every
-// mode — over strided views in ModeView and over the cached contiguous
-// headers of arena-resident tiles in the staging modes — so
-// packed-vs-view ratios measure data layout, not loop shape. Every C
-// element still receives its k products in ascending order starting
-// from the prior C value, so the result is bitwise identical to
-// MulAdd's, and the flop count stays exactly 2·m·n·k regardless of the
-// data.
+// element at a time. The shapes must already agree (checkMul).
 //
 //repro:kernel
-func MulAddUnrolled(c, a, b *Dense) error {
-	if err := checkMul(c, a, b); err != nil {
-		return err
-	}
+func mulAdd2x3(c, a, b *Dense) {
 	m, n, kk := a.rows, b.cols, a.cols
 	bd, bs := b.data, b.stride
 	i := 0
@@ -131,7 +202,6 @@ func MulAddUnrolled(c, a, b *Dense) error {
 			crow[j] = s
 		}
 	}
-	return nil
 }
 
 // MulBlocked computes C += A×B by tiling all three operands with tile

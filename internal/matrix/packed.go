@@ -47,16 +47,18 @@ func Unpack(dst *Dense, src []float64) error {
 // MulAddPacked computes C += A×B over packed tiles: c is m×n, a is m×k
 // and b is k×n, all contiguous row-major. It is the standalone entry
 // point for computing on raw packed buffers (the executor itself
-// dispatches the 2×3 register-tiled MulAddUnrolled, through
-// KernelConfig, on Dense headers it caches per staged tile): after the
-// slice-length checks it wraps the buffers as compact headers and runs
-// the very same MulAddUnrolled kernel, so both routes are bitwise
+// dispatches MulAddUnrolled, through KernelConfig, on Dense headers it
+// caches per staged tile): after the slice-length checks it wraps the
+// buffers as compact headers and runs the very same MulAddUnrolled
+// kernel — its AVX2 body included — so both routes are bitwise
 // identical and the flop count stays exactly 2·m·n·k regardless of the
-// data.
+// data. The length checks divide rather than multiply, so dimensions
+// whose products overflow an int fail with ErrShape instead of passing
+// as a wrapped product.
 //
 //repro:kernel
 func MulAddPacked(c, a, b []float64, m, n, k int) error {
-	if m < 0 || n < 0 || k < 0 || len(c) < m*n || len(a) < m*k || len(b) < k*n {
+	if m < 0 || n < 0 || k < 0 || !holds(c, m, n) || !holds(a, m, k) || !holds(b, k, n) {
 		return fmt.Errorf("matrix: packed multiply C(%d:%dx%d) += A(%d:%dx%d)*B(%d:%dx%d): %w",
 			len(c), m, n, len(a), m, k, len(b), k, n, ErrShape)
 	}
@@ -64,4 +66,10 @@ func MulAddPacked(c, a, b []float64, m, n, k int) error {
 	ad := &Dense{rows: m, cols: k, stride: k, data: a[:m*k]}
 	bd := &Dense{rows: k, cols: n, stride: n, data: b[:k*n]}
 	return MulAddUnrolled(cd, ad, bd)
+}
+
+// holds reports whether buf has room for a rows×cols image, for
+// non-negative rows and cols, without forming the product rows·cols.
+func holds(buf []float64, rows, cols int) bool {
+	return rows == 0 || cols == 0 || len(buf)/rows >= cols
 }

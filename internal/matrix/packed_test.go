@@ -1,6 +1,9 @@
 package matrix
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func TestPackUnpackRoundTrip(t *testing.T) {
 	parent := Random(10, 12, 5)
@@ -91,13 +94,24 @@ func TestMulAddPackedMatchesNaive(t *testing.T) {
 	}
 }
 
+// Malformed dimensions must come back as ErrShape, never as a panic
+// or a kernel call: the kernel behind MulAddPacked reads and writes
+// through assembly that checks no bounds of its own.
 func TestMulAddPackedShapeErrors(t *testing.T) {
-	buf := make([]float64, 4)
-	if err := MulAddPacked(buf, buf, buf, 4, 4, 4); err == nil {
-		t.Fatal("short buffers must fail")
-	}
-	if err := MulAddPacked(buf, buf, buf, -1, 2, 2); err == nil {
-		t.Fatal("negative dimension must fail")
+	buf := make([]float64, 16)
+	for _, tc := range []struct {
+		name    string
+		m, n, k int
+	}{
+		{"short buffers", 5, 5, 5},
+		{"negative dimension", -1, 2, 2},
+		{"products wrap to zero", 1 << 32, 1 << 32, 1 << 32},
+		{"one product wraps to zero", 1 << 62, 4, 4},
+		{"empty operand beside a huge one", 0, 1 << 62, 4},
+	} {
+		if err := MulAddPacked(buf, buf, buf, tc.m, tc.n, tc.k); !errors.Is(err, ErrShape) {
+			t.Errorf("%s (%d×%d×%d): want ErrShape, got %v", tc.name, tc.m, tc.n, tc.k, err)
+		}
 	}
 }
 
