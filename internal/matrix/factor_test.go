@@ -103,11 +103,20 @@ func TestTrsmRejectsShapes(t *testing.T) {
 	}
 }
 
-// MulSubUnrolled must mirror MulAddUnrolled: C0 += A·B followed by
-// C0 -= A·B restores C0 up to roundoff, and against a zeroed C it
-// equals the negated naive product.
+// MulSubUnrolled must mirror MulAddUnrolled on both kernel paths:
+// C0 += A·B followed by C0 -= A·B restores C0 up to roundoff, and
+// against a zeroed C it equals the negated naive product.
 func TestMulSubUnrolledMirrorsMulAdd(t *testing.T) {
-	for _, s := range []struct{ m, n, k int }{{4, 4, 4}, {5, 3, 7}, {1, 9, 2}} {
+	paths, restore := kernelPaths()
+	defer restore()
+	for _, vec := range paths {
+		useAVX2 = vec
+		t.Run(pathName(vec), testMulSubUnrolledMirrorsMulAdd)
+	}
+}
+
+func testMulSubUnrolledMirrorsMulAdd(t *testing.T) {
+	for _, s := range []struct{ m, n, k int }{{4, 4, 4}, {5, 3, 7}, {1, 9, 2}, {4, 8, 3}, {9, 19, 6}} {
 		a := Random(s.m, s.k, 5)
 		b := Random(s.k, s.n, 6)
 		c := Random(s.m, s.n, 7)

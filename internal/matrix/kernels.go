@@ -4,8 +4,11 @@ import "fmt"
 
 // This file holds the numerical kernels. The paper's algorithms call a
 // sequential DGEMM on q×q tiles ("to harness the power of BLAS routines");
-// here those calls resolve to MulAdd, a cache-friendly pure-Go kernel, and
-// MulNaive serves as the independent reference for verification.
+// here those calls resolve to MulAddUnrolled, whose full 4×8 blocks run
+// an AVX2 assembly body on amd64 CPUs that have it (kernels_amd64.s)
+// and whose remainder runs a 2×3 Go register tile. MulAdd, the plain
+// i-k-j loop, and MulNaive serve as the independent references for
+// verification.
 
 // MulNaive computes C += A×B with the textbook triple loop (i, j, k).
 // It is deliberately simple and is used as the correctness oracle.
@@ -27,9 +30,8 @@ func MulNaive(c, a, b *Dense) error {
 
 // MulAdd computes C += A×B using the i-k-j loop order so the innermost
 // loop streams rows of B and C. It is the reference the tile kernels
-// are pinned against and the kernel of the sequential MulBlocked
-// baseline; the executor's tile computes run MulAddUnrolled in every
-// mode. It performs exactly 2·m·n·k flops: rows of A containing zeros
+// are pinned against; the executor's tile computes and the sequential
+// MulBlocked baseline run MulAddUnrolled. It performs exactly 2·m·n·k flops: rows of A containing zeros
 // are not skipped, so the kernel's work — and any GFLOP/s number
 // derived from it — depends only on the shapes, never on the data (a
 // sparse variant would belong in a kernel of its own).
@@ -205,8 +207,12 @@ func mulAdd2x3(c, a, b *Dense) {
 }
 
 // MulBlocked computes C += A×B by tiling all three operands with tile
-// size q and invoking MulAdd on each tile triple. It is the sequential
-// baseline the parallel executor is compared against.
+// size q and invoking MulAddUnrolled on each tile triple. It is the
+// sequential baseline the parallel executor is compared against
+// (parallel.Reference, the CLIs' speedup column), so it runs the same
+// tile kernel as the executor: a parallel-over-sequential ratio then
+// compares schedules, not a vector kernel with a scalar one. Each call
+// is bitwise identical to MulAdd's.
 func MulBlocked(c, a, b *Dense, q int) error {
 	if err := checkMul(c, a, b); err != nil {
 		return err
@@ -221,7 +227,7 @@ func MulBlocked(c, a, b *Dense, q int) error {
 			av := a.View(i, k, ri, rk)
 			for j := 0; j < c.cols; j += q {
 				rj := min(q, c.cols-j)
-				if err := MulAdd(c.View(i, j, ri, rj), av, b.View(k, j, rk, rj)); err != nil {
+				if err := MulAddUnrolled(c.View(i, j, ri, rj), av, b.View(k, j, rk, rj)); err != nil {
 					return err
 				}
 			}

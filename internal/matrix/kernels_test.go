@@ -117,14 +117,25 @@ func TestAXPYBlock(t *testing.T) {
 }
 
 // The register-blocked micro-kernel must stay *bitwise* identical to
-// MulAdd: both add each C element's k products in ascending order onto
-// the prior C value, so the 2×3 blocking may change speed but never a
-// single bit of the result. The executor's bitwise guarantees (view vs
-// packed, run-twice reproducibility) lean on this.
+// MulAdd on both of its paths: each adds each C element's k products in
+// ascending order onto the prior C value, so the 2×3 Go tile and the
+// AVX2 4×8 body may change speed but never a single bit of the result.
+// The executor's bitwise guarantees (view vs packed, run-twice
+// reproducibility) lean on this.
 func TestMulAddUnrolledBitwiseMatchesMulAdd(t *testing.T) {
+	paths, restore := kernelPaths()
+	defer restore()
+	for _, vec := range paths {
+		useAVX2 = vec
+		t.Run(pathName(vec), testMulAddUnrolledBitwiseMatchesMulAdd)
+	}
+}
+
+func testMulAddUnrolledBitwiseMatchesMulAdd(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {3, 3, 3}, {4, 4, 4}, {5, 7, 3}, {8, 8, 8},
 		{13, 11, 9}, {16, 16, 16}, {17, 5, 32}, {2, 31, 6},
+		{4, 8, 1}, {11, 23, 7}, {32, 32, 32},
 	}
 	for _, s := range shapes {
 		m, n, k := s[0], s[1], s[2]

@@ -31,13 +31,45 @@ func mulSubRef(c, a, b *Dense) error {
 // mulDims covers full blocks, every (m mod 2, n mod 3) remainder class
 // of the 2×3 register tile next to at least one full tile, operands
 // smaller than one tile, the workloads' q=16 and q=32 tiles, and
-// degenerate edges.
-var mulDims = [][3]int{
-	{16, 16, 16}, {8, 8, 8}, {4, 4, 4},
-	{13, 7, 11}, {9, 5, 3}, {7, 9, 2}, {17, 13, 5},
-	{1, 1, 1}, {3, 3, 3}, {8, 3, 8}, {3, 8, 8}, {11, 12, 1},
-	{2, 3, 1}, {6, 9, 4}, {4, 7, 6}, {5, 6, 7}, {3, 4, 2}, {1, 2, 5},
-	{2, 1, 3}, {32, 32, 32}, {32, 16, 32},
+// degenerate edges. For the AVX2 body it adds every (m mod 4, n mod 8)
+// class next to full 4×8 blocks (m from 8 to 11, n from 16 to 23), k=1
+// under full blocks, and operands smaller than one block.
+var mulDims = func() [][3]int {
+	dims := [][3]int{
+		{16, 16, 16}, {8, 8, 8}, {4, 4, 4},
+		{13, 7, 11}, {9, 5, 3}, {7, 9, 2}, {17, 13, 5},
+		{1, 1, 1}, {3, 3, 3}, {8, 3, 8}, {3, 8, 8}, {11, 12, 1},
+		{2, 3, 1}, {6, 9, 4}, {4, 7, 6}, {5, 6, 7}, {3, 4, 2}, {1, 2, 5},
+		{2, 1, 3}, {32, 32, 32}, {32, 16, 32},
+		{4, 8, 1}, {13, 21, 1}, {32, 32, 1},
+		{3, 7, 9}, {3, 40, 6}, {40, 7, 6}, {1, 8, 3}, {4, 1, 3},
+	}
+	for m := 8; m < 12; m++ {
+		for n := 16; n < 24; n++ {
+			dims = append(dims, [3]int{m, n, 2 + m + n%5})
+		}
+	}
+	return dims
+}()
+
+// kernelPaths returns the settings of useAVX2 the two-path tests run —
+// off, the Go register tile, always, and on where this build and CPU
+// enabled the AVX2 body — with a func that restores the setting.
+func kernelPaths() ([]bool, func()) {
+	vec := useAVX2
+	paths := []bool{false}
+	if vec {
+		paths = append(paths, true)
+	}
+	return paths, func() { useAVX2 = vec }
+}
+
+// pathName names a useAVX2 setting in subtest names and failures.
+func pathName(vec bool) string {
+	if vec {
+		return "avx2"
+	}
+	return "go"
 }
 
 func randomDense(t *testing.T, rows, cols int, seed uint64) *Dense {
@@ -46,6 +78,15 @@ func randomDense(t *testing.T, rows, cols int, seed uint64) *Dense {
 }
 
 func TestKernelShapesMulBitwise(t *testing.T) {
+	paths, restore := kernelPaths()
+	defer restore()
+	for _, vec := range paths {
+		useAVX2 = vec
+		t.Run(pathName(vec), testKernelShapesMulBitwise)
+	}
+}
+
+func testKernelShapesMulBitwise(t *testing.T) {
 	var kc KernelConfig
 	for _, dims := range mulDims {
 		m, n, k := dims[0], dims[1], dims[2]
@@ -80,6 +121,15 @@ func TestKernelShapesMulBitwise(t *testing.T) {
 // executor's ModeView runs kernels over views, and a stride bug would
 // hide on contiguous operands.
 func TestKernelShapesMulBitwiseOnViews(t *testing.T) {
+	paths, restore := kernelPaths()
+	defer restore()
+	for _, vec := range paths {
+		useAVX2 = vec
+		t.Run(pathName(vec), testKernelShapesMulBitwiseOnViews)
+	}
+}
+
+func testKernelShapesMulBitwiseOnViews(t *testing.T) {
 	big := randomDense(t, 40, 40, 5)
 	a := big.View(1, 2, 13, 9)
 	b2 := randomDense(t, 30, 30, 7)
@@ -197,9 +247,11 @@ func TestKernelShapesTrsmBitwise(t *testing.T) {
 
 // FuzzKernelShapesVsReference drives the KernelConfig kernels against
 // the reference MulAdd/MulSub on fuzzer-chosen dimensions and seeds: any deviation —
-// even one ulp — fails. Each case runs twice: on compact operands, and
-// on views of larger parents at fuzzer-chosen offsets, where the
-// parent of C must be unchanged outside C's view.
+// even one ulp — fails. Each case runs on both kernel paths (the Go
+// register tile, and the AVX2 body where the CPU has it), and on each
+// twice: on compact operands, and on views of larger parents at
+// fuzzer-chosen offsets, where the parent of C must be unchanged outside
+// C's view.
 func FuzzKernelShapesVsReference(f *testing.F) {
 	f.Add(uint(16), uint(16), uint(16), uint64(1), uint(0))
 	f.Add(uint(13), uint(7), uint(11), uint64(2), uint(9))
@@ -207,6 +259,7 @@ func FuzzKernelShapesVsReference(f *testing.F) {
 	f.Add(uint(8), uint(12), uint(4), uint64(4), uint(41))
 	f.Add(uint(1), uint(17), uint(2), uint64(5), uint(6))
 	f.Add(uint(31), uint(31), uint(31), uint64(6), uint(17)) // q=32
+	f.Add(uint(10), uint(22), uint(0), uint64(7), uint(30))  // both strips, k=1
 	f.Fuzz(func(t *testing.T, um, un, uk uint, seed uint64, off uint) {
 		m, n, k := int(um%33)+1, int(un%33)+1, int(uk%33)+1
 		a := Random(m, k, seed)
@@ -220,25 +273,10 @@ func FuzzKernelShapesVsReference(f *testing.F) {
 		if err := mulSubRef(subRef, a, b); err != nil {
 			t.Fatal(err)
 		}
-		var kc KernelConfig
-		got := base.Clone()
-		if err := kc.MulAdd(got, a, b); err != nil {
-			t.Fatal(err)
-		}
-		if d := got.MaxAbsDiff(addRef); d != 0 {
-			t.Fatalf("MulAdd %dx%dx%d deviates by %g", m, n, k, d)
-		}
-		got = base.Clone()
-		if err := kc.MulSub(got, a, b); err != nil {
-			t.Fatal(err)
-		}
-		if d := got.MaxAbsDiff(subRef); d != 0 {
-			t.Fatalf("MulSub %dx%dx%d deviates by %g", m, n, k, d)
-		}
 
-		// The same case on views at row offset ro and column offset co
-		// of parents with spare rows and columns on every side; pad
-		// gives each operand its own stride.
+		// Views at row offset ro and column offset co of parents with
+		// spare rows and columns on every side; pad gives each operand
+		// its own stride.
 		ro, co := int(off%4), int(off/4%8)
 		view := func(d *Dense, s uint64, pad int) (*Dense, *Dense) {
 			p := Random(d.rows+ro+2, d.cols+co+pad, s)
@@ -250,24 +288,47 @@ func FuzzKernelShapesVsReference(f *testing.F) {
 		}
 		_, av := view(a, seed+3, 3)
 		_, bv := view(b, seed+4, 5)
-		for _, kern := range []struct {
-			name string
-			run  func(c, a, b *Dense) error
-			want *Dense
-		}{{"MulAdd", kc.MulAdd, addRef}, {"MulSub", kc.MulSub, subRef}} {
-			cp, cv := view(base, seed+5, 7)
-			wantParent := cp.Clone()
-			if err := wantParent.View(ro, co, m, n).CopyFrom(kern.want); err != nil {
+
+		var kc KernelConfig
+		paths, restore := kernelPaths()
+		defer restore()
+		for _, vec := range paths {
+			useAVX2 = vec
+			path := pathName(vec)
+			got := base.Clone()
+			if err := kc.MulAdd(got, a, b); err != nil {
 				t.Fatal(err)
 			}
-			if err := kern.run(cv, av, bv); err != nil {
+			if d := got.MaxAbsDiff(addRef); d != 0 {
+				t.Fatalf("%s: MulAdd %dx%dx%d deviates by %g", path, m, n, k, d)
+			}
+			got = base.Clone()
+			if err := kc.MulSub(got, a, b); err != nil {
 				t.Fatal(err)
 			}
-			if d := cv.MaxAbsDiff(kern.want); d != 0 {
-				t.Fatalf("%s %dx%dx%d on views at (%d,%d) deviates by %g", kern.name, m, n, k, ro, co, d)
+			if d := got.MaxAbsDiff(subRef); d != 0 {
+				t.Fatalf("%s: MulSub %dx%dx%d deviates by %g", path, m, n, k, d)
 			}
-			if !cp.Equal(wantParent) {
-				t.Fatalf("%s %dx%dx%d on views at (%d,%d) wrote outside C's view", kern.name, m, n, k, ro, co)
+
+			for _, kern := range []struct {
+				name string
+				run  func(c, a, b *Dense) error
+				want *Dense
+			}{{"MulAdd", kc.MulAdd, addRef}, {"MulSub", kc.MulSub, subRef}} {
+				cp, cv := view(base, seed+5, 7)
+				wantParent := cp.Clone()
+				if err := wantParent.View(ro, co, m, n).CopyFrom(kern.want); err != nil {
+					t.Fatal(err)
+				}
+				if err := kern.run(cv, av, bv); err != nil {
+					t.Fatal(err)
+				}
+				if d := cv.MaxAbsDiff(kern.want); d != 0 {
+					t.Fatalf("%s: %s %dx%dx%d on views at (%d,%d) deviates by %g", path, kern.name, m, n, k, ro, co, d)
+				}
+				if !cp.Equal(wantParent) {
+					t.Fatalf("%s: %s %dx%dx%d on views at (%d,%d) wrote outside C's view", path, kern.name, m, n, k, ro, co)
+				}
 			}
 		}
 	})

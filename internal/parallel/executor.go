@@ -208,9 +208,10 @@ type Executor struct {
 	// compile it only once. SetTuning and SetStrictVerify drop it.
 	comp *compiled
 
-	// kernels is the tile-kernel set the kernel dispatch calls (the
-	// 2×3 register-tiled MulAdd/MulSub and the four-row LU kernels,
-	// matrix.KernelConfig's only value). lookahead is the pipeline planning
+	// kernels is the tile-kernel set the kernel dispatch calls
+	// (MulAddUnrolled/MulSubUnrolled, with their AVX2 4×8 body where the
+	// CPU has it, and the four-row LU kernels: matrix.KernelConfig's only
+	// value). lookahead is the pipeline planning
 	// depth of ModeSharedPipelined (0 means the default depth 1), a
 	// tunable — see SetTuning and cmd/tune.
 	kernels   matrix.KernelConfig
