@@ -31,10 +31,11 @@ func MulNaive(c, a, b *Dense) error {
 // MulAdd computes C += A×B using the i-k-j loop order so the innermost
 // loop streams rows of B and C. It is the reference the tile kernels
 // are pinned against; the executor's tile computes and the sequential
-// MulBlocked baseline run MulAddUnrolled. It performs exactly 2·m·n·k flops: rows of A containing zeros
-// are not skipped, so the kernel's work — and any GFLOP/s number
-// derived from it — depends only on the shapes, never on the data (a
-// sparse variant would belong in a kernel of its own).
+// MulBlocked baseline run MulAddUnrolled. It performs exactly 2·m·n·k
+// flops: rows of A containing zeros are not skipped, so the kernel's
+// work — and any GFLOP/s number derived from it — depends only on the
+// shapes, never on the data (a sparse variant would belong in a kernel
+// of its own).
 //
 //repro:kernel
 func MulAdd(c, a, b *Dense) error {

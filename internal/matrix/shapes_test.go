@@ -117,6 +117,26 @@ func testKernelShapesMulBitwise(t *testing.T) {
 	}
 }
 
+// The tile kernels run once per tile inside the executor's timed
+// region, so neither path may allocate — not even the edge strips'
+// sub-headers, which must stay on the stack.
+func TestTileKernelsDoNotAllocate(t *testing.T) {
+	a, b, c := Random(13, 9, 1), Random(9, 21, 2), Random(13, 21, 3)
+	paths, restore := kernelPaths()
+	defer restore()
+	for _, vec := range paths {
+		useAVX2 = vec
+		for _, kern := range []struct {
+			name string
+			run  func(c, a, b *Dense) error
+		}{{"MulAddUnrolled", MulAddUnrolled}, {"MulSubUnrolled", MulSubUnrolled}} {
+			if n := testing.AllocsPerRun(10, func() { _ = kern.run(c, a, b) }); n != 0 {
+				t.Errorf("%s: %s allocates %v times per call", pathName(vec), kern.name, n)
+			}
+		}
+	}
+}
+
 // The kernels must stay pinned on strided views too — the
 // executor's ModeView runs kernels over views, and a stride bug would
 // hide on contiguous operands.
