@@ -30,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -40,68 +41,65 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 	"repro/internal/report"
-	"repro/internal/tune"
 )
 
 func main() {
-	var (
-		algoName   = flag.String("algo", "", "algorithm (default: all executable ones)")
-		order      = flag.Int("order", 16, "square matrix order in blocks")
-		q          = flag.Int("q", 32, "block size in coefficients")
-		cores      = flag.Int("p", runtime.NumCPU(), "worker goroutines (cores); benchmark mode uses -bench-cores instead")
-		chips      = flag.Int("chips", 1, "chips the cores and the shared cache are split over (must divide -p)")
-		modeName   = flag.String("mode", parallel.ModePacked.String(), "executor mode: packed, view, shared or shared-pipelined (benchmark mode measures all four)")
-		verify     = flag.Bool("verify", true, "check the result against the sequential reference (ignored in benchmark mode)")
-		seed       = flag.Uint64("seed", 1, "input matrix seed")
-		benchJSON  = flag.String("bench-json", "", "benchmark mode: write GFLOP/s records to this JSON file")
-		benchCores = flag.String("bench-cores", "1,2,4", "core counts measured in benchmark mode")
-		benchChips = flag.String("bench-chips", "1", "chip counts measured in benchmark mode (shared-level modes; cores not divisible by a chip count are skipped)")
-		benchReps  = flag.Int("bench-reps", 3, "repetitions per benchmark configuration (fastest wins)")
-		lookahead  = flag.Int("lookahead", 0, "pipeline lookahead depth of shared-pipelined mode (default: TUNE.json, else 1)")
-		tunePath   = flag.String("tune", "", "load tunables from this TUNE.json when it matches the host; explicit flags win")
-		optimize   = flag.Bool("optimize", true, "run staged programs through the schedule optimizer (benchmark mode measures baseline/optimized pairs for staged modes)")
-		faults     = flag.String("faults", "", "chaos mode: inject faults from this spec (e.g. 'panic@1:7', 'stagerr~0.01;seed=42'; see internal/faultinject); the faulted run must fail with provenance, Reset, and re-run clean")
-	)
-	flag.Parse()
-
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	params, err := tune.Resolve(os.Stderr, "gemm", *tunePath, func(f *tune.File) *tune.Entry { return f.Gemm }, explicit, *lookahead, *q)
-	if err != nil {
+	if err := cli(os.Args[1:], os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "gemm:", err)
 		os.Exit(1)
 	}
-	tun, err := params.Tuning()
-	if err == nil && *benchJSON != "" {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "p" || f.Name == "verify" || f.Name == "mode" {
-				fmt.Fprintf(os.Stderr, "gemm: -%s is ignored in benchmark mode (use -bench-cores; all modes are measured; correctness is covered by go test)\n", f.Name)
+}
+
+// cli parses the command line and runs the mode it selects, writing
+// warnings to stderr. A malformed command line exits with status 2, as
+// flag.Parse does.
+func cli(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gemm", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	var (
+		algoName   = fs.String("algo", "", "algorithm (default: all executable ones)")
+		order      = fs.Int("order", 16, "square matrix order in blocks")
+		q          = fs.Int("q", 32, "block size in coefficients")
+		cores      = fs.Int("p", runtime.NumCPU(), "worker goroutines (cores); benchmark mode uses -bench-cores instead")
+		chips      = fs.Int("chips", 1, "chips the cores and the shared cache are split over (must divide -p)")
+		modeName   = fs.String("mode", parallel.ModePacked.String(), "executor mode: packed, view, shared or shared-pipelined (benchmark mode measures all four)")
+		verify     = fs.Bool("verify", true, "check the result against the sequential reference (ignored in benchmark mode)")
+		seed       = fs.Uint64("seed", 1, "input matrix seed")
+		benchJSON  = fs.String("bench-json", "", "benchmark mode: write GFLOP/s records to this JSON file")
+		benchCores = fs.String("bench-cores", "1,2,4", "core counts measured in benchmark mode")
+		benchChips = fs.String("bench-chips", "1", "chip counts measured in benchmark mode (shared-level modes; cores not divisible by a chip count are skipped)")
+		benchReps  = fs.Int("bench-reps", 3, "repetitions per benchmark configuration (fastest wins)")
+		optimize   = fs.Bool("optimize", true, "run staged programs through the schedule optimizer (benchmark mode measures baseline/optimized pairs for staged modes)")
+		faults     = fs.String("faults", "", "chaos mode: inject faults from this spec (e.g. 'panic@1:7', 'stagerr~0.01;seed=42'; see internal/faultinject); the faulted run must fail with provenance, Reset, and re-run clean")
+	)
+	_ = fs.Parse(args) // ExitOnError: Parse exits instead of returning an error
+
+	if *benchJSON != "" {
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "p", "chips", "verify", "mode", "faults":
+				fmt.Fprintf(stderr, "gemm: -%s is ignored in benchmark mode (it configures a single run; -bench-cores and -bench-chips set the measured grid)\n", f.Name)
 			}
 		})
-		var coreList, chipList []int
-		coreList, err = report.ParseCores(*benchCores)
-		if err == nil {
-			chipList, err = report.ParseCores(*benchChips)
+		coreList, err := report.ParseCores("bench-cores", *benchCores)
+		if err != nil {
+			return err
 		}
-		if err == nil {
-			err = bench(*benchJSON, *algoName, *order, params.Q, coreList, chipList, *benchReps, *seed, tun, params, *optimize)
+		chipList, err := report.ParseCores("bench-chips", *benchChips)
+		if err != nil {
+			return err
 		}
-	} else if err == nil {
-		var mode parallel.Mode
-		mode, err = parallel.ParseMode(*modeName)
-		if err == nil {
-			tun.Optimize = *optimize
-			if *faults != "" {
-				err = chaos(*algoName, *faults, *order, params.Q, *cores, *chips, *seed, mode, tun)
-			} else {
-				err = run(*algoName, *order, params.Q, *cores, *chips, *verify, *seed, mode, tun)
-			}
-		}
+		return bench(*benchJSON, *algoName, *order, *q, coreList, chipList, *benchReps, *seed, *optimize)
 	}
+	mode, err := parallel.ParseMode(*modeName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gemm:", err)
-		os.Exit(1)
+		return err
 	}
+	tun := parallel.Tuning{Optimize: *optimize}
+	if *faults != "" {
+		return chaos(*algoName, *faults, *order, *q, *cores, *chips, *seed, mode, tun)
+	}
+	return run(*algoName, *order, *q, *cores, *chips, *verify, *seed, mode, tun)
 }
 
 // chaos is the -faults path: run one algorithm under an injected fault
@@ -304,7 +302,7 @@ func measureSequential(order, q int, seed uint64) (time.Duration, error) {
 // shared machines (the traffic counts are deterministic, identical in
 // every repetition; the overlap split is taken from the same fastest
 // repetition).
-func bench(path, algoName string, order, q int, coreList, chipList []int, reps int, seed uint64, tun parallel.Tuning, params tune.Params, optimize bool) error {
+func bench(path, algoName string, order, q int, coreList, chipList []int, reps int, seed uint64, optimize bool) error {
 	if reps < 1 {
 		reps = 1
 	}
@@ -404,9 +402,7 @@ func bench(path, algoName string, order, q int, coreList, chipList []int, reps i
 							team.Close()
 							return err
 						}
-						exTun := tun
-						exTun.Optimize = opt
-						ex.SetTuning(exTun)
+						ex.SetTuning(parallel.Tuning{Optimize: opt})
 						var elapsed, stageWait, compute time.Duration
 						for i := 0; i < reps; i++ {
 							tr.C.Dense().Zero()
@@ -422,7 +418,6 @@ func bench(path, algoName string, order, q int, coreList, chipList []int, reps i
 							}
 						}
 						r := rec.Add(name, mode.String(), p, order, q, elapsed)
-						r.Lookahead = params.Lookahead
 						r.SetTopology(nchips, p)
 						tra := ex.Traffic()
 						r.MSStageBytes = tra.MS.StageBytes

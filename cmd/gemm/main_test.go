@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/parallel"
-	"repro/internal/tune"
 )
 
 func TestRunSmoke(t *testing.T) {
@@ -27,6 +26,12 @@ func TestRunSmoke(t *testing.T) {
 	if err := run("", 4, 8, 2, 2, true, 1, parallel.ModeShared, parallel.DefaultTuning); err != nil {
 		t.Fatal(err)
 	}
+	// So must the pipelined mode, with the tuning cli builds.
+	for _, chips := range []int{1, 2} {
+		if err := run("", 4, 8, 2, chips, true, 1, parallel.ModeSharedPipelined, parallel.Tuning{Optimize: true}); err != nil {
+			t.Fatalf("shared-pipelined, chips=%d: %v", chips, err)
+		}
+	}
 	if err := run("nope", 4, 8, 2, 1, false, 1, parallel.ModePacked, parallel.DefaultTuning); err == nil {
 		t.Fatal("unknown algorithm must fail")
 	}
@@ -37,7 +42,7 @@ func TestRunSmoke(t *testing.T) {
 
 func TestBenchSmoke(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_gemm.json")
-	if err := bench(path, "Shared Opt.", 4, 8, []int{1, 2}, []int{1, 2}, 1, 1, parallel.DefaultTuning, tune.Params{}, true); err != nil {
+	if err := bench(path, "Shared Opt.", 4, 8, []int{1, 2}, []int{1, 2}, 1, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -130,6 +135,39 @@ func TestBenchSmoke(t *testing.T) {
 	// Pipelining may only change timing, never traffic.
 	if sharedMS["shared"] != sharedMS["shared-pipelined"] {
 		t.Fatalf("pipelined MS bytes %d differ from serial %d", sharedMS["shared-pipelined"], sharedMS["shared"])
+	}
+}
+
+// TestBenchModeFlags drives the command line into benchmark mode with
+// lists that fail to parse, so nothing is measured: every single-run
+// flag given must be warned about as ignored, and the error must name
+// the list it came from.
+func TestBenchModeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		warn []string // flags warned about
+		bad  string   // the flag the error names
+	}{
+		{[]string{"-bench-cores", "0"}, nil, "-bench-cores"},
+		{[]string{"-chips", "2", "-bench-cores", "2", "-bench-chips", "0"}, []string{"chips"}, "-bench-chips"},
+		{[]string{"-p", "2", "-mode", "shared", "-verify=false", "-bench-cores", "x"}, []string{"mode", "p", "verify"}, "-bench-cores"},
+		{[]string{"-faults", "panic@1:*", "-optimize=false", "-bench-cores", "0"}, []string{"faults"}, "-bench-cores"},
+	} {
+		var stderr strings.Builder
+		args := append([]string{"-bench-json", filepath.Join(t.TempDir(), "b.json")}, tc.args...)
+		err := cli(args, &stderr)
+		if err == nil || !strings.Contains(err.Error(), tc.bad) {
+			t.Errorf("%v: error %v does not name %s", tc.args, err, tc.bad)
+		}
+		got := stderr.String()
+		if strings.Count(got, "\n") != len(tc.warn) {
+			t.Errorf("%v: warnings\n%s\nwant one line each for %v", tc.args, got, tc.warn)
+		}
+		for _, f := range tc.warn {
+			if !strings.Contains(got, "gemm: -"+f+" is ignored in benchmark mode") {
+				t.Errorf("%v: no warning for -%s in\n%s", tc.args, f, got)
+			}
+		}
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -41,64 +42,10 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 	"repro/internal/report"
-	"repro/internal/tune"
 )
 
 func main() {
-	var (
-		n          = flag.Int("n", 512, "matrix order in coefficients")
-		q          = flag.Int("q", 32, "tile size in coefficients")
-		cores      = flag.Int("p", runtime.NumCPU(), "worker goroutines (cores); benchmark mode uses -bench-cores instead")
-		chips      = flag.Int("chips", 1, "chips the cores and the shared cache are split over (must divide -p)")
-		modeName   = flag.String("mode", parallel.ModePacked.String(), "executor mode: packed, view, shared or shared-pipelined (benchmark mode measures all four)")
-		verify     = flag.Bool("verify", true, "check |A - L·U| against the input (ignored in benchmark mode)")
-		seed       = flag.Uint64("seed", 1, "input matrix seed")
-		benchJSON  = flag.String("bench-json", "", "benchmark mode: write GFLOP/s records to this JSON file")
-		benchCores = flag.String("bench-cores", "1,2,4", "core counts measured in benchmark mode")
-		benchReps  = flag.Int("bench-reps", 3, "repetitions per benchmark configuration (fastest wins)")
-		lookahead  = flag.Int("lookahead", 0, "pipeline lookahead depth of shared-pipelined mode (default: TUNE.json, else 1)")
-		tunePath   = flag.String("tune", "", "load tunables from this TUNE.json when it matches the host; explicit flags win")
-		optimize   = flag.Bool("optimize", true, "run the LU program through the schedule optimizer (benchmark mode measures baseline/optimized pairs for staged modes)")
-		faults     = flag.String("faults", "", "chaos mode: inject faults from this spec (e.g. 'panic@1:7', 'corrupt@*:5'; see internal/faultinject); the faulted run must fail with provenance, Reset, and re-run clean")
-		singularAt = flag.Int("singular-at", -1, "factor a deliberately singular input whose pivot tile vanishes at this block step (demonstrates the singular failure path; exits non-zero)")
-	)
-	flag.Parse()
-
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	params, err := tune.Resolve(os.Stderr, "lufact", *tunePath, func(f *tune.File) *tune.Entry { return f.LU }, explicit, *lookahead, *q)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lufact:", err)
-		os.Exit(1)
-	}
-	tun, err := params.Tuning()
-	if err == nil && *benchJSON != "" {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "p" || f.Name == "verify" || f.Name == "mode" {
-				fmt.Fprintf(os.Stderr, "lufact: -%s is ignored in benchmark mode (use -bench-cores; all modes are measured; correctness is covered by go test)\n", f.Name)
-			}
-		})
-		var coreList []int
-		coreList, err = report.ParseCores(*benchCores)
-		if err == nil {
-			err = bench(*benchJSON, *n, params.Q, coreList, *benchReps, *seed, tun, params, *optimize)
-		}
-	} else if err == nil {
-		var mode parallel.Mode
-		mode, err = parallel.ParseMode(*modeName)
-		if err == nil {
-			tun.Optimize = *optimize
-			switch {
-			case *faults != "":
-				err = chaos(*faults, *n, params.Q, *cores, *chips, *seed, mode, tun)
-			case *singularAt >= 0:
-				err = singularRun(*n, params.Q, *cores, *chips, *seed, mode, tun, *singularAt)
-			default:
-				err = run(*n, params.Q, *cores, *chips, *verify, *seed, mode, tun)
-			}
-		}
-	}
-	if err != nil {
+	if err := cli(os.Args[1:], os.Stderr); err != nil {
 		// A vanishing pivot is a property of the input, not a harness
 		// failure: name the exact block step from the RunError provenance
 		// so the user knows where the factorisation died.
@@ -108,6 +55,57 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "lufact:", err)
 		os.Exit(1)
+	}
+}
+
+// cli parses the command line and runs the mode it selects, writing
+// warnings to stderr. A malformed command line exits with status 2, as
+// flag.Parse does.
+func cli(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("lufact", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	var (
+		n          = fs.Int("n", 512, "matrix order in coefficients")
+		q          = fs.Int("q", 32, "tile size in coefficients")
+		cores      = fs.Int("p", runtime.NumCPU(), "worker goroutines (cores); benchmark mode uses -bench-cores instead")
+		chips      = fs.Int("chips", 1, "chips the cores and the shared cache are split over (must divide -p)")
+		modeName   = fs.String("mode", parallel.ModePacked.String(), "executor mode: packed, view, shared or shared-pipelined (benchmark mode measures all four)")
+		verify     = fs.Bool("verify", true, "check |A - L·U| against the input (ignored in benchmark mode)")
+		seed       = fs.Uint64("seed", 1, "input matrix seed")
+		benchJSON  = fs.String("bench-json", "", "benchmark mode: write GFLOP/s records to this JSON file")
+		benchCores = fs.String("bench-cores", "1,2,4", "core counts measured in benchmark mode")
+		benchReps  = fs.Int("bench-reps", 3, "repetitions per benchmark configuration (fastest wins)")
+		optimize   = fs.Bool("optimize", true, "run the LU program through the schedule optimizer (benchmark mode measures baseline/optimized pairs for staged modes)")
+		faults     = fs.String("faults", "", "chaos mode: inject faults from this spec (e.g. 'panic@1:7', 'corrupt@*:5'; see internal/faultinject); the faulted run must fail with provenance, Reset, and re-run clean")
+		singularAt = fs.Int("singular-at", -1, "factor a deliberately singular input whose pivot tile vanishes at this block step (demonstrates the singular failure path; exits non-zero)")
+	)
+	_ = fs.Parse(args) // ExitOnError: Parse exits instead of returning an error
+
+	if *benchJSON != "" {
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "p", "chips", "verify", "mode", "faults", "singular-at":
+				fmt.Fprintf(stderr, "lufact: -%s is ignored in benchmark mode (it configures a single run; -bench-cores sets the measured grid)\n", f.Name)
+			}
+		})
+		coreList, err := report.ParseCores("bench-cores", *benchCores)
+		if err != nil {
+			return err
+		}
+		return bench(*benchJSON, *n, *q, coreList, *benchReps, *seed, *optimize)
+	}
+	mode, err := parallel.ParseMode(*modeName)
+	if err != nil {
+		return err
+	}
+	tun := parallel.Tuning{Optimize: *optimize}
+	switch {
+	case *faults != "":
+		return chaos(*faults, *n, *q, *cores, *chips, *seed, mode, tun)
+	case *singularAt >= 0:
+		return singularRun(*n, *q, *cores, *chips, *seed, mode, tun, *singularAt)
+	default:
+		return run(*n, *q, *cores, *chips, *verify, *seed, mode, tun)
 	}
 }
 
@@ -298,7 +296,7 @@ func run(n, q, cores, chips int, verify bool, seed uint64, mode parallel.Mode, t
 // Every configuration runs reps times and the fastest repetition is
 // recorded (the traffic counts are deterministic, identical in every
 // repetition).
-func bench(path string, n, q int, coreList []int, reps int, seed uint64, tun parallel.Tuning, params tune.Params, optimize bool) error {
+func bench(path string, n, q int, coreList []int, reps int, seed uint64, optimize bool) error {
 	if n <= 0 || q <= 0 {
 		return fmt.Errorf("need positive -n and -q, got n=%d q=%d", n, q)
 	}
@@ -358,8 +356,6 @@ func bench(path string, n, q int, coreList []int, reps int, seed uint64, tun par
 			for _, opt := range optSettings(mode, optimize) {
 				// The traffic is deterministic across repetitions; the overlap
 				// split is taken from the same fastest repetition as the time.
-				exTun := tun
-				exTun.Optimize = opt
 				var stats lu.Stats
 				var elapsed time.Duration
 				for i := 0; i < reps; i++ {
@@ -368,7 +364,7 @@ func bench(path string, n, q int, coreList []int, reps int, seed uint64, tun par
 						return err
 					}
 					start := time.Now()
-					s, err := lu.FactorParallelTuned(work, q, team, mode, mach, exTun)
+					s, err := lu.FactorParallelTuned(work, q, team, mode, mach, parallel.Tuning{Optimize: opt})
 					if err != nil {
 						team.Close()
 						return fmt.Errorf("LU (%v, p=%d): %w", mode, p, err)
@@ -381,7 +377,6 @@ func bench(path string, n, q int, coreList []int, reps int, seed uint64, tun par
 				tra := stats.Traffic
 				r := rec.AddOp("LU", mode.String(), p, orderBlocks, q, luFlops(n), elapsed)
 				r.N = n
-				r.Lookahead = params.Lookahead
 				r.MSStageBytes = tra.MS.StageBytes
 				r.MSWriteBackBytes = tra.MS.WriteBackBytes
 				r.MDStageBytes = tra.MD.StageBytes

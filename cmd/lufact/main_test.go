@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/lu"
 	"repro/internal/parallel"
-	"repro/internal/tune"
 )
 
 func TestRunSmoke(t *testing.T) {
@@ -40,7 +39,7 @@ func TestRunSmoke(t *testing.T) {
 
 func TestBenchSmoke(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_lu.json")
-	if err := bench(path, 48, 8, []int{1, 2}, 1, 1, parallel.DefaultTuning, tune.Params{}, true); err != nil {
+	if err := bench(path, 48, 8, []int{1, 2}, 1, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -111,6 +110,36 @@ func TestBenchSmoke(t *testing.T) {
 	// the optimized shared-level runs must measure elided MS bytes.
 	if elided == 0 {
 		t.Fatal("no optimized run measured any elided MS bytes")
+	}
+}
+
+// TestBenchModeFlags drives the command line into benchmark mode with a
+// core list that fails to parse, so nothing is measured: every
+// single-run flag given must be warned about as ignored.
+func TestBenchModeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		warn []string // flags warned about
+	}{
+		{nil, nil},
+		{[]string{"-chips", "2"}, []string{"chips"}},
+		{[]string{"-p", "2", "-mode", "shared", "-verify=false"}, []string{"mode", "p", "verify"}},
+		{[]string{"-faults", "panic@0:*", "-singular-at", "3", "-n", "64"}, []string{"faults", "singular-at"}},
+	} {
+		var stderr strings.Builder
+		args := append([]string{"-bench-json", filepath.Join(t.TempDir(), "b.json"), "-bench-cores", "0"}, tc.args...)
+		if err := cli(args, &stderr); err == nil || !strings.Contains(err.Error(), "-bench-cores") {
+			t.Errorf("%v: error %v does not name -bench-cores", tc.args, err)
+		}
+		got := stderr.String()
+		if strings.Count(got, "\n") != len(tc.warn) {
+			t.Errorf("%v: warnings\n%s\nwant one line each for %v", tc.args, got, tc.warn)
+		}
+		for _, f := range tc.warn {
+			if !strings.Contains(got, "lufact: -"+f+" is ignored in benchmark mode") {
+				t.Errorf("%v: no warning for -%s in\n%s", tc.args, f, got)
+			}
+		}
 	}
 }
 

@@ -19,18 +19,9 @@
 // the optimized/baseline MS byte ratios must hold ≤ 1.0 exactly (see
 // guardTraffic). All three checks always run on the given records.
 //
-// With -tuned and -untuned a third ratchet runs: two records of the
-// same workload, one taken with a TUNE.json configuration and one with
-// the defaults, are joined on (algorithm, mode, cores) — deliberately
-// not on q, because the block edge is itself a tunable — and the
-// geomean of the tuned/untuned GFLOP/s ratios must hold ≥ 1 − noise:
-// the machine-local tuning flywheel may never make the build slower
-// than the defaults it claims to beat.
-//
 // Usage:
 //
 //	perfguard -noise 0.25 /tmp/BENCH_gemm.json /tmp/BENCH_lu.json
-//	perfguard -noise 0.25 -tuned /tmp/BENCH_gemm_tuned.json -untuned /tmp/BENCH_gemm_default.json
 package main
 
 import (
@@ -45,39 +36,23 @@ import (
 )
 
 func main() {
-	var (
-		noise     = flag.Float64("noise", 0.25, "tolerated regression margin: fail when a guarded geomean ratio is below 1-noise")
-		tunedPath = flag.String("tuned", "", "benchmark record taken with a tuned configuration; guarded against -untuned")
-		untuned   = flag.String("untuned", "", "benchmark record of the same workload with the default configuration")
-	)
+	noise := flag.Float64("noise", 0.25, "tolerated regression margin: fail when a guarded geomean ratio is below 1-noise")
 	flag.Parse()
-	if (*tunedPath == "") != (*untuned == "") {
-		fmt.Fprintln(os.Stderr, "perfguard: -tuned and -untuned must be given together")
-		os.Exit(2)
-	}
-	if flag.NArg() == 0 && *tunedPath == "" {
+	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "perfguard: no benchmark JSON files given")
 		os.Exit(2)
 	}
-	if flag.NArg() > 0 {
-		if err := guard(os.Stdout, flag.Args(), "packed", "view", *noise); err != nil {
-			fmt.Fprintln(os.Stderr, "perfguard:", err)
-			os.Exit(1)
-		}
-		if err := guardLenient(os.Stdout, flag.Args(), "shared-pipelined", "shared", *noise); err != nil {
-			fmt.Fprintln(os.Stderr, "perfguard:", err)
-			os.Exit(1)
-		}
-		if err := guardTraffic(os.Stdout, flag.Args()); err != nil {
-			fmt.Fprintln(os.Stderr, "perfguard:", err)
-			os.Exit(1)
-		}
+	if err := guard(os.Stdout, flag.Args(), "packed", "view", *noise); err != nil {
+		fmt.Fprintln(os.Stderr, "perfguard:", err)
+		os.Exit(1)
 	}
-	if *tunedPath != "" {
-		if err := guardTuned(os.Stdout, *tunedPath, *untuned, *noise); err != nil {
-			fmt.Fprintln(os.Stderr, "perfguard:", err)
-			os.Exit(1)
-		}
+	if err := guardLenient(os.Stdout, flag.Args(), "shared-pipelined", "shared", *noise); err != nil {
+		fmt.Fprintln(os.Stderr, "perfguard:", err)
+		os.Exit(1)
+	}
+	if err := guardTraffic(os.Stdout, flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, "perfguard:", err)
+		os.Exit(1)
 	}
 }
 
@@ -96,80 +71,6 @@ func guard(w io.Writer, paths []string, mode, base string, noise float64) error 
 // do exist are enforced exactly as strictly.
 func guardLenient(w io.Writer, paths []string, mode, base string, noise float64) error {
 	return guardRatio(w, paths, mode, base, noise, true)
-}
-
-// guardTuned enforces the tuning ratchet: every (algorithm, mode,
-// cores) run present in both records is compared tuned-over-untuned,
-// and the geomean must hold ≥ 1 − noise. The join deliberately ignores
-// the block edge q — picking a better q is exactly the kind of win the
-// tuner is allowed, so runs are matched by what they computed, not how
-// the work was tiled. No overlap at all is an error: it means the two
-// records do not describe the same workload and the ratchet would
-// otherwise pass vacuously.
-func guardTuned(w io.Writer, tunedPath, untunedPath string, noise float64) error {
-	if noise < 0 || noise >= 1 {
-		return fmt.Errorf("noise margin %g outside [0,1)", noise)
-	}
-	load := func(path string) (*report.Bench, error) {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var rec report.Bench
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("parsing %s: %w", path, err)
-		}
-		return &rec, nil
-	}
-	tuned, err := load(tunedPath)
-	if err != nil {
-		return err
-	}
-	def, err := load(untunedPath)
-	if err != nil {
-		return err
-	}
-	type key struct {
-		algo, mode string
-		cores      int
-		chips      int
-	}
-	base := map[key]float64{}
-	for _, r := range def.Runs {
-		base[key{r.Algorithm, r.Mode, r.Cores, r.NormalizeChips()}] = r.GFlops
-	}
-	var logSum float64
-	var count, orphanChips int
-	for _, r := range tuned.Runs {
-		d, ok := base[key{r.Algorithm, r.Mode, r.Cores, r.NormalizeChips()}]
-		if !ok || d <= 0 || r.GFlops <= 0 {
-			// A multi-chip run with no counterpart usually means the other
-			// record predates the chip fields; that may not fail the
-			// ratchet (old snapshots must stay checkable), only warn.
-			if r.NormalizeChips() > 1 {
-				orphanChips++
-			}
-			continue
-		}
-		ratio := r.GFlops / d
-		fmt.Fprintf(w, "%-12s %-20s %-17s %-13s tuned/default = %.3fx\n", tuned.Name, r.Algorithm, r.Mode, coresLabel(r.Cores, r.NormalizeChips()), ratio)
-		logSum += math.Log(ratio)
-		count++
-	}
-	if orphanChips > 0 {
-		fmt.Fprintf(w, "warning: %d multi-chip run(s) in %s have no counterpart in %s (record predates the chip fields?); skipped\n",
-			orphanChips, tunedPath, untunedPath)
-	}
-	if count == 0 {
-		return fmt.Errorf("no (algorithm, mode, cores, chips) run present in both %s and %s", tunedPath, untunedPath)
-	}
-	geomean := math.Exp(logSum / float64(count))
-	floor := 1 - noise
-	fmt.Fprintf(w, "\ngeomean tuned/default ratio over %d runs: %.3fx (floor %.3fx)\n", count, geomean, floor)
-	if geomean < floor {
-		return fmt.Errorf("tuned configuration geomean %.3fx below %.3fx of the defaults — the tuning flywheel went backwards", geomean, floor)
-	}
-	return nil
 }
 
 // trafficRatio is one optimized-over-baseline MS byte comparison.

@@ -123,51 +123,10 @@ func TestGuardRejectsDegenerateInput(t *testing.T) {
 	_ = os.Remove(full)
 }
 
-// tunedPair writes a tuned and an untuned record sharing one
-// (algorithm, mode, cores) run — at different block edges, which the
-// tuned join must ignore — and returns both paths.
-func tunedPair(t *testing.T, tunedSecs, defSecs time.Duration) (string, string) {
-	t.Helper()
-	dir := t.TempDir()
-	tuned := report.NewBench("gemm")
-	r := tuned.Add("Tradeoff", "shared-pipelined", 2, 4, 16, tunedSecs)
-	r.Lookahead = 2
-	def := report.NewBench("gemm")
-	def.Add("Tradeoff", "shared-pipelined", 2, 8, 8, defSecs)
-	tp := filepath.Join(dir, "tuned.json")
-	dp := filepath.Join(dir, "default.json")
-	if err := tuned.WriteJSONFile(tp); err != nil {
-		t.Fatal(err)
-	}
-	if err := def.WriteJSONFile(dp); err != nil {
-		t.Fatal(err)
-	}
-	return tp, dp
-}
-
-func TestTunedGuardPassesWhenTuningWins(t *testing.T) {
-	tp, dp := tunedPair(t, 80*time.Millisecond, 100*time.Millisecond)
-	var out strings.Builder
-	if err := guardTuned(&out, tp, dp, 0.1); err != nil {
-		t.Fatalf("winning tuning rejected: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "tuned/default") {
-		t.Fatalf("missing ratio lines:\n%s", out.String())
-	}
-}
-
-func TestTunedGuardFailsWhenTuningRegresses(t *testing.T) {
-	tp, dp := tunedPair(t, 200*time.Millisecond, 100*time.Millisecond)
-	if err := guardTuned(io.Discard, tp, dp, 0.25); err == nil {
-		t.Fatal("a tuning 2x slower than the defaults must fail the ratchet")
-	}
-}
-
 // Mixed vintages: records written before the multi-chip machine model
 // carry no chips fields, and must keep guarding cleanly next to records
 // that do. Pre-chip runs join as single-chip; multi-chip runs join only
-// with multi-chip runs of the same topology, and when the other record
-// has none the guard warns instead of failing.
+// with multi-chip runs of the same topology.
 func TestGuardsTolerateMixedChipVintages(t *testing.T) {
 	dir := t.TempDir()
 
@@ -191,24 +150,6 @@ func TestGuardsTolerateMixedChipVintages(t *testing.T) {
 	// labelled as such.
 	if !strings.Contains(out.String(), "p=4 chips=2") || !strings.Contains(out.String(), "over 2 pairs") {
 		t.Fatalf("chips=1 and chips=2 pairs must both be guarded:\n%s", out.String())
-	}
-
-	// Old-vintage record of the same workload, no chips fields at all:
-	// the tuned ratchet joins the single-chip runs, warns about the
-	// orphaned multi-chip ones, and passes.
-	old := report.NewBench("gemm")
-	old.Add("Shared Opt.", "shared", 4, 8, 8, 100*time.Millisecond)
-	old.Add("Shared Opt.", "shared-pipelined", 4, 8, 8, 100*time.Millisecond)
-	oldPath := filepath.Join(dir, "old.json")
-	if err := old.WriteJSONFile(oldPath); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := guardTuned(&out, freshPath, oldPath, 0.25); err != nil {
-		t.Fatalf("pre-chip record must warn, not fail: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "warning") || !strings.Contains(out.String(), "predates the chip fields") {
-		t.Fatalf("missing mixed-vintage warning:\n%s", out.String())
 	}
 }
 
@@ -363,23 +304,5 @@ func TestGuardTrafficAllOrphans(t *testing.T) {
 		tRun("LU", "shared", 4, 1, true, 600, 0))
 	if err := guardTraffic(io.Discard, []string{path}); err == nil {
 		t.Fatal("unpaired record passed the ratchet")
-	}
-}
-
-func TestTunedGuardRejectsDisjointRecords(t *testing.T) {
-	dir := t.TempDir()
-	a := report.NewBench("gemm")
-	a.Add("Tradeoff", "packed", 2, 8, 8, 10*time.Millisecond)
-	b := report.NewBench("lu")
-	b.Add("LU", "shared", 4, 8, 8, 10*time.Millisecond)
-	ap, bp := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
-	if err := a.WriteJSONFile(ap); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteJSONFile(bp); err != nil {
-		t.Fatal(err)
-	}
-	if err := guardTuned(io.Discard, ap, bp, 0.1); err == nil {
-		t.Fatal("records with no common run must not pass vacuously")
 	}
 }

@@ -212,8 +212,8 @@ type Executor struct {
 	// (MulAddUnrolled/MulSubUnrolled, with their AVX2 4×8 body where the
 	// CPU has it, and the four-row LU kernels: matrix.KernelConfig's only
 	// value). lookahead is the pipeline planning
-	// depth of ModeSharedPipelined (0 means the default depth 1), a
-	// tunable — see SetTuning and cmd/tune.
+	// depth of ModeSharedPipelined (0 means the default depth 1, which
+	// every command uses; see SetTuning).
 	kernels   matrix.KernelConfig
 	lookahead int
 
@@ -916,7 +916,7 @@ func (ex *Executor) RunContext(ctx context.Context, prog *schedule.Program) (err
 // staged programs, the measured working set validated against the
 // resources the program declares and the executor's arena capacities,
 // and in the shared-level modes the phase plan:
-// schedule.PlanPipelineDepth at the tuned lookahead in
+// schedule.PlanPipelineDepth at the executor's lookahead in
 // ModeSharedPipelined, schedule.PlanSerial in ModeShared. Both planner
 // entry points prove the inclusion discipline and the footprint
 // statically, before anything executes. Every step after the lowering

@@ -17,7 +17,8 @@ import (
 // The record is the start of the repository's measured perf trajectory:
 // successive PRs append comparable files rather than prose claims.
 
-// BenchRun is one measured execution.
+// BenchRun is one measured execution. The commands plan every
+// shared-pipelined run at lookahead depth 1, so a run records no depth.
 type BenchRun struct {
 	Algorithm   string  `json:"algorithm"`    // algo display name, or "sequential blocked"
 	Mode        string  `json:"mode"`         // "naive", "view", "packed", "shared" or "shared-pipelined"
@@ -63,11 +64,6 @@ type BenchRun struct {
 	StageWaitSeconds  float64 `json:"stage_wait_seconds,omitempty"`
 	ComputeSeconds    float64 `json:"compute_seconds,omitempty"`
 	OverlapEfficiency float64 `json:"overlap_efficiency,omitempty"`
-
-	// Lookahead is the pipeline lookahead depth of the measured run,
-	// when a flag or TUNE.json set one (cmd/gemm and cmd/lufact record
-	// it). Untuned records omit it — the default is depth 1.
-	Lookahead int `json:"lookahead,omitempty"`
 
 	// Optimizer provenance. Optimized marks a run whose program went
 	// through schedule.Optimize before replay; MSElidedBytes is the MS

@@ -10,14 +10,15 @@ import (
 // cmd/lufact): one definition of the -bench-cores list syntax and of
 // the human-readable byte rendering, so the two CLIs cannot drift.
 
-// ParseCores parses a comma-separated list of positive core counts, the
-// syntax of the benchmark commands' -bench-cores flag.
-func ParseCores(s string) ([]int, error) {
+// ParseCores parses a comma-separated list of positive counts, the
+// syntax of the benchmark commands' -bench-cores and -bench-chips
+// flags. An error names the flag, given without its dash.
+func ParseCores(name, s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
 		p, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || p <= 0 {
-			return nil, fmt.Errorf("bad core count %q in -bench-cores", f)
+			return nil, fmt.Errorf("bad count %q in -%s", f, name)
 		}
 		out = append(out, p)
 	}

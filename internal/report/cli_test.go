@@ -1,23 +1,30 @@
 package report
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestParseCores(t *testing.T) {
-	got, err := ParseCores("1, 2,4")
+	got, err := ParseCores("bench-cores", "1, 2,4")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 4 {
 		t.Fatalf("ParseCores = %v", got)
 	}
-	if _, err := ParseCores("1,zero"); err == nil {
+	if _, err := ParseCores("bench-cores", "1,zero"); err == nil {
 		t.Fatal("bad core count must fail")
 	}
-	if _, err := ParseCores("0"); err == nil {
+	if _, err := ParseCores("bench-cores", "0"); err == nil {
 		t.Fatal("non-positive core count must fail")
 	}
-	if _, err := ParseCores(""); err == nil {
+	if _, err := ParseCores("bench-cores", ""); err == nil {
 		t.Fatal("empty list must fail")
+	}
+	// The error names the flag the list came from.
+	if _, err := ParseCores("bench-chips", "0"); err == nil || !strings.Contains(err.Error(), "in -bench-chips") {
+		t.Fatalf("chip list error %v does not name -bench-chips", err)
 	}
 }
 

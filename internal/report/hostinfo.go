@@ -7,12 +7,11 @@ import (
 	"sync"
 )
 
-// CPUModel identifies the host's processor so benchmark records (and
-// the tuning file keyed off them — see cmd/tune) can tell machines
-// apart. On Linux it is the first "model name" line of /proc/cpuinfo;
-// elsewhere, or when the file is unreadable, it falls back to the
-// GOARCH string, which still separates records taken on different
-// architectures. The probe runs once per process.
+// CPUModel identifies the host's processor so benchmark records can
+// tell machines apart. On Linux it is the first "model name" line of
+// /proc/cpuinfo; elsewhere, or when the file is unreadable, it falls
+// back to the GOARCH string, which still separates records taken on
+// different architectures. The probe runs once per process.
 func CPUModel() string {
 	cpuModelOnce.Do(func() {
 		cpuModel = readCPUModel()

@@ -65,9 +65,8 @@ import (
 
 // pipelineHidePerApply is the static time-hiding model: one Apply
 // (Θ(q³) flops) is assumed able to hide this many block stages (Θ(q²)
-// copies each). The constant is deliberately generous — the planner
-// must not barrier staging a region could have hidden — and the
-// lookahead depth, not the constant, is the tuned knob.
+// copies each). The constant is deliberately generous: the planner
+// must not barrier staging a region could have hidden.
 const pipelineHidePerApply = 8
 
 // PipelinedOp is one shared-level staging operation of a gap between

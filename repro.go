@@ -33,7 +33,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
-	"repro/internal/tune"
 )
 
 // Machine is the multicore model: p cores, shared cache of CS blocks
@@ -165,28 +164,12 @@ func NewTripleDims(rows, cols, inner, q int, seed uint64) (*Triple, error) {
 // maximum absolute deviation of C.
 func Verify(t *Triple) (float64, error) { return parallel.Verify(t) }
 
-// Tuning bundles the executor's machine-local tunables: the pipeline
-// lookahead depth of ExecSharedPipelined and the schedule optimizer
-// switch. The zero value is the untuned default (depth-1 lookahead,
-// optimizer off); Tuning{Lookahead: k} sets a depth. Tunings are pure
-// timing knobs — the pipeline plan is re-verified at every depth and
-// the optimizer keeps results bitwise identical — so they can never
-// change a result.
+// Tuning bundles the executor's settings: the pipeline lookahead depth
+// of ExecSharedPipelined and the schedule optimizer switch. The zero
+// value plans at depth 1 with the optimizer off. Lookahead stays for
+// the repository benchmark, which sets it explicitly; a caller plans
+// deeper only when it sets Lookahead above 1, and depth 1 is within
+// noise of every deeper depth measured (README). Neither setting can
+// change a result: the pipeline plan is re-verified at every depth and
+// the optimizer keeps results bitwise identical.
 type Tuning = parallel.Tuning
-
-// DefaultTuning loads the machine-local tuning flywheel's product entry
-// from a TUNE.json written by cmd/tune. A file measured on a different
-// host, or carrying no product entry, resolves to the zero (untuned)
-// Tuning without error — a foreign tuning is silently not applied, it
-// can only cost performance, never correctness. A missing or malformed
-// file is an error.
-func DefaultTuning(path string) (Tuning, error) {
-	f, err := tune.Load(path)
-	if err != nil {
-		return Tuning{}, err
-	}
-	if !f.MatchesHost() || f.Gemm == nil {
-		return Tuning{}, nil
-	}
-	return f.Gemm.Tuning()
-}
