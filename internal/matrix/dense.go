@@ -46,13 +46,26 @@ func New(rows, cols int) *Dense {
 }
 
 // NewFromSlice wraps data as a rows×cols matrix. The slice is used
-// directly (not copied) and must have length rows*cols.
+// directly (not copied) and must have length rows*cols. Negative
+// dimensions fail with ErrShape, and so do dimensions whose product
+// wraps around to len(data): the check divides instead of multiplying.
+// The kernels' assembly bodies trust a header's shape and stride, so
+// one that does not describe its slice must not exist.
 func NewFromSlice(rows, cols int, data []float64) (*Dense, error) {
-	if len(data) != rows*cols {
+	if rows < 0 || cols < 0 || !describes(len(data), rows, cols) {
 		return nil, fmt.Errorf("matrix: data length %d does not match %dx%d: %w",
 			len(data), rows, cols, ErrShape)
 	}
 	return &Dense{rows: rows, cols: cols, stride: cols, data: data}, nil
+}
+
+// describes reports whether n values are exactly a rows×cols image, for
+// non-negative rows and cols, without forming the product rows·cols.
+func describes(n, rows, cols int) bool {
+	if rows == 0 || cols == 0 {
+		return n == 0
+	}
+	return n%rows == 0 && n/rows == cols
 }
 
 // Rows returns the number of rows.

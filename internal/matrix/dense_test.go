@@ -1,7 +1,9 @@
 package matrix
 
 import (
+	"errors"
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -30,6 +32,54 @@ func TestNewFromSlice(t *testing.T) {
 	}
 	if _, err := NewFromSlice(2, 3, []float64{1}); err == nil {
 		t.Fatal("expected shape error for short slice")
+	}
+}
+
+// NewFromSlice must accept exactly the headers that describe their
+// slice: non-negative dimensions whose product is the slice's length.
+// Negative pairs whose product matches, and pairs whose product wraps
+// to the length, are rejected.
+func TestNewFromSliceShapes(t *testing.T) {
+	// wrap·wrap is 2³²·2³² where int has 64 bits, 2¹⁶·2¹⁶ where it has
+	// 32: the product wraps to 0 either way.
+	const wrap = 1 << (strconv.IntSize / 2)
+	for _, tc := range []struct {
+		rows, cols int
+		n          int
+		ok         bool
+	}{
+		{2, 3, 6, true},
+		{1, 1, 1, true},
+		{0, 0, 0, true},
+		{0, 5, 0, true},
+		{5, 0, 0, true},
+		{2, 3, 1, false},
+		{2, 3, 7, false},
+		{3, 2, 5, false},
+		{0, 5, 1, false},
+		{5, 0, 5, false},
+		{-2, -3, 6, false},
+		{-1, 0, 0, false},
+		{0, -1, 0, false},
+		{-1, -1, 1, false},
+		{wrap, wrap, 0, false},
+		{wrap, 2 * wrap, 0, false},
+		{math.MaxInt, 2, 0, false},
+	} {
+		m, err := NewFromSlice(tc.rows, tc.cols, make([]float64, tc.n))
+		if !tc.ok {
+			if !errors.Is(err, ErrShape) {
+				t.Errorf("NewFromSlice(%d, %d) over %d values: want ErrShape, got %v", tc.rows, tc.cols, tc.n, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("NewFromSlice(%d, %d) over %d values: %v", tc.rows, tc.cols, tc.n, err)
+			continue
+		}
+		if m.Rows() != tc.rows || m.Cols() != tc.cols || m.Stride() != tc.cols {
+			t.Errorf("NewFromSlice(%d, %d): got %dx%d stride %d", tc.rows, tc.cols, m.Rows(), m.Cols(), m.Stride())
+		}
 	}
 }
 

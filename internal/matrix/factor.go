@@ -101,13 +101,15 @@ func TrsmLowerLeftUnit(diag, b *Dense) error {
 
 // MulSubUnrolled computes C -= A×B — the trailing GEMM update of the
 // factorisation — as the subtracting twin of MulAddUnrolled and the
-// kernel KernelConfig.MulSub dispatches: full 4×8 blocks of C through
-// the AVX2 body mulSub4x8 where the CPU has it, the edge strips and
-// every other case through the 2×3 Go tile mulSub2x3. Every C element
-// still subtracts its k products in ascending order starting from the
-// prior C value, so the result is bitwise identical to the plain i-k-j
-// subtract loop on either path, and the flop count stays exactly
-// 2·m·n·k regardless of the data.
+// kernel KernelConfig.MulSub dispatches: full blocks of C through the
+// widest body the CPU runs — 4×16 blocks through the AVX-512F body
+// mulSub4x16 and an 8-column strip through the AVX2 body mulSub4x8, or
+// 4×8 blocks through mulSub4x8 alone — and the edge strips and every
+// other case through the 2×3 Go tile mulSub2x3. Every C element still
+// subtracts its k products in ascending order starting from the prior
+// C value, so the result is bitwise identical to the plain i-k-j
+// subtract loop on any path, and the flop count stays exactly 2·m·n·k
+// regardless of the data.
 //
 //repro:kernel
 func MulSubUnrolled(c, a, b *Dense) error {

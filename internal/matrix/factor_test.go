@@ -103,20 +103,20 @@ func TestTrsmRejectsShapes(t *testing.T) {
 	}
 }
 
-// MulSubUnrolled must mirror MulAddUnrolled on both kernel paths:
+// MulSubUnrolled must mirror MulAddUnrolled at every kernel level:
 // C0 += A·B followed by C0 -= A·B restores C0 up to roundoff, and
 // against a zeroed C it equals the negated naive product.
 func TestMulSubUnrolledMirrorsMulAdd(t *testing.T) {
-	paths, restore := kernelPaths()
+	levels, restore := kernelLevels()
 	defer restore()
-	for _, vec := range paths {
-		useAVX2 = vec
-		t.Run(pathName(vec), testMulSubUnrolledMirrorsMulAdd)
+	for _, l := range levels {
+		level = l
+		t.Run(levelName(l), testMulSubUnrolledMirrorsMulAdd)
 	}
 }
 
 func testMulSubUnrolledMirrorsMulAdd(t *testing.T) {
-	for _, s := range []struct{ m, n, k int }{{4, 4, 4}, {5, 3, 7}, {1, 9, 2}, {4, 8, 3}, {9, 19, 6}} {
+	for _, s := range []struct{ m, n, k int }{{4, 4, 4}, {5, 3, 7}, {1, 9, 2}, {4, 8, 3}, {9, 19, 6}, {9, 43, 6}} {
 		a := Random(s.m, s.k, 5)
 		b := Random(s.k, s.n, 6)
 		c := Random(s.m, s.n, 7)

@@ -4,11 +4,11 @@ import "fmt"
 
 // This file holds the numerical kernels. The paper's algorithms call a
 // sequential DGEMM on q×q tiles ("to harness the power of BLAS routines");
-// here those calls resolve to MulAddUnrolled, whose full 4×8 blocks run
-// an AVX2 assembly body on amd64 CPUs that have it (kernels_amd64.s)
-// and whose remainder runs a 2×3 Go register tile. MulAdd, the plain
-// i-k-j loop, and MulNaive serve as the independent references for
-// verification.
+// here those calls resolve to MulAddUnrolled, whose full blocks run an
+// amd64 assembly body (kernels_amd64.s) — 4×16 on CPUs with AVX-512F,
+// 4×8 on CPUs with AVX2 — and whose remainder runs a 2×3 Go register
+// tile. MulAdd, the plain i-k-j loop, and MulNaive serve as the
+// independent references for verification.
 
 // MulNaive computes C += A×B with the textbook triple loop (i, j, k).
 // It is deliberately simple and is used as the correctness oracle.
@@ -58,16 +58,18 @@ func MulAdd(c, a, b *Dense) error {
 // MulAddUnrolled computes C += A×B as the executor's q×q tile kernel in
 // every mode — over strided views in ModeView and over the cached
 // contiguous headers of arena-resident tiles in the staging modes — so
-// packed-vs-view ratios measure data layout, not loop shape. Where the
-// CPU has AVX2 (see useAVX2), every full 4×8 block of C runs through
-// the amd64 assembly body mulAdd4x8, and the strips the blocks leave —
-// the last n mod 8 columns and m mod 4 rows — through the 2×3 Go
-// register tile mulAdd2x3, which is also the whole kernel on other
-// architectures, on CPUs without AVX2 and in race builds. Both paths
-// give every C element its k products in ascending order starting from
-// the prior C value, each product and each sum rounded on its own, so
-// the result is bitwise identical to MulAdd's on either path, and the
-// flop count stays exactly 2·m·n·k regardless of the data.
+// packed-vs-view ratios measure data layout, not loop shape. The
+// widest assembly body the CPU runs (see level) takes the full blocks
+// of C: on AVX-512F CPUs the body mulAdd4x16 runs every full 4×16 block
+// and the AVX2 body mulAdd4x8 a remaining 4×8 strip; on AVX2 CPUs
+// mulAdd4x8 runs every full 4×8 block. The 2×3 Go register tile
+// mulAdd2x3 runs the strips the blocks leave — the last n mod 8
+// columns and m mod 4 rows — and is the whole kernel on other
+// architectures, on CPUs without AVX2 and in race builds. Every path gives every C element its k products in
+// ascending order starting from the prior C value, each product and
+// each sum rounded on its own, so the result is bitwise identical to
+// MulAdd's on any path, and the flop count stays exactly 2·m·n·k
+// regardless of the data.
 //
 //repro:kernel
 func MulAddUnrolled(c, a, b *Dense) error {
@@ -78,18 +80,27 @@ func MulAddUnrolled(c, a, b *Dense) error {
 	return nil
 }
 
-// useAVX2 sends the full 4×8 blocks of MulAddUnrolled and
-// MulSubUnrolled through the AVX2 assembly bodies. Only the amd64 init
-// sets it, once, from CPUID, and never in race builds: the race
-// detector does not see the loads and stores assembly makes, and the
-// tile reads and writes are what its concurrency tests check. Tests
-// flip it to run both paths on the same inputs; nothing else writes it.
-var useAVX2 bool
+// kernelLevel names the tile kernels' vector bodies, narrowest first.
+type kernelLevel uint8
+
+const (
+	levelGo     kernelLevel = iota // the 2×3 Go register tile alone
+	levelAVX2                      // 4×8 blocks through the AVX2 body
+	levelAVX512                    // 4×16 blocks through the AVX-512F body
+)
+
+// level is the widest vector body MulAddUnrolled and MulSubUnrolled
+// run. Only the amd64 init sets it, once, from CPUID, and never in race
+// builds: the race detector does not see the loads and stores assembly
+// makes, and the tile reads and writes are what its concurrency tests
+// check. Tests step it through every level up to the CPU's to run each
+// path on the same inputs; nothing else writes it.
+var level kernelLevel
 
 // mulTiled runs C += A×B, or C -= A×B when sub is set, for
-// MulAddUnrolled and MulSubUnrolled: the full 4×8 blocks of C through
-// the AVX2 body when useAVX2 is on, and everything else through the 2×3
-// Go tile. Assembly has no bounds checks, so before the call it indexes
+// MulAddUnrolled and MulSubUnrolled: the full blocks of C through the
+// vector bodies up to level, and everything else through the 2×3 Go
+// tile. Assembly has no bounds checks, so before the calls it indexes
 // the last element the blocks touch in each operand — strides are never
 // negative — and a malformed header panics here instead of reaching
 // outside its slice. The edge strips run on sub-headers that stay on
@@ -99,17 +110,28 @@ var useAVX2 bool
 func mulTiled(c, a, b *Dense, sub bool) {
 	m, n, k := a.rows, b.cols, a.cols
 	m4, n8 := m&^3, n&^7
-	if !useAVX2 || m4 == 0 || n8 == 0 || k == 0 {
+	if level == levelGo || m4 == 0 || n8 == 0 || k == 0 {
 		mulTile2x3(c, a, b, sub)
 		return
 	}
 	_ = c.data[(m4-1)*c.stride+n8-1]
 	_ = a.data[(m4-1)*a.stride+k-1]
 	_ = b.data[(k-1)*b.stride+n8-1]
-	if sub {
-		mulSub4x8(&c.data[0], &a.data[0], &b.data[0], m4, n8, k, c.stride, a.stride, b.stride)
-	} else {
-		mulAdd4x8(&c.data[0], &a.data[0], &b.data[0], m4, n8, k, c.stride, a.stride, b.stride)
+	n16 := 0
+	if level == levelAVX512 {
+		n16 = n &^ 15
+	}
+	switch {
+	case n16 > 0 && sub:
+		mulSub4x16(&c.data[0], &a.data[0], &b.data[0], m4, n16, k, c.stride, a.stride, b.stride)
+	case n16 > 0:
+		mulAdd4x16(&c.data[0], &a.data[0], &b.data[0], m4, n16, k, c.stride, a.stride, b.stride)
+	}
+	switch {
+	case n16 < n8 && sub:
+		mulSub4x8(&c.data[n16], &a.data[0], &b.data[n16], m4, n8-n16, k, c.stride, a.stride, b.stride)
+	case n16 < n8:
+		mulAdd4x8(&c.data[n16], &a.data[0], &b.data[n16], m4, n8-n16, k, c.stride, a.stride, b.stride)
 	}
 	if n8 < n {
 		cr := Dense{rows: m4, cols: n - n8, stride: c.stride, data: c.data[n8:]}

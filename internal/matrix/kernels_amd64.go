@@ -2,26 +2,34 @@
 
 package matrix
 
-func init() { useAVX2 = cpuHasAVX2() }
+func init() { level = cpuLevel() }
 
-// cpuHasAVX2 reports whether the CPU runs AVX2 and the operating system
-// saves the YMM registers across context switches: CPUID leaf 1 ECX
-// must report OSXSAVE and AVX, the XCR0 register read by XGETBV must
-// have its SSE and AVX state bits (1 and 2) set, and leaf 7 EBX must
-// report AVX2 (bit 5).
-func cpuHasAVX2() bool {
+// cpuLevel returns the widest vector body the CPU runs and the
+// operating system saves the registers of across context switches.
+// AVX2 needs CPUID leaf 1 ECX to report OSXSAVE and AVX, the XCR0
+// register read by XGETBV to have its SSE and AVX state bits (1 and 2)
+// set, and leaf 7 EBX to report AVX2 (bit 5). AVX-512 needs all of
+// that, leaf 7 EBX bit 16 (AVX512F), and XCR0 bits 5–7: the opmask
+// registers, the upper halves of ZMM0–15 and ZMM16–31.
+func cpuLevel() kernelLevel {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
+		return levelGo
 	}
 	const osxsave, avx = 1 << 27, 1 << 28
 	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
+		return levelGo
 	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
+	const ymmState, zmmState = 0x6, 0xe0
+	const avx2, avx512f = 1 << 5, 1 << 16
+	xcr0, _ := xgetbv()
 	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
+	switch {
+	case xcr0&ymmState != ymmState || ebx&avx2 == 0:
+		return levelGo
+	case xcr0&zmmState != zmmState || ebx&avx512f == 0:
+		return levelAVX2
+	}
+	return levelAVX512
 }
 
 // cpuid executes CPUID with EAX=leaf and ECX=sub.
@@ -45,3 +53,16 @@ func mulAdd4x8(c, a, b *float64, m, n, k, cs, as, bs int)
 //repro:kernel
 //go:noescape
 func mulSub4x8(c, a, b *float64, m, n, k, cs, as, bs int)
+
+// mulAdd4x16 is mulAdd4x8 in 4×16 register tiles on AVX-512F: n must
+// be a positive multiple of 16.
+//
+//repro:kernel
+//go:noescape
+func mulAdd4x16(c, a, b *float64, m, n, k, cs, as, bs int)
+
+// mulSub4x16 is mulAdd4x16 computing C -= A×B.
+//
+//repro:kernel
+//go:noescape
+func mulSub4x16(c, a, b *float64, m, n, k, cs, as, bs int)

@@ -117,17 +117,18 @@ func TestAXPYBlock(t *testing.T) {
 }
 
 // The register-blocked micro-kernel must stay *bitwise* identical to
-// MulAdd on both of its paths: each adds each C element's k products in
-// ascending order onto the prior C value, so the 2×3 Go tile and the
-// AVX2 4×8 body may change speed but never a single bit of the result.
+// MulAdd at every kernel level: each adds each C element's k products
+// in ascending order onto the prior C value, so the 2×3 Go tile, the
+// AVX2 4×8 body and the AVX-512 4×16 body may change speed but never a
+// single bit of the result.
 // The executor's bitwise guarantees (view vs packed, run-twice
 // reproducibility) lean on this.
 func TestMulAddUnrolledBitwiseMatchesMulAdd(t *testing.T) {
-	paths, restore := kernelPaths()
+	levels, restore := kernelLevels()
 	defer restore()
-	for _, vec := range paths {
-		useAVX2 = vec
-		t.Run(pathName(vec), testMulAddUnrolledBitwiseMatchesMulAdd)
+	for _, l := range levels {
+		level = l
+		t.Run(levelName(l), testMulAddUnrolledBitwiseMatchesMulAdd)
 	}
 }
 
@@ -136,6 +137,7 @@ func testMulAddUnrolledBitwiseMatchesMulAdd(t *testing.T) {
 		{1, 1, 1}, {3, 3, 3}, {4, 4, 4}, {5, 7, 3}, {8, 8, 8},
 		{13, 11, 9}, {16, 16, 16}, {17, 5, 32}, {2, 31, 6},
 		{4, 8, 1}, {11, 23, 7}, {32, 32, 32},
+		{4, 16, 1}, {8, 40, 3}, {11, 47, 5},
 	}
 	for _, s := range shapes {
 		m, n, k := s[0], s[1], s[2]
@@ -247,15 +249,22 @@ func benchKernel(b *testing.B, kern func(c, a, b *Dense) error, n int) {
 // (gemm-fine) and q=32 (gemm-replay, lu-oneshot), and reports GFLOP/s.
 // "contiguous" operands are the staging modes' arena-resident tiles;
 // "view1024" operands are q×q views of 1024-wide matrices, the ModeView
-// and lu.Factor case at n=1024. Compare two commits with
+// and lu.Factor case at n=1024. The last axis is the kernel level: the
+// Go tile, the AVX2 body and the AVX-512 body, each skipped where the
+// CPU lacks it. The levels of one case run back to back in one binary,
+// so repeating a single-count run gives the bodies alternating rounds
+// (-count repeats each sub-benchmark in place instead):
 //
-//	go test -run '^$' -bench TileKernels -count 10 ./internal/matrix/
+//	go test -c -o matrix.test ./internal/matrix/
+//	for i in $(seq 10); do ./matrix.test -test.run '^$' -test.bench TileKernels; done
 func BenchmarkTileKernels(b *testing.B) {
 	var kc KernelConfig
 	kernels := []struct {
 		name string
 		run  func(c, a, b *Dense) error
 	}{{"MulAdd", kc.MulAdd}, {"MulSub", kc.MulSub}}
+	top := level
+	defer func() { level = top }()
 	for _, kern := range kernels {
 		for _, q := range []int{16, 32} {
 			for _, layout := range []string{"contiguous", "view1024"} {
@@ -265,14 +274,20 @@ func BenchmarkTileKernels(b *testing.B) {
 					bb = Random(q, 1024, 2).View(0, q, q, q)
 					c = Random(q, 1024, 3).View(0, q, q, q)
 				}
-				b.Run(fmt.Sprintf("%s/q=%d/%s", kern.name, q, layout), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if err := kern.run(c, a, bb); err != nil {
-							b.Fatal(err)
+				for l := levelGo; l <= levelAVX512; l++ {
+					b.Run(fmt.Sprintf("%s/q=%d/%s/%s", kern.name, q, layout, levelName(l)), func(b *testing.B) {
+						if l > top {
+							b.Skipf("this CPU or build lacks the %s body", levelName(l))
 						}
-					}
-					b.ReportMetric(2*float64(q*q*q)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-				})
+						level = l
+						for i := 0; i < b.N; i++ {
+							if err := kern.run(c, a, bb); err != nil {
+								b.Fatal(err)
+							}
+						}
+						b.ReportMetric(2*float64(q*q*q)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+					})
+				}
 			}
 		}
 	}

@@ -50,7 +50,7 @@ func Unpack(dst *Dense, src []float64) error {
 // dispatches MulAddUnrolled, through KernelConfig, on Dense headers it
 // caches per staged tile): after the slice-length checks it wraps the
 // buffers as compact headers and runs the very same MulAddUnrolled
-// kernel — its AVX2 body included — so both routes are bitwise
+// kernel — its AVX-512 and AVX2 bodies included — so both routes are bitwise
 // identical and the flop count stays exactly 2·m·n·k regardless of the
 // data. The length checks divide rather than multiply, so dimensions
 // whose products overflow an int fail with ErrShape instead of passing

@@ -1,12 +1,12 @@
 package matrix
 
 // This file is the executor's kernel dispatch: the hot tile kernels —
-// MulAdd/MulSub, whose full 4×8 blocks run the AVX2 body where the CPU
-// has it and whose remainder runs the 2×3 Go register tile, FactorTile
-// and both Trsm solves in their four-row/four-column form — reached
-// through a KernelConfig. The paper's model prices a tile kernel at its
+// MulAdd/MulSub, whose full blocks run the AVX-512 4×16 or AVX2 4×8
+// body where the CPU has one and whose remainder runs the 2×3 Go
+// register tile, FactorTile and both Trsm solves in their
+// four-row/four-column form — reached through a KernelConfig. The paper's model prices a tile kernel at its
 // flop count and assumes it runs at machine speed ("to harness the
-// power of BLAS routines"). The vector body is chosen by the hardware
+// power of BLAS routines"). The vector bodies are chosen by the hardware
 // alone (CPUID, the architecture and the race build constraint), and
 // the 2×3 Go tile beat the spilling 4×4 tile and the 8×4 and 8×8 tiles
 // in paired rounds, so there is one kernel set rather than a tunable.
@@ -17,7 +17,7 @@ package matrix
 // the prior value, each product and each sum rounded on its own, each
 // LU update element is touched exactly once per pivot step, and each
 // Trsm row/column accumulates in the reference order. The register
-// blocking and the vector body can therefore never change a result —
+// blocking and the vector bodies can therefore never change a result —
 // not the sequential/parallel bitwise equality, not the sim↔exec
 // stream equivalence — only the time it takes to produce it.
 
@@ -25,8 +25,9 @@ package matrix
 type Shape uint8
 
 // Shape4x4 is KernelConfig's only shape value. It no longer names the
-// register tile, which is 4×8 in the AVX2 body and 2×3 in the Go tile of
-// MulAddUnrolled and MulSubUnrolled. The identifier stays only because
+// register tile, which is 4×16 in the AVX-512 body, 4×8 in the AVX2
+// body and 2×3 in the Go tile of MulAddUnrolled and MulSubUnrolled.
+// The identifier stays only because
 // the repository benchmark (perfbench) compiles
 // matrix.KernelConfig{Shape: matrix.Shape4x4}; it goes when
 // KernelConfig does.
@@ -34,10 +35,10 @@ const Shape4x4 Shape = 0
 
 // KernelConfig is the kernel set the executor's dispatch runs. Its zero
 // value is the only configuration: MulAdd and MulSub run
-// MulAddUnrolled and MulSubUnrolled (AVX2 4×8 blocks where the CPU has
-// them, the 2×3 Go tile elsewhere), FactorTile and the Trsm solves
-// their four-row or four-column blocking. It stays, with its Shape field, only because
-// perfbench compiles it.
+// MulAddUnrolled and MulSubUnrolled (AVX-512 4×16 and AVX2 4×8 blocks
+// where the CPU has them, the 2×3 Go tile elsewhere), FactorTile and
+// the Trsm solves their four-row or four-column blocking. It stays,
+// with its Shape field, only because perfbench compiles it.
 type KernelConfig struct {
 	Shape Shape
 }

@@ -33,7 +33,12 @@ func mulSubRef(c, a, b *Dense) error {
 // smaller than one tile, the workloads' q=16 and q=32 tiles, and
 // degenerate edges. For the AVX2 body it adds every (m mod 4, n mod 8)
 // class next to full 4×8 blocks (m from 8 to 11, n from 16 to 23), k=1
-// under full blocks, and operands smaller than one block.
+// under full blocks, and operands smaller than one block. For the
+// AVX-512 body it adds every (m mod 4, n mod 16) class next to full
+// 4×16 blocks (m from 8 to 11, n from 32 to 47), so at that level one
+// call runs a 16-wide block, the 8-column AVX2 strip and the Go strip;
+// k=1 under full 4×16 blocks; and operands 8 to 15 columns wide, which
+// run the AVX2 body alone.
 var mulDims = func() [][3]int {
 	dims := [][3]int{
 		{16, 16, 16}, {8, 8, 8}, {4, 4, 4},
@@ -43,33 +48,38 @@ var mulDims = func() [][3]int {
 		{2, 1, 3}, {32, 32, 32}, {32, 16, 32},
 		{4, 8, 1}, {13, 21, 1}, {32, 32, 1},
 		{3, 7, 9}, {3, 40, 6}, {40, 7, 6}, {1, 8, 3}, {4, 1, 3},
+		{4, 16, 1}, {8, 48, 1}, {11, 47, 1}, {3, 47, 5},
 	}
 	for m := 8; m < 12; m++ {
 		for n := 16; n < 24; n++ {
 			dims = append(dims, [3]int{m, n, 2 + m + n%5})
 		}
+		for n := 32; n < 48; n++ {
+			dims = append(dims, [3]int{m, n, 1 + m%3 + n%7})
+		}
+	}
+	for n := 8; n < 16; n++ {
+		dims = append(dims, [3]int{4 + n%5, n, 1 + n%6})
 	}
 	return dims
 }()
 
-// kernelPaths returns the settings of useAVX2 the two-path tests run —
-// off, the Go register tile, always, and on where this build and CPU
-// enabled the AVX2 body — with a func that restores the setting.
-func kernelPaths() ([]bool, func()) {
-	vec := useAVX2
-	paths := []bool{false}
-	if vec {
-		paths = append(paths, true)
+// kernelLevels returns the kernel levels the multi-path tests run —
+// levelGo, the Go register tile, always, and every vector level up to
+// the one this build and CPU enabled — with a func that restores the
+// setting.
+func kernelLevels() ([]kernelLevel, func()) {
+	top := level
+	var levels []kernelLevel
+	for l := levelGo; l <= top; l++ {
+		levels = append(levels, l)
 	}
-	return paths, func() { useAVX2 = vec }
+	return levels, func() { level = top }
 }
 
-// pathName names a useAVX2 setting in subtest names and failures.
-func pathName(vec bool) string {
-	if vec {
-		return "avx2"
-	}
-	return "go"
+// levelName names a kernel level in subtest names and failures.
+func levelName(l kernelLevel) string {
+	return [...]string{levelGo: "go", levelAVX2: "avx2", levelAVX512: "avx512"}[l]
 }
 
 func randomDense(t *testing.T, rows, cols int, seed uint64) *Dense {
@@ -78,11 +88,11 @@ func randomDense(t *testing.T, rows, cols int, seed uint64) *Dense {
 }
 
 func TestKernelShapesMulBitwise(t *testing.T) {
-	paths, restore := kernelPaths()
+	levels, restore := kernelLevels()
 	defer restore()
-	for _, vec := range paths {
-		useAVX2 = vec
-		t.Run(pathName(vec), testKernelShapesMulBitwise)
+	for _, l := range levels {
+		level = l
+		t.Run(levelName(l), testKernelShapesMulBitwise)
 	}
 }
 
@@ -118,20 +128,22 @@ func testKernelShapesMulBitwise(t *testing.T) {
 }
 
 // The tile kernels run once per tile inside the executor's timed
-// region, so neither path may allocate — not even the edge strips'
-// sub-headers, which must stay on the stack.
+// region, so no level may allocate — not even the edge strips'
+// sub-headers, which must stay on the stack. At the AVX-512 level the
+// 45 columns run a 16-wide block, the 8-column AVX2 strip and the Go
+// strip.
 func TestTileKernelsDoNotAllocate(t *testing.T) {
-	a, b, c := Random(13, 9, 1), Random(9, 21, 2), Random(13, 21, 3)
-	paths, restore := kernelPaths()
+	a, b, c := Random(13, 9, 1), Random(9, 45, 2), Random(13, 45, 3)
+	levels, restore := kernelLevels()
 	defer restore()
-	for _, vec := range paths {
-		useAVX2 = vec
+	for _, l := range levels {
+		level = l
 		for _, kern := range []struct {
 			name string
 			run  func(c, a, b *Dense) error
 		}{{"MulAddUnrolled", MulAddUnrolled}, {"MulSubUnrolled", MulSubUnrolled}} {
 			if n := testing.AllocsPerRun(10, func() { _ = kern.run(c, a, b) }); n != 0 {
-				t.Errorf("%s: %s allocates %v times per call", pathName(vec), kern.name, n)
+				t.Errorf("%s: %s allocates %v times per call", levelName(l), kern.name, n)
 			}
 		}
 	}
@@ -141,43 +153,48 @@ func TestTileKernelsDoNotAllocate(t *testing.T) {
 // executor's ModeView runs kernels over views, and a stride bug would
 // hide on contiguous operands.
 func TestKernelShapesMulBitwiseOnViews(t *testing.T) {
-	paths, restore := kernelPaths()
+	levels, restore := kernelLevels()
 	defer restore()
-	for _, vec := range paths {
-		useAVX2 = vec
-		t.Run(pathName(vec), testKernelShapesMulBitwiseOnViews)
+	for _, l := range levels {
+		level = l
+		t.Run(levelName(l), testKernelShapesMulBitwiseOnViews)
 	}
 }
 
 func testKernelShapesMulBitwiseOnViews(t *testing.T) {
-	big := randomDense(t, 40, 40, 5)
-	a := big.View(1, 2, 13, 9)
-	b2 := randomDense(t, 30, 30, 7)
-	b := b2.View(3, 1, 9, 11)
-	var kc KernelConfig
-	cBase := randomDense(t, 25, 25, 9)
-	cRef := cBase.Clone()
-	if err := MulAdd(cRef.View(2, 2, 13, 11), a, b); err != nil {
-		t.Fatal(err)
-	}
-	cGot := cBase.Clone()
-	if err := kc.MulAdd(cGot.View(2, 2, 13, 11), a, b); err != nil {
-		t.Fatal(err)
-	}
-	if d := cGot.MaxAbsDiff(cRef); d != 0 {
-		t.Fatalf("MulAdd over views deviates by %g", d)
-	}
-	// lu.Factor and ModeView LU run MulSub over views of the matrix.
-	cRef = cBase.Clone()
-	if err := mulSubRef(cRef.View(2, 2, 13, 11), a, b); err != nil {
-		t.Fatal(err)
-	}
-	cGot = cBase.Clone()
-	if err := kc.MulSub(cGot.View(2, 2, 13, 11), a, b); err != nil {
-		t.Fatal(err)
-	}
-	if d := cGot.MaxAbsDiff(cRef); d != 0 {
-		t.Fatalf("MulSub over views deviates by %g", d)
+	// bw and cw are the widths of B's and C's parents. At the AVX-512
+	// level the second shape runs a 16-wide block, the 8-column AVX2
+	// strip and the Go strip.
+	for _, s := range []struct{ m, n, k, bw, cw int }{{13, 11, 9, 30, 25}, {11, 45, 7, 50, 50}} {
+		big := randomDense(t, 40, 40, 5)
+		a := big.View(1, 2, s.m, s.k)
+		b2 := randomDense(t, 30, s.bw, 7)
+		b := b2.View(3, 1, s.k, s.n)
+		var kc KernelConfig
+		cBase := randomDense(t, 25, s.cw, 9)
+		cRef := cBase.Clone()
+		if err := MulAdd(cRef.View(2, 2, s.m, s.n), a, b); err != nil {
+			t.Fatal(err)
+		}
+		cGot := cBase.Clone()
+		if err := kc.MulAdd(cGot.View(2, 2, s.m, s.n), a, b); err != nil {
+			t.Fatal(err)
+		}
+		if d := cGot.MaxAbsDiff(cRef); d != 0 {
+			t.Fatalf("MulAdd %v over views deviates by %g", s, d)
+		}
+		// lu.Factor and ModeView LU run MulSub over views of the matrix.
+		cRef = cBase.Clone()
+		if err := mulSubRef(cRef.View(2, 2, s.m, s.n), a, b); err != nil {
+			t.Fatal(err)
+		}
+		cGot = cBase.Clone()
+		if err := kc.MulSub(cGot.View(2, 2, s.m, s.n), a, b); err != nil {
+			t.Fatal(err)
+		}
+		if d := cGot.MaxAbsDiff(cRef); d != 0 {
+			t.Fatalf("MulSub %v over views deviates by %g", s, d)
+		}
 	}
 }
 
@@ -267,9 +284,9 @@ func TestKernelShapesTrsmBitwise(t *testing.T) {
 
 // FuzzKernelShapesVsReference drives the KernelConfig kernels against
 // the reference MulAdd/MulSub on fuzzer-chosen dimensions and seeds: any deviation —
-// even one ulp — fails. Each case runs on both kernel paths (the Go
-// register tile, and the AVX2 body where the CPU has it), and on each
-// twice: on compact operands, and on views of larger parents at
+// even one ulp — fails. Each case runs on every kernel level the CPU
+// has (the Go register tile, the AVX2 body, the AVX-512 body), and on
+// each twice: on compact operands, and on views of larger parents at
 // fuzzer-chosen offsets, where the parent of C must be unchanged outside
 // C's view.
 func FuzzKernelShapesVsReference(f *testing.F) {
@@ -280,8 +297,9 @@ func FuzzKernelShapesVsReference(f *testing.F) {
 	f.Add(uint(1), uint(17), uint(2), uint64(5), uint(6))
 	f.Add(uint(31), uint(31), uint(31), uint64(6), uint(17)) // q=32
 	f.Add(uint(10), uint(22), uint(0), uint64(7), uint(30))  // both strips, k=1
+	f.Add(uint(10), uint(46), uint(5), uint64(8), uint(13))  // 16-wide block, AVX2 strip, Go strips
 	f.Fuzz(func(t *testing.T, um, un, uk uint, seed uint64, off uint) {
-		m, n, k := int(um%33)+1, int(un%33)+1, int(uk%33)+1
+		m, n, k := int(um%48)+1, int(un%48)+1, int(uk%48)+1
 		a := Random(m, k, seed)
 		b := Random(k, n, seed+1)
 		base := Random(m, n, seed+2)
@@ -310,11 +328,11 @@ func FuzzKernelShapesVsReference(f *testing.F) {
 		_, bv := view(b, seed+4, 5)
 
 		var kc KernelConfig
-		paths, restore := kernelPaths()
+		levels, restore := kernelLevels()
 		defer restore()
-		for _, vec := range paths {
-			useAVX2 = vec
-			path := pathName(vec)
+		for _, l := range levels {
+			level = l
+			path := levelName(l)
 			got := base.Clone()
 			if err := kc.MulAdd(got, a, b); err != nil {
 				t.Fatal(err)

@@ -209,9 +209,9 @@ type Executor struct {
 	comp *compiled
 
 	// kernels is the tile-kernel set the kernel dispatch calls
-	// (MulAddUnrolled/MulSubUnrolled, with their AVX2 4×8 body where the
-	// CPU has it, and the four-row LU kernels: matrix.KernelConfig's only
-	// value). lookahead is the pipeline planning
+	// (MulAddUnrolled/MulSubUnrolled, with their AVX-512 and AVX2 bodies
+	// where the CPU has them, and the four-row LU kernels:
+	// matrix.KernelConfig's only value). lookahead is the pipeline planning
 	// depth of ModeSharedPipelined (0 means the default depth 1, which
 	// every command uses; see SetTuning).
 	kernels   matrix.KernelConfig

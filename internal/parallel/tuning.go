@@ -13,9 +13,9 @@ import "repro/internal/matrix"
 // every depth.
 type Tuning struct {
 	// Kernels is the tile-kernel set the executor dispatches; its one
-	// value is MulAddUnrolled/MulSubUnrolled (AVX2 4×8 blocks where the
-	// CPU has them, the 2×3 Go tile elsewhere) with the four-row LU
-	// kernels (see matrix.KernelConfig).
+	// value is MulAddUnrolled/MulSubUnrolled (AVX-512 or AVX2 blocks
+	// where the CPU has them, the 2×3 Go tile elsewhere) with the
+	// four-row LU kernels (see matrix.KernelConfig).
 	Kernels matrix.KernelConfig
 	// Lookahead is the pipeline planning depth k of ModeSharedPipelined:
 	// a stage may prefetch up to k regions ahead of its gap. 0 means the
