@@ -1,23 +1,21 @@
 // Command perfguard enforces the repository's perf trajectory: it reads
 // one or more benchmark JSON records (BENCH_gemm.json, BENCH_lu.json —
-// freshly regenerated by CI, not the committed snapshots) and checks
-// two GFLOP/s ratios, each as a geometric mean over every comparable
-// (algorithm, cores) pair:
+// the committed ones or records CI regenerates) and checks two GFLOP/s
+// ratios, each as a geometric mean over every comparable (algorithm,
+// cores, chips) pair, against a floor of 1 − noise:
 //
 //   - packed over view: physical staging paying for itself against the
 //     strided baseline, the signal that is stable across runner
-//     generations (absolute GFLOP/s is not). Failing this is a hard
-//     error.
+//     generations (absolute GFLOP/s is not);
 //
 //   - shared-pipelined over shared: the pipelined executor must not be
-//     slower than the serial shared path it overlaps (≥ 1 − noise).
-//     A record with no shared-pipelined runs predates the pipelined
-//     executor; the guard degrades to a warning there instead of
-//     failing, so older snapshots stay checkable.
+//     slower than the serial shared path it overlaps.
 //
 // The same run enforces the optimizer's traffic ratchet: the geomean of
 // the optimized/baseline MS byte ratios must hold ≤ 1.0 exactly (see
-// guardTraffic). All three checks always run on the given records.
+// guardTraffic). All three checks are strict and always run: a record
+// that lacks the runs one of them compares — either mode of a ratio,
+// or optimized runs with baseline partners — fails it.
 //
 // Usage:
 //
@@ -42,35 +40,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "perfguard: no benchmark JSON files given")
 		os.Exit(2)
 	}
-	if err := guard(os.Stdout, flag.Args(), "packed", "view", *noise); err != nil {
-		fmt.Fprintln(os.Stderr, "perfguard:", err)
-		os.Exit(1)
-	}
-	if err := guardLenient(os.Stdout, flag.Args(), "shared-pipelined", "shared", *noise); err != nil {
-		fmt.Fprintln(os.Stderr, "perfguard:", err)
-		os.Exit(1)
+	for _, ratio := range [][2]string{{"packed", "view"}, {"shared-pipelined", "shared"}} {
+		if err := guard(os.Stdout, flag.Args(), ratio[0], ratio[1], *noise); err != nil {
+			fmt.Fprintln(os.Stderr, "perfguard:", err)
+			os.Exit(1)
+		}
 	}
 	if err := guardTraffic(os.Stdout, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "perfguard:", err)
 		os.Exit(1)
 	}
-}
-
-// guard loads the records, prints every mode-over-base ratio and
-// returns an error when the geometric mean falls below 1 − noise (or
-// when no comparable pair exists, which would otherwise let a renamed
-// mode silently disable the guard).
-func guard(w io.Writer, paths []string, mode, base string, noise float64) error {
-	return guardRatio(w, paths, mode, base, noise, false)
-}
-
-// guardLenient is guard for ratios whose modes may legitimately be
-// absent: a record written before the shared-pipelined executor existed
-// carries no such runs, and failing on it would make every historical
-// snapshot un-guardable. Missing pairs degrade to a warning; pairs that
-// do exist are enforced exactly as strictly.
-func guardLenient(w io.Writer, paths []string, mode, base string, noise float64) error {
-	return guardRatio(w, paths, mode, base, noise, true)
 }
 
 // trafficRatio is one optimized-over-baseline MS byte comparison.
@@ -90,12 +69,10 @@ func msBytes(r *report.BenchRun) uint64 {
 
 // trafficRatios joins every optimized run in rec with the baseline run
 // of the same (algorithm, mode, cores, chips) cell and returns the MS
-// byte ratios. Records predating the optimized field have no optimized
-// runs at all (optimized == 0), which is the caller's vintage signal.
-// Pairs where neither side moved MS bytes (packed mode, where the
-// shared level does not exist) carry no signal and are skipped; an
-// optimized run with no baseline partner is counted as an orphan, not
-// silently dropped. A pair whose baseline is zero while the optimized
+// byte ratios, with the number of optimized runs it saw. Pairs where
+// neither side moved MS bytes (packed mode, where the shared level does
+// not exist) carry no signal and are skipped; an optimized run with no
+// baseline partner is counted as an orphan, not silently dropped. A pair whose baseline is zero while the optimized
 // run moved bytes yields +Inf — the optimizer invented traffic, and the
 // geomean must fail on it.
 func trafficRatios(rec *report.Bench) (ratios []trafficRatio, optimized, orphans int) {
@@ -140,9 +117,8 @@ func trafficRatios(rec *report.Bench) (ratios []trafficRatio, optimized, orphans
 // guardTraffic enforces the optimizer's traffic ratchet: per record,
 // the geometric mean of the optimized/baseline MS byte ratios must hold
 // ≤ 1.0 — exactly, with no noise margin, because the counts are
-// deterministic. A record with no optimized runs predates the
-// optimized field, and the guard degrades to a warning there so older
-// snapshots stay checkable; a fresh record is enforced hard.
+// deterministic. A record with no optimized runs, or whose optimized
+// runs have no baseline partner, is not a paired measurement and fails.
 func guardTraffic(w io.Writer, paths []string) error {
 	var logSum float64
 	var count int
@@ -157,8 +133,7 @@ func guardTraffic(w io.Writer, paths []string) error {
 		}
 		ratios, optimized, orphans := trafficRatios(&rec)
 		if optimized == 0 {
-			fmt.Fprintf(w, "warning: %s: no optimized runs — record predates the optimizer, traffic ratchet skipped\n", path)
-			continue
+			return fmt.Errorf("%s: no optimized runs — the record is not a paired measurement", path)
 		}
 		if len(ratios) == 0 && orphans > 0 {
 			return fmt.Errorf("%s: %d optimized run(s) but none has a baseline partner — the record is not a paired measurement", path, orphans)
@@ -174,8 +149,7 @@ func guardTraffic(w io.Writer, paths []string) error {
 		}
 	}
 	if count == 0 {
-		fmt.Fprintf(w, "\nno optimized/baseline pairs anywhere — traffic ratchet skipped\n")
-		return nil
+		return fmt.Errorf("no optimized/baseline pair moved MS bytes — the traffic ratchet has nothing to check")
 	}
 	geomean := math.Exp(logSum / float64(count))
 	fmt.Fprintf(w, "\ngeomean optimized/baseline MS bytes over %d pairs: %.3fx (ceiling 1.000x)\n", count, geomean)
@@ -195,8 +169,12 @@ func coresLabel(cores, chips int) string {
 	return fmt.Sprintf("p=%d", cores)
 }
 
-func guardRatio(w io.Writer, paths []string, mode, base string, noise float64, lenient bool) error {
-	if noise < 0 || noise >= 1 {
+// guard loads the records, prints every mode-over-base ratio and
+// returns an error when the geometric mean falls below 1 − noise, or
+// when a record has no comparable pair, which would otherwise let a
+// renamed mode silently disable the guard.
+func guard(w io.Writer, paths []string, mode, base string, noise float64) error {
+	if !(noise >= 0 && noise < 1) {
 		return fmt.Errorf("noise margin %g outside [0,1)", noise)
 	}
 	var logSum float64
@@ -212,11 +190,6 @@ func guardRatio(w io.Writer, paths []string, mode, base string, noise float64, l
 		}
 		sps := rec.Speedup(mode, base)
 		if len(sps) == 0 {
-			if lenient {
-				fmt.Fprintf(w, "warning: %s: no (algorithm, cores) pair measured in both %q and %q modes — record predates this guard, skipping\n",
-					path, mode, base)
-				continue
-			}
 			return fmt.Errorf("%s: no (algorithm, cores) pair measured in both %q and %q modes", path, mode, base)
 		}
 		for _, sp := range sps {
@@ -228,16 +201,10 @@ func guardRatio(w io.Writer, paths []string, mode, base string, noise float64, l
 			count++
 		}
 	}
-	if count == 0 {
-		// Only reachable leniently: every record predates the compared
-		// modes.
-		fmt.Fprintf(w, "\nno %s/%s pairs anywhere — guard skipped\n", mode, base)
-		return nil
-	}
 	geomean := math.Exp(logSum / float64(count))
 	floor := 1 - noise
 	fmt.Fprintf(w, "\ngeomean %s/%s ratio over %d pairs: %.3fx (floor %.3fx)\n", mode, base, count, geomean, floor)
-	if geomean < floor {
+	if !(geomean >= floor) {
 		return fmt.Errorf("%s/%s GFLOP/s geomean %.3fx regressed below %.3fx", mode, base, geomean, floor)
 	}
 	return nil

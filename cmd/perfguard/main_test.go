@@ -64,7 +64,7 @@ func TestPipelinedGuardEnforcesWhenPresent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := guardLenient(&out, []string{path}, "shared-pipelined", "shared", 0.1); err != nil {
+	if err := guard(&out, []string{path}, "shared-pipelined", "shared", 0.1); err != nil {
 		t.Fatalf("healthy pipelined ratio rejected: %v\n%s", err, out.String())
 	}
 	slow := report.NewBench("gemm")
@@ -74,23 +74,20 @@ func TestPipelinedGuardEnforcesWhenPresent(t *testing.T) {
 	if err := slow.WriteJSONFile(slowPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := guardLenient(io.Discard, []string{slowPath}, "shared-pipelined", "shared", 0.25); err == nil {
+	if err := guard(io.Discard, []string{slowPath}, "shared-pipelined", "shared", 0.25); err == nil {
 		t.Fatal("pipelined slower than serial must fail when both modes are present")
 	}
 }
 
-// …but degrades to a warning when a record predates the pipelined
-// executor and carries no such runs at all.
+// …and fails when a record carries no shared-pipelined runs at all,
+// such as one that predates the pipelined executor.
 func TestPipelinedGuardWarnsOnOldRecords(t *testing.T) {
 	old := record(t, "gemm", 80*time.Millisecond, 100*time.Millisecond) // packed/view only
-	var out strings.Builder
-	if err := guardLenient(&out, []string{old}, "shared-pipelined", "shared", 0.25); err != nil {
-		t.Fatalf("record predating the pipelined mode must warn, not fail: %v", err)
+	err := guard(io.Discard, []string{old}, "shared-pipelined", "shared", 0.25)
+	if err == nil || !strings.Contains(err.Error(), "no (algorithm, cores) pair") {
+		t.Fatalf("record without shared-pipelined runs must fail: %v", err)
 	}
-	if !strings.Contains(out.String(), "warning") || !strings.Contains(out.String(), "skipping") {
-		t.Fatalf("missing degradation warning:\n%s", out.String())
-	}
-	// A mix of old and new records still enforces the pairs that exist.
+	// A mix of old and new records fails too.
 	fresh := report.NewBench("lu")
 	fresh.Add("LU", "shared", 2, 8, 8, 100*time.Millisecond)
 	fresh.Add("LU", "shared-pipelined", 2, 8, 8, 400*time.Millisecond) // 0.25x: regression
@@ -98,8 +95,8 @@ func TestPipelinedGuardWarnsOnOldRecords(t *testing.T) {
 	if err := fresh.WriteJSONFile(freshPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := guardLenient(io.Discard, []string{old, freshPath}, "shared-pipelined", "shared", 0.25); err == nil {
-		t.Fatal("regressed pairs must still fail even when another record is skipped")
+	if err := guard(io.Discard, []string{old, freshPath}, "shared-pipelined", "shared", 0.25); err == nil {
+		t.Fatal("a list with a record lacking the pipelined mode must fail")
 	}
 }
 
@@ -117,8 +114,10 @@ func TestGuardRejectsDegenerateInput(t *testing.T) {
 		t.Fatal("record with no comparable pair must fail, not silently pass")
 	}
 	full := record(t, "gemm", time.Millisecond, time.Millisecond)
-	if err := guard(io.Discard, []string{full}, "packed", "view", 1.5); err == nil {
-		t.Fatal("noise margin outside [0,1) must fail")
+	for _, noise := range []float64{1.5, math.NaN(), math.Inf(1)} {
+		if err := guard(io.Discard, []string{full}, "packed", "view", noise); err == nil {
+			t.Fatalf("noise margin %g outside [0,1) must fail", noise)
+		}
 	}
 	_ = os.Remove(full)
 }
@@ -143,7 +142,7 @@ func TestGuardsTolerateMixedChipVintages(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := guardLenient(&out, []string{freshPath}, "shared-pipelined", "shared", 0.25); err != nil {
+	if err := guard(&out, []string{freshPath}, "shared-pipelined", "shared", 0.25); err != nil {
 		t.Fatalf("multi-chip record rejected: %v\n%s", err, out.String())
 	}
 	// Both topologies must appear as distinct pairs, the multi-chip one
@@ -261,10 +260,10 @@ func TestGuardTrafficFailsOnRegression(t *testing.T) {
 	}
 }
 
-// A record with no optimized runs at all predates the field: the
-// ratchet must warn and pass on it alone, keep enforcing the fresh
-// record in a mixed-vintage file list, and still fail when the fresh
-// record regresses behind a vintage one.
+// A record with no optimized runs at all, such as one that predates
+// the field, is not a paired measurement: the ratchet fails on it
+// alone, in a mixed-vintage file list, and when a fresh record
+// regresses behind it.
 func TestGuardTrafficMixedVintage(t *testing.T) {
 	oldPath := trafficRec(t, "old.json",
 		tRun("Tradeoff", "shared", 4, 1, false, 1000, 0))
@@ -272,20 +271,12 @@ func TestGuardTrafficMixedVintage(t *testing.T) {
 		tRun("LU", "shared", 4, 1, false, 1000, 0),
 		tRun("LU", "shared", 4, 1, true, 900, 0))
 
-	var out strings.Builder
-	if err := guardTraffic(&out, []string{oldPath}); err != nil {
-		t.Fatalf("ratchet failed on a pre-optimizer record: %v", err)
+	err := guardTraffic(io.Discard, []string{oldPath})
+	if err == nil || !strings.Contains(err.Error(), "no optimized runs") {
+		t.Fatalf("ratchet passed a record without optimized runs: %v", err)
 	}
-	if !strings.Contains(out.String(), "predates the optimizer") {
-		t.Fatalf("vintage warning missing:\n%s", out.String())
-	}
-
-	out.Reset()
-	if err := guardTraffic(&out, []string{oldPath, freshPath}); err != nil {
-		t.Fatalf("mixed-vintage list failed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "over 1 pairs") {
-		t.Fatalf("fresh record not enforced in mixed list:\n%s", out.String())
+	if err := guardTraffic(io.Discard, []string{oldPath, freshPath}); err == nil {
+		t.Fatal("mixed-vintage list passed the ratchet")
 	}
 
 	badPath := trafficRec(t, "bad.json",

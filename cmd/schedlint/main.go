@@ -2,15 +2,15 @@
 // anything runs. The default mode lints the full registered grid —
 // every algorithm in the registry plus the LU emitter, on single- and
 // dual-chip machines, square and ragged shapes — through the schedule
-// verifier, and re-checks every phase plan the executor can run for
-// them — ModeShared's serial plan (depth 0) and the pipelined plans up
-// to -depth — through the independent plan checker. Each staged program is
-// then rewritten by schedule.Optimize and the optimized program linted
-// to the same standard (zero findings, all plan depths, balanced elision
-// ledger), so a miscompiling optimizer pass is caught statically, before
-// any executor replays its stream. Each finding carries its op index and
-// line identity, so a broken emitter points at the exact operation that
-// violates the invariant.
+// verifier, and re-checks both phase plans the executor can run for
+// them — ModeShared's serial plan (depth 0) and ModeSharedPipelined's
+// depth-1 double buffer — through the independent plan checker. Each
+// staged program is then rewritten by schedule.Optimize and the
+// optimized program linted to the same standard (zero findings, both
+// plans, balanced elision ledger), so a miscompiling optimizer pass is
+// caught statically, before any executor replays its stream. Each
+// finding carries its op index and line identity, so a broken emitter
+// points at the exact operation that violates the invariant.
 //
 // With -fuzz N it instead decodes N pseudo-random byte programs
 // through the same generator the fuzz corpus uses and verifies each:
@@ -34,9 +34,8 @@ import (
 )
 
 var (
-	fuzzN    = flag.Int("fuzz", 0, "verify N pseudo-random programs instead of the grid")
-	seed     = flag.Int64("seed", 1, "PRNG seed for -fuzz")
-	maxDepth = flag.Int("depth", 3, "lint pipelined plans up to this depth")
+	fuzzN = flag.Int("fuzz", 0, "verify N pseudo-random programs instead of the grid")
+	seed  = flag.Int64("seed", 1, "PRNG seed for -fuzz")
 )
 
 func main() {
@@ -68,7 +67,7 @@ var gridWorkloads = []algo.Workload{
 func grid() int {
 	programs, findings := 0, 0
 	plans := func(label string, p *schedule.Program, cs int) {
-		for d := 0; d <= *maxDepth; d++ {
+		for d := 0; d <= 1; d++ {
 			var plan *schedule.PipelinePlan
 			var err error
 			if d == 0 {
@@ -196,7 +195,7 @@ func fuzz(n int, seed int64) {
 		if sharedCap <= 0 {
 			sharedCap = 1
 		}
-		plan, err := schedule.PlanPipelineDepth(p, sharedCap, 1+int(cores)%3)
+		plan, err := schedule.PlanPipelineDepth(p, sharedCap, 1)
 		if err != nil {
 			continue // the stream does not lower, or the plan fails its proofs
 		}

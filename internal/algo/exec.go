@@ -499,8 +499,5 @@ func resources(declared machine.Machine) schedule.Resources {
 		SharedBlocks: declared.CS,
 		CoreBlocks:   declared.CD,
 		Chips:        declared.ChipCount(),
-		SigmaS:       declared.SigmaS,
-		SigmaD:       declared.SigmaD,
-		BlockEdge:    declared.Q,
 	}
 }

@@ -189,9 +189,6 @@ func Program(declared machine.Machine, nb int) (*schedule.Program, error) {
 		Resources: schedule.Resources{
 			SharedBlocks: declared.CS,
 			CoreBlocks:   declared.CD,
-			SigmaS:       declared.SigmaS,
-			SigmaD:       declared.SigmaD,
-			BlockEdge:    declared.Q,
 			Chips:        declared.ChipCount(),
 		},
 		Body: body,
@@ -234,8 +231,8 @@ type Stats struct {
 // FactorParallelTuned factors a in place through the schedule IR, the
 // one-shot entry point of the factorisation: it compiles the
 // blocked-LU Program for mach, binds the matrix as the executor's
-// single operand, applies the tuning (pipeline lookahead depth,
-// schedule optimizer switch) and runs it on the team in the given
+// single operand, applies the tuning (pipeline lookahead, schedule
+// optimizer switch) and runs it on the team in the given
 // mode. It returns the measured profile: the executor's per-level
 // physical traffic (zero in ModeView, the memory↔core stream as MD in
 // ModePacked, both streams in the shared-level modes) and the

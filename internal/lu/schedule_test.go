@@ -271,10 +271,11 @@ func TestLUProgramRejectsBadInput(t *testing.T) {
 
 // TestKernelDispatchLUTunedMatchesSequential sweeps the executor's
 // tuning surface over the factorisation: every staging mode, and (in
-// the pipelined mode) every lookahead depth up to 3, must produce a
-// factored matrix bitwise identical to the sequential Factor — on a
-// tight hierarchy whose strips actually split and on the capacious
-// benchmark machine. Tuning is a pure timing knob; this is the proof.
+// the pipelined mode) both lookahead values that select depth 1, must
+// produce a factored matrix bitwise identical to the sequential Factor
+// — on a tight hierarchy whose strips actually split and on the
+// capacious benchmark machine. Tuning is a pure timing knob; this is
+// the proof.
 func TestKernelDispatchLUTunedMatchesSequential(t *testing.T) {
 	const n, q = 22, 4 // ragged: the last block row/column is 2 wide
 	orig := RandomDominant(n, 7)
@@ -291,7 +292,7 @@ func TestKernelDispatchLUTunedMatchesSequential(t *testing.T) {
 		for _, mode := range []parallel.Mode{parallel.ModePacked, parallel.ModeShared, parallel.ModeSharedPipelined} {
 			depths := []int{0}
 			if mode == parallel.ModeSharedPipelined {
-				depths = []int{0, 1, 2, 3}
+				depths = []int{0, 1}
 			}
 			for _, k := range depths {
 				a := orig.Clone()

@@ -208,24 +208,16 @@ type Executor struct {
 	// compile it only once. SetTuning and SetStrictVerify drop it.
 	comp *compiled
 
-	// kernels is the tile-kernel set the kernel dispatch calls
-	// (MulAddUnrolled/MulSubUnrolled, with their AVX-512 and AVX2 bodies
-	// where the CPU has them, and the four-row LU kernels:
-	// matrix.KernelConfig's only value). lookahead is the pipeline planning
-	// depth of ModeSharedPipelined (0 means the default depth 1, which
-	// every command uses; see SetTuning).
-	kernels   matrix.KernelConfig
-	lookahead int
+	// tun holds the executor's settings (see Tuning and SetTuning): the
+	// kernel dispatch calls tun.Kernels, and compile reads tun.Optimize
+	// and checks tun.Lookahead.
+	tun Tuning
 
 	// strictVerify runs the static schedule verifier over every program
 	// before its first replay and refuses programs with findings — the
 	// belt-and-suspenders mode behind SetStrictVerify (default off; the
 	// registered emitters are verified statically in CI instead).
 	strictVerify bool
-
-	// optimize (a tunable, see Tuning.Optimize) rewrites every staged
-	// program through schedule.Optimize before validation and replay.
-	optimize bool
 }
 
 // compiled is everything Run derives from a source program before its
@@ -391,8 +383,8 @@ func (ex *Executor) ComputeTime() time.Duration { return ex.computeTime }
 
 // Plan returns the phase plan of the most recently compiled program,
 // or nil when it has none (ModePacked, ModeView, or a program that
-// stages nothing): in ModeSharedPipelined the overlap the region
-// lookahead found, in ModeShared the schedule.PlanSerial plan with
+// stages nothing): in ModeSharedPipelined the overlap the depth-1
+// double buffer found, in ModeShared the schedule.PlanSerial plan with
 // every shared op a barrier op.
 func (ex *Executor) Plan() *schedule.PipelinePlan {
 	if ex.comp == nil {
@@ -812,15 +804,15 @@ func (ex *Executor) apply(ar *Arena, op *schedule.Op) error {
 	}
 	switch op.Kernel {
 	case schedule.MulAdd:
-		return ex.kernels.MulAdd(dest, srcs[0], srcs[1])
+		return ex.tun.Kernels.MulAdd(dest, srcs[0], srcs[1])
 	case schedule.MulSub:
-		return ex.kernels.MulSub(dest, srcs[0], srcs[1])
+		return ex.tun.Kernels.MulSub(dest, srcs[0], srcs[1])
 	case schedule.FactorTile:
-		return ex.kernels.FactorTile(dest)
+		return ex.tun.Kernels.FactorTile(dest)
 	case schedule.TrsmLowerLeftUnit:
-		return ex.kernels.TrsmLowerLeftUnit(srcs[0], dest)
+		return ex.tun.Kernels.TrsmLowerLeftUnit(srcs[0], dest)
 	case schedule.TrsmUpperRight:
-		return ex.kernels.TrsmUpperRight(srcs[0], dest)
+		return ex.tun.Kernels.TrsmUpperRight(srcs[0], dest)
 	default:
 		return fmt.Errorf("parallel: no executor dispatch for kernel %v", op.Kernel)
 	}
@@ -915,25 +907,28 @@ func (ex *Executor) RunContext(ctx context.Context, prog *schedule.Program) (err
 // stream that actually runs; then the strict verifier gate; then, for
 // staged programs, the measured working set validated against the
 // resources the program declares and the executor's arena capacities,
-// and in the shared-level modes the phase plan:
-// schedule.PlanPipelineDepth at the executor's lookahead in
-// ModeSharedPipelined, schedule.PlanSerial in ModeShared. Both planner
-// entry points prove the inclusion discipline and the footprint
-// statically, before anything executes. Every step after the lowering
-// reads the trace the compiled program carries. (Run's doc explains why
-// ModePacked validates the core level only.)
+// and in the shared-level modes the phase plan: the depth-1
+// schedule.PlanPipelineDepth in ModeSharedPipelined, whose Tuning must
+// ask for Lookahead 0 or 1, and schedule.PlanSerial in ModeShared.
+// Both planner entry points prove the inclusion discipline and the
+// footprint statically, before anything executes. Every step after
+// the lowering reads the trace the compiled program carries. (Run's
+// doc explains why ModePacked validates the core level only.)
 func (ex *Executor) compile(src *schedule.Program) (*compiled, error) {
 	if ex.comp != nil && ex.comp.src == src {
 		return ex.comp, nil
 	}
 	ex.comp = nil
+	if ex.mode == ModeSharedPipelined && ex.tun.Lookahead != 0 && ex.tun.Lookahead != 1 {
+		return nil, fmt.Errorf("parallel: %v plans lookahead depth 1 only, got Tuning.Lookahead %d", ex.mode, ex.tun.Lookahead)
+	}
 	prog, err := src.Lowered()
 	if err != nil {
 		return nil, err
 	}
 	c := &compiled{src: src}
 	staged := ex.mode != ModeView && !src.DemandDriven
-	if staged && ex.optimize {
+	if staged && ex.tun.Optimize {
 		opt, rep, err := schedule.Optimize(prog, schedule.OptimizeOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("parallel: program %q: optimizer: %w", src.Algorithm, err)
@@ -972,7 +967,7 @@ func (ex *Executor) compile(src *schedule.Program) (*compiled, error) {
 	if c.staging && ex.mode.SharedLevel() {
 		var err error
 		if ex.mode == ModeSharedPipelined {
-			c.plan, err = schedule.PlanPipelineDepth(prog, ex.sharedBlocks, ex.lookaheadDepth())
+			c.plan, err = schedule.PlanPipelineDepth(prog, ex.sharedBlocks, 1)
 		} else {
 			c.plan, err = schedule.PlanSerial(prog, ex.sharedBlocks)
 		}

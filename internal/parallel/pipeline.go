@@ -7,9 +7,9 @@ import (
 )
 
 // This file runs the memory↔shared stream of the shared-level modes
-// from the program's phase plan: schedule.PlanPipelineDepth in
-// ModeSharedPipelined, schedule.PlanSerial (every op a barrier op) in
-// ModeShared. Both modes replay the same trace, the same arenas and
+// from the program's phase plan: the depth-1 double buffer of
+// schedule.PlanPipelineDepth in ModeSharedPipelined, schedule.PlanSerial
+// (every op a barrier op) in ModeShared. Both modes replay the same trace, the same arenas and
 // the same MS/MD streams; only the timing of the shared transfers
 // differs.
 //
@@ -21,12 +21,12 @@ import (
 // run's StageWait), hands the region to the workers with Team.Launch,
 // and becomes the stager for the duration of the region: it retires the
 // gap's trailing write-backs (Retire) and runs the region's Prefetch
-// list — stages for gaps up to the plan's lookahead Depth ahead — into
-// spare shared slots while the workers compute, then joins the team.
-// After the last region, the plan's Tail drains the shared level. The
-// driver runs each list in its line-ID form (BarrierIDs, RetireIDs,
-// PrefetchIDs, TailIDs), so its transfers address the same ID-indexed
-// shared slots the workers refill from and merge into.
+// list — the next gap's stages — into spare shared slots while the
+// workers compute, then joins the team. After the last region, the
+// plan's Tail drains the shared level. Every list names lines by the
+// trace's IDs (the plan's line table is the trace's), so the driver's
+// transfers address the same ID-indexed shared slots the workers
+// refill from and merge into.
 //
 // The hand-off protocol is the region epoch itself: every reordered
 // operation runs strictly between one Launch and its join, and the plan
@@ -48,7 +48,7 @@ import (
 func (ex *Executor) phasedRegion(reg *schedule.PipelineRegion, cores [][]schedule.Op) {
 	r := ex.region
 	start := time.Now()
-	err := ex.driverOps(reg.BarrierIDs)
+	err := ex.driverOps(reg.Barrier)
 	ex.stageWait += time.Since(start)
 	if err != nil {
 		ex.fail(err)
@@ -69,16 +69,16 @@ func (ex *Executor) phasedRegion(reg *schedule.PipelineRegion, cores [][]schedul
 	})
 	// The driver is the stager while the workers compute: retire the
 	// current gap's trailing write-backs, then prefetch the next
-	// regions' stages into spare slots. A staging error must not
+	// region's stages into spare slots. A staging error must not
 	// short-circuit the join — the workers still hold the region.
 	var stageErr error
-	for _, id := range reg.RetireIDs {
+	for _, id := range reg.Retire {
 		if stageErr = ex.unstageShared(id); stageErr != nil {
 			break
 		}
 	}
 	if stageErr == nil {
-		for _, id := range reg.PrefetchIDs {
+		for _, id := range reg.Prefetch {
 			if stageErr = ex.stageShared(id); stageErr != nil {
 				break
 			}
@@ -117,7 +117,7 @@ func (ex *Executor) runTail(plan *schedule.PipelinePlan) {
 	}
 	ex.region = len(plan.Regions)
 	start := time.Now()
-	ex.fail(ex.driverOps(plan.TailIDs))
+	ex.fail(ex.driverOps(plan.Tail))
 	ex.stageWait += time.Since(start)
 }
 

@@ -36,10 +36,11 @@ import (
 // stager may restage free slots while workers look up resident ones;
 // the tile *data* needs no lock, because every concurrent pairing
 // addresses disjoint lines — the schedules guarantee that dirty (C)
-// blocks are disjoint across cores, and schedule.PlanPipelineDepth
-// proves the stager's prefetches and retires never address a line the
-// running region touches. The race detector verifies the contract over the
-// whole test suite.
+// blocks are disjoint across cores, and the depth-1 plan of
+// schedule.PlanPipelineDepth proves the stager's prefetches (the next
+// gap's stages) and retires never address a line the running region
+// touches. The race detector verifies the contract over the whole test
+// suite.
 type SharedArena struct {
 	mu    sync.RWMutex // guards the slot tables (arena.byID, arena.index), arena.free and slot headers
 	arena Arena

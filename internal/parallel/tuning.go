@@ -3,23 +3,22 @@ package parallel
 import "repro/internal/matrix"
 
 // Tuning bundles the executor's settings: the tile kernels, the
-// pipeline lookahead depth and the schedule optimizer switch. The zero
-// value is the plain executor — depth-1 lookahead, no optimizer. The
-// commands set only Optimize and plan at depth 1, which measured within
-// noise of every deeper depth (README); Lookahead stays because the
-// repository benchmark (perfbench) names it, and a caller plans deeper
-// only when it sets it above 1. None of the settings can change a
-// result, only its timing, because the pipeline plan is re-verified at
-// every depth.
+// pipeline lookahead and the schedule optimizer switch. The zero value
+// is the plain executor — the depth-1 double buffer, no optimizer. The
+// commands set only Optimize. None of the settings can change a result,
+// only its timing, because every phase plan is proved before it runs.
 type Tuning struct {
 	// Kernels is the tile-kernel set the executor dispatches; its one
 	// value is MulAddUnrolled/MulSubUnrolled (AVX-512 or AVX2 blocks
 	// where the CPU has them, the 2×3 Go tile elsewhere) with the
 	// four-row LU kernels (see matrix.KernelConfig).
 	Kernels matrix.KernelConfig
-	// Lookahead is the pipeline planning depth k of ModeSharedPipelined:
-	// a stage may prefetch up to k regions ahead of its gap. 0 means the
-	// default depth 1; other modes ignore it.
+	// Lookahead is the pipeline planning depth of ModeSharedPipelined.
+	// The executor plans the depth-1 double buffer only, which measured
+	// within noise of every deeper depth (README, "Pipeline depth"): 0
+	// and 1 both select it, and any other value makes Run fail before it
+	// executes anything. Other modes ignore it. The field stays because
+	// the repository benchmark (perfbench) sets it.
 	Lookahead int
 	// Optimize runs every staged program through the residency-aware
 	// schedule optimizer (schedule.Optimize) before validation and
@@ -34,28 +33,16 @@ type Tuning struct {
 // DefaultTuning is the zero configuration: depth 1, optimizer off.
 var DefaultTuning = Tuning{}
 
-// SetTuning reconfigures the executor's settings. It drops the
+// SetTuning replaces the executor's settings with t. It drops the
 // compiled program (optimizer rewrite, validation and phase plan),
-// because a new lookahead needs a new plan and the optimizer switch a
-// new stream; the next Run recompiles, so a caller timing Runs after
-// SetTuning times one compile with the first of them.
+// because the optimizer switch needs a new stream; the next Run
+// recompiles, so a caller timing Runs after SetTuning times one compile
+// with the first of them. A Lookahead other than 0 or 1 is rejected by
+// that Run in ModeSharedPipelined, not here.
 func (ex *Executor) SetTuning(t Tuning) {
-	ex.kernels = t.Kernels
-	ex.lookahead = t.Lookahead
-	ex.optimize = t.Optimize
+	ex.tun = t
 	ex.comp = nil
 }
 
 // Tuning returns the executor's current settings.
-func (ex *Executor) Tuning() Tuning {
-	return Tuning{Kernels: ex.kernels, Lookahead: ex.lookahead, Optimize: ex.optimize}
-}
-
-// lookaheadDepth resolves the planning depth: the zero value means the
-// classic depth-1 double buffer.
-func (ex *Executor) lookaheadDepth() int {
-	if ex.lookahead < 1 {
-		return 1
-	}
-	return ex.lookahead
-}
+func (ex *Executor) Tuning() Tuning { return ex.tun }

@@ -17,8 +17,8 @@ import (
 // The record is the start of the repository's measured perf trajectory:
 // successive PRs append comparable files rather than prose claims.
 
-// BenchRun is one measured execution. The commands plan every
-// shared-pipelined run at lookahead depth 1, so a run records no depth.
+// BenchRun is one measured execution. Every shared-pipelined run plans
+// at lookahead depth 1, the only depth, so a run records no depth.
 type BenchRun struct {
 	Algorithm   string  `json:"algorithm"`    // algo display name, or "sequential blocked"
 	Mode        string  `json:"mode"`         // "naive", "view", "packed", "shared" or "shared-pipelined"

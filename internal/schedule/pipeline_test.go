@@ -1,6 +1,8 @@
 package schedule
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -117,9 +119,9 @@ func TestPlanPipelineDegradesWithoutSpareCapacity(t *testing.T) {
 // chainProg builds a four-region chain: regions 0–2 each compute on one
 // small line, then the gap before region 3 stages `wide` lines at once
 // (region 3 computes on them, a tail unstages everything). With one
-// Apply per early region, each prefetch slot's hide quota saturates at
-// pipelineHidePerApply — so deeper lookahead strictly increases how
-// much of the wide gap can leave the critical path.
+// Apply per early region, region 2's hide quota saturates at
+// pipelineHidePerApply, and the rest of the wide gap stays on the
+// barrier.
 func chainProg(wide int) *Program {
 	w := []Line{LineA(9, 0), LineA(9, 1), LineA(9, 2)}
 	var ls []Line
@@ -165,101 +167,67 @@ func chainProg(wide int) *Program {
 	}
 }
 
-// TestPlanPipelineDepthTable drives the depth-k planner across k ∈
-// {1,2,3,4} on the chain program: each early region hides at most
-// pipelineHidePerApply stages (one Apply each), so the 20-stage gap
-// saturates slot g−1 at depth 1 and spills into earlier regions as the
-// lookahead deepens — depth 3 hoists strictly more stages than depth 2.
-// Depth 4 is clamped at the program's first region and must match
-// depth 3. At every depth the plan's footprint stays within capacity
-// and no staging operation is lost.
+// TestPlanPipelineDepthTable plans the chain program at depth 1: each
+// early region hides at most pipelineHidePerApply stages (one Apply
+// each), so the 20-stage gap saturates region 2's quota. The plan's
+// footprint stays within capacity and no staging operation is lost.
 func TestPlanPipelineDepthTable(t *testing.T) {
 	const wide = 20
 	const cap = 30
-	cases := []struct {
-		depth       int
-		wantHoisted int
-		wantSlots   []int // Prefetch list length per region
-	}{
-		{depth: 1, wantHoisted: 10, wantSlots: []int{1, 1, 8, 0}},
-		{depth: 2, wantHoisted: 17, wantSlots: []int{1, 8, 8, 0}},
-		{depth: 3, wantHoisted: 22, wantSlots: []int{6, 8, 8, 0}},
-		{depth: 4, wantHoisted: 22, wantSlots: []int{6, 8, 8, 0}},
-	}
-	total := -1
-	for _, tc := range cases {
-		plan, err := PlanPipelineDepth(chainProg(wide), cap, tc.depth)
-		if err != nil {
-			t.Fatalf("depth %d: %v", tc.depth, err)
-		}
-		if plan.Depth != tc.depth {
-			t.Fatalf("depth %d: plan records depth %d", tc.depth, plan.Depth)
-		}
-		if plan.Hoisted != tc.wantHoisted {
-			t.Fatalf("depth %d: hoisted %d, want %d", tc.depth, plan.Hoisted, tc.wantHoisted)
-		}
-		if len(plan.Regions) != len(tc.wantSlots) {
-			t.Fatalf("depth %d: %d regions, want %d", tc.depth, len(plan.Regions), len(tc.wantSlots))
-		}
-		for r, want := range tc.wantSlots {
-			if got := len(plan.Regions[r].Prefetch); got != want {
-				t.Fatalf("depth %d: region %d prefetches %d lines, want %d", tc.depth, r, got, want)
-			}
-		}
-		if plan.Peak > cap {
-			t.Fatalf("depth %d: peak %d exceeds capacity %d", tc.depth, plan.Peak, cap)
-		}
-		if plan.Peak < plan.SerialPeak {
-			t.Fatalf("depth %d: peak %d below serial peak %d", tc.depth, plan.Peak, plan.SerialPeak)
-		}
-		// Conservation: every staging op lands in exactly one phase.
-		if got := plan.Hoisted + plan.Retired + plan.Barriered; total == -1 {
-			total = got
-		} else if got != total {
-			t.Fatalf("depth %d: plan accounts %d staging ops, other depths saw %d", tc.depth, got, total)
-		}
-	}
-	// The satellite case, stated directly: lookahead 3 hoists strictly
-	// more stages than lookahead 2.
-	p2, err := PlanPipelineDepth(chainProg(wide), cap, 2)
+	plan, err := PlanPipelineDepth(chainProg(wide), cap, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p3, err := PlanPipelineDepth(chainProg(wide), cap, 3)
-	if err != nil {
-		t.Fatal(err)
+	if plan.Depth != 1 {
+		t.Fatalf("plan records depth %d", plan.Depth)
 	}
-	if p3.Hoisted <= p2.Hoisted {
-		t.Fatalf("depth 3 hoisted %d, not strictly more than depth 2's %d", p3.Hoisted, p2.Hoisted)
+	if plan.Hoisted != 10 {
+		t.Fatalf("hoisted %d, want 10", plan.Hoisted)
+	}
+	wantSlots := []int{1, 1, 8, 0} // Prefetch list length per region
+	if len(plan.Regions) != len(wantSlots) {
+		t.Fatalf("%d regions, want %d", len(plan.Regions), len(wantSlots))
+	}
+	for r, want := range wantSlots {
+		if got := len(plan.Regions[r].Prefetch); got != want {
+			t.Fatalf("region %d prefetches %d lines, want %d", r, got, want)
+		}
+	}
+	if plan.Peak > cap {
+		t.Fatalf("peak %d exceeds capacity %d", plan.Peak, cap)
+	}
+	if plan.Peak < plan.SerialPeak {
+		t.Fatalf("peak %d below serial peak %d", plan.Peak, plan.SerialPeak)
+	}
+	// Conservation: every staging op — a stage and an unstage of each
+	// of the 3+wide lines — lands in exactly one phase.
+	if got, want := plan.Hoisted+plan.Retired+plan.Barriered, 2*(3+wide); got != want {
+		t.Fatalf("plan accounts %d staging ops, the program has %d", got, want)
 	}
 }
 
-// Over capacity the depth-k planner must degrade to the serial order at
-// every lookahead: depth buys overlap only out of spare capacity.
+// Over capacity the planner must degrade to the serial order: the
+// lookahead buys overlap only out of spare capacity.
 func TestPlanPipelineDepthDegradesToSerial(t *testing.T) {
-	for _, depth := range []int{1, 2, 3, 4} {
-		plan, err := PlanPipelineDepth(pipeProg(1), 2, depth)
-		if err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
+	plan, err := PlanPipelineDepth(pipeProg(1), 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Hoisted != 0 {
+		t.Fatalf("tight capacity hoisted %d stages", plan.Hoisted)
+	}
+	for r, reg := range plan.Regions {
+		if len(reg.Prefetch) != 0 {
+			t.Fatalf("region %d has prefetches %v under tight capacity", r, reg.Prefetch)
 		}
-		if plan.Hoisted != 0 {
-			t.Fatalf("depth %d: tight capacity hoisted %d stages", depth, plan.Hoisted)
-		}
-		for r, reg := range plan.Regions {
-			if len(reg.Prefetch) != 0 {
-				t.Fatalf("depth %d: region %d has prefetches %v under tight capacity", depth, r, reg.Prefetch)
-			}
-		}
-		if plan.Peak > 2 {
-			t.Fatalf("depth %d: peak %d exceeds the serial footprint", depth, plan.Peak)
-		}
+	}
+	if plan.Peak > 2 {
+		t.Fatalf("peak %d exceeds the serial footprint", plan.Peak)
 	}
 }
 
 // A gap that re-stages a line it just unstaged must not hoist that
-// stage ahead of the unstage, however much capacity is spare — and at
-// depth > 1 the prefetch must not cross an unstage of the same line in
-// an earlier gap either.
+// stage ahead of the unstage, however much capacity is spare.
 func TestPlanPipelineRespectsSameLineReuse(t *testing.T) {
 	l := LineA(0, 0)
 	prog := &Program{
@@ -283,24 +251,22 @@ func TestPlanPipelineRespectsSameLineReuse(t *testing.T) {
 			b.UnstageShared(l)
 		},
 	}
-	for _, depth := range []int{1, 2, 3} {
-		plan, err := PlanPipelineDepth(prog, 8, depth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := len(plan.Regions[0].Prefetch); got != 0 {
-			t.Fatalf("depth %d: re-stage of an unstaged line was prefetched: %v", depth, plan.Regions[0].Prefetch)
-		}
-		if len(plan.Regions[1].Barrier) != 2 {
-			t.Fatalf("depth %d: re-stage gap must stay serial, got barrier=%v retire=%v",
-				depth, plan.Regions[1].Barrier, plan.Regions[1].Retire)
-		}
+	plan, err := PlanPipelineDepth(prog, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(plan.Regions[0].Prefetch); got != 0 {
+		t.Fatalf("re-stage of an unstaged line was prefetched: %v", plan.Regions[0].Prefetch)
+	}
+	if len(plan.Regions[1].Barrier) != 2 {
+		t.Fatalf("re-stage gap must stay serial, got barrier=%v retire=%v",
+			plan.Regions[1].Barrier, plan.Regions[1].Retire)
 	}
 }
 
 // A stage whose line an overlapped region touches must not prefetch
 // over it: serially that region would have faulted on a non-resident
-// line, and the prefetch must not mask the fault — at any depth.
+// line, and the prefetch must not mask the fault.
 func TestPlanPipelineWillNotMaskNonResidentFault(t *testing.T) {
 	early, late := LineA(0, 0), LineA(1, 1)
 	prog := &Program{
@@ -326,15 +292,13 @@ func TestPlanPipelineWillNotMaskNonResidentFault(t *testing.T) {
 			b.UnstageShared(early)
 		},
 	}
-	for _, depth := range []int{1, 2, 3} {
-		plan, err := PlanPipelineDepth(prog, 8, depth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r, reg := range plan.Regions {
-			if len(reg.Prefetch) != 0 {
-				t.Fatalf("depth %d: stage of a line region %d touches was prefetched: %v", depth, r, reg.Prefetch)
-			}
+	plan, err := PlanPipelineDepth(prog, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, reg := range plan.Regions {
+		if len(reg.Prefetch) != 0 {
+			t.Fatalf("stage of a line region %d touches was prefetched: %v", r, reg.Prefetch)
 		}
 	}
 }
@@ -373,6 +337,17 @@ func TestPlanPipelineRejectsBadCapacity(t *testing.T) {
 	}
 }
 
+// The planner builds the depth-1 double buffer only: any other depth
+// is an error that names it.
+func TestPlanPipelineDepthOneOnly(t *testing.T) {
+	for _, d := range []int{-1, 0, 2} {
+		_, err := PlanPipelineDepth(pipeProg(1), 4, d)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("got %d", d)) {
+			t.Errorf("depth %d: want an error naming it, got %v", d, err)
+		}
+	}
+}
+
 // PlanSerial is the same pass at depth 0: with all the spare capacity
 // the pipelined plan overlaps, every gap op stays a barrier op in
 // program order, and the pass's static checks still gate the program.
@@ -384,9 +359,14 @@ func TestPlanSerialKeepsEveryOpOnTheBarrier(t *testing.T) {
 	if len(plan.Regions) != 2 || plan.Depth != 0 {
 		t.Fatalf("planned %d regions at depth %d, want 2 at depth 0", len(plan.Regions), plan.Depth)
 	}
-	want := [][]PipelinedOp{
-		{{Line: LineA(0, 0)}, {Line: LineA(0, 1)}},
-		{{Line: LineA(0, 0), Unstage: true}, {Line: LineA(0, 1), Unstage: true}, {Line: LineA(1, 0)}, {Line: LineA(1, 1)}},
+	// Lower numbers the lines in first-sight order: A[0,0], A[0,1],
+	// A[1,0], A[1,1] are IDs 0–3.
+	if lines := []Line{LineA(0, 0), LineA(0, 1), LineA(1, 0), LineA(1, 1)}; !slices.Equal(plan.Lines, lines) {
+		t.Fatalf("plan line table %v, want %v", plan.Lines, lines)
+	}
+	want := [][]SharedOp{
+		{{Line: 0}, {Line: 1}},
+		{{Line: 0, Unstage: true}, {Line: 1, Unstage: true}, {Line: 2}, {Line: 3}},
 	}
 	for r, reg := range plan.Regions {
 		if len(reg.Prefetch) != 0 || len(reg.Retire) != 0 {

@@ -116,9 +116,8 @@ type Params struct {
 	GridCols int // core-grid columns
 }
 
-// Resources records the cache resources of the declared machine a
-// program was tuned for, in the units of the model: q×q blocks and
-// blocks-per-time-unit bandwidths. Backends that realise staging
+// Resources records the cache capacities of the declared machine a
+// program was tuned for, in q×q blocks, and its chip count. Backends that realise staging
 // physically (the executor's per-core arenas) validate the schedule's
 // measured working set against these claims before committing memory;
 // see Measure and WorkingSet.Fits. A zero value means "not declared"
@@ -131,12 +130,6 @@ type Resources struct {
 	// cache of SharedBlocks blocks. Zero or one means the paper's
 	// single-shared-cache machine.
 	Chips int
-	// SigmaS/SigmaD/BlockEdge echo the rest of the declared machine, for
-	// reporting. No code reads them: the executor validates only the
-	// block capacities, and sizes its arenas from its own arguments.
-	SigmaS    float64 // shared-cache bandwidth σS, blocks per time unit
-	SigmaD    float64 // distributed-cache bandwidth σD, blocks per time unit
-	BlockEdge int     // block edge q, in coefficients
 }
 
 // ChipCount normalises the Chips field (zero ⇒ single chip).

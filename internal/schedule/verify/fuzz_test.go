@@ -34,7 +34,7 @@ func FuzzVerifyNeverPanics(f *testing.F) {
 		if sharedCap <= 0 {
 			sharedCap = 1
 		}
-		plan, err := schedule.PlanPipelineDepth(p, sharedCap, 1+int(cores)%3)
+		plan, err := schedule.PlanPipelineDepth(p, sharedCap, 1)
 		if err != nil {
 			return
 		}

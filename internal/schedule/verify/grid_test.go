@@ -88,16 +88,12 @@ func TestLUProgramsVerifyClean(t *testing.T) {
 func TestRegisteredPlansVerifyClean(t *testing.T) {
 	check := func(t *testing.T, p *schedule.Program, cs int) {
 		t.Helper()
-		for depth := 1; depth <= 3; depth++ {
-			plan, err := schedule.PlanPipelineDepth(p, cs, depth)
-			if err != nil {
-				t.Fatalf("depth %d: plan: %v", depth, err)
-			}
-			if fs := verify.Plan(p, plan, cs); len(fs) != 0 {
-				for _, f := range fs {
-					t.Errorf("depth %d finding: %v", depth, f)
-				}
-			}
+		plan, err := schedule.PlanPipelineDepth(p, cs, 1)
+		if err != nil {
+			t.Fatalf("plan: %v", err)
+		}
+		for _, f := range verify.Plan(p, plan, cs) {
+			t.Errorf("finding: %v", f)
 		}
 	}
 	for _, a := range algo.Extended() {
@@ -150,16 +146,12 @@ func TestOptimizedProgramsVerifyClean(t *testing.T) {
 				t.Errorf("finding: %v", f)
 			}
 		}
-		for depth := 1; depth <= 3; depth++ {
-			plan, err := schedule.PlanPipelineDepth(q, cs, depth)
-			if err != nil {
-				t.Fatalf("depth %d: plan optimized stream: %v", depth, err)
-			}
-			if fs := verify.Plan(q, plan, cs); len(fs) != 0 {
-				for _, f := range fs {
-					t.Errorf("depth %d finding: %v", depth, f)
-				}
-			}
+		plan, err := schedule.PlanPipelineDepth(q, cs, 1)
+		if err != nil {
+			t.Fatalf("plan optimized stream: %v", err)
+		}
+		for _, f := range verify.Plan(q, plan, cs) {
+			t.Errorf("plan finding: %v", f)
 		}
 	}
 	for _, a := range algo.Extended() {

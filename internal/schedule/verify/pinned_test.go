@@ -14,21 +14,22 @@ import (
 
 // renderPlan writes a plan to w as the pinned hashes see it: each
 // region's prefetch, barrier and retire lists, one op per entry with
-// its unstage flag, then the tail and the plan's counts.
+// its line (resolved through the plan's line table) and unstage flag,
+// then the tail and the plan's counts.
 func renderPlan(w io.Writer, plan *schedule.PipelinePlan) {
-	op := func(l schedule.Line, unstage bool) { fmt.Fprintf(w, " %v:%t", l, unstage) }
+	op := func(id schedule.LineID, unstage bool) { fmt.Fprintf(w, " %v:%t", plan.Lines[id], unstage) }
 	for r, reg := range plan.Regions {
 		fmt.Fprintf(w, "region %d\nprefetch", r)
-		for _, l := range reg.Prefetch {
-			op(l, false)
+		for _, id := range reg.Prefetch {
+			op(id, false)
 		}
 		fmt.Fprint(w, "\nbarrier")
 		for _, o := range reg.Barrier {
 			op(o.Line, o.Unstage)
 		}
 		fmt.Fprint(w, "\nretire")
-		for _, l := range reg.Retire {
-			op(l, true)
+		for _, id := range reg.Retire {
+			op(id, true)
 		}
 		fmt.Fprintln(w)
 	}

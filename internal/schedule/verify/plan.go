@@ -7,18 +7,20 @@ import (
 )
 
 // Plan statically verifies a pipelined execution plan against the
-// program it claims to phase: every prefetch must serve a real stage
-// within the plan's lookahead window without overlapping a region that
-// touches its line or crossing an unstage of it (HoistUnsafe), every
-// retired write-back must not collide with the region it retires under
-// (RetireUnsafe), the phased ops must reproduce the serial gap stream
+// program it claims to phase: every prefetch must serve a real stage of
+// the next region's gap without overlapping a region that touches its
+// line or crossing an earlier unstage of it in that gap (HoistUnsafe),
+// every retired write-back must not collide with the region it retires
+// under (RetireUnsafe), every line ID must resolve through the plan's
+// line table and the phased ops must reproduce the serial gap stream
 // exactly — nothing lost, invented or reordered beyond the allowed
 // phases (PlanMismatch) — and the overlapped residency profile,
 // prefetch windows included, must fit sharedCap on every chip
 // (PlanFootprint). PlanPipelineDepth enforces these rules while
-// building a plan; Plan re-proves them from the outside, so a plan from
-// any source — including a future dynamic scheduler — is admitted
-// through the same gate.
+// building a plan; Plan re-proves them from the outside, by line
+// rather than by the trace's IDs, so a plan from any source —
+// including a future dynamic scheduler — is admitted through the same
+// gate.
 //
 // Findings reference ops by the same global emission-order index
 // Program uses, so a plan finding points into the same provenance
@@ -45,63 +47,49 @@ func Plan(p *schedule.Program, plan *schedule.PipelinePlan, sharedCap int) []Fin
 		return append(fs, Finding{Kind: PlanMismatch, Op: -1, Region: -1, Core: -1, Chip: -1,
 			Detail: fmt.Sprintf("plan phases %d regions, program has %d", len(plan.Regions), R)})
 	}
-	depth := plan.Depth
-	if depth < 1 {
-		depth = 1
+	if fs := unresolved(plan); len(fs) > 0 {
+		return fs
 	}
+	lines := plan.Lines
 
 	// Attribute every prefetch to the earliest unclaimed serial stage of
-	// its line within the lookahead window, then re-prove the planner's
-	// visibility and order rules for that placement.
+	// its line in the next gap, then re-prove the planner's visibility
+	// and order rules for that placement.
 	claimed := make([][]bool, R)
 	for g := range col.gaps {
 		claimed[g] = make([]bool, len(col.gaps[g]))
 	}
 	type claim struct {
-		h, g, i int
-		line    schedule.Line
+		h, i int // prefetched during region h for op i of gap h+1
+		line schedule.Line
 	}
 	var claims []claim
 	for h := range plan.Regions {
-		for _, l := range plan.Regions[h].Prefetch {
-			found := false
-			for g := h + 1; g <= h+depth && g < R && !found; g++ {
-				for i, op := range col.gaps[g] {
-					if !op.Unstage && op.Line == l && !claimed[g][i] {
-						claimed[g][i] = true
-						claims = append(claims, claim{h: h, g: g, i: i, line: l})
-						found = true
+		for _, id := range plan.Regions[h].Prefetch {
+			l, g, i := lines[id], h+1, -1
+			if g < R {
+				for j, op := range col.gaps[g] {
+					if op.is(l, false) && !claimed[g][j] {
+						i = j
 						break
 					}
 				}
 			}
-			if !found {
+			if i < 0 {
 				report(Finding{Kind: PlanMismatch, Level: LevelShared, Op: -1, Region: h, Core: -1, Chip: -1, Line: l,
-					Detail: "prefetch serves no unclaimed stage within the lookahead window"})
+					Detail: "prefetch serves no unclaimed stage of the next gap"})
 				continue
 			}
-			c := claims[len(claims)-1]
-			opIdx := col.gaps[c.g][c.i].op
-			for r := c.h; r < c.g; r++ {
-				if _, hit := col.touch[r][l]; hit {
-					report(Finding{Kind: HoistUnsafe, Level: LevelShared, Op: opIdx, Region: r, Core: -1, Chip: -1, Line: l,
-						Detail: fmt.Sprintf("prefetch at region %d overlaps region %d, which touches the line", c.h, r)})
-					break
-				}
+			claimed[g][i] = true
+			claims = append(claims, claim{h: h, i: i, line: l})
+			opIdx := col.gaps[g][i].op
+			if _, hit := col.touch[h][l]; hit {
+				report(Finding{Kind: HoistUnsafe, Level: LevelShared, Op: opIdx, Region: h, Core: -1, Chip: -1, Line: l,
+					Detail: "prefetch overlaps a region that touches the line"})
 			}
-		order:
-			for gp := c.h + 1; gp < c.g; gp++ {
-				for _, op := range col.gaps[gp] {
-					if op.Unstage && op.Line == l {
-						report(Finding{Kind: HoistUnsafe, Level: LevelShared, Op: opIdx, Region: c.h, Core: -1, Chip: -1, Line: l,
-							Detail: fmt.Sprintf("prefetch crosses the line's unstage in gap %d", gp)})
-						break order
-					}
-				}
-			}
-			for j := 0; j < c.i; j++ {
-				if col.gaps[c.g][j].Unstage && col.gaps[c.g][j].Line == l {
-					report(Finding{Kind: HoistUnsafe, Level: LevelShared, Op: opIdx, Region: c.h, Core: -1, Chip: -1, Line: l,
+			for j := 0; j < i; j++ {
+				if col.gaps[g][j].is(l, true) {
+					report(Finding{Kind: HoistUnsafe, Level: LevelShared, Op: opIdx, Region: h, Core: -1, Chip: -1, Line: l,
 						Detail: "prefetch crosses the line's earlier unstage in its own gap"})
 					break
 				}
@@ -127,20 +115,19 @@ func Plan(p *schedule.Program, plan *schedule.PipelinePlan, sharedCap int) []Fin
 		}
 		ok := true
 		for i, op := range reg.Barrier {
-			if rest[i].PipelinedOp != op {
-				report(Finding{Kind: PlanMismatch, Level: LevelShared, Op: rest[i].op, Region: g, Core: -1, Chip: -1, Line: op.Line,
+			if l := lines[op.Line]; !rest[i].is(l, op.Unstage) {
+				report(Finding{Kind: PlanMismatch, Level: LevelShared, Op: rest[i].op, Region: g, Core: -1, Chip: -1, Line: l,
 					Detail: "barrier op diverges from the serial gap order"})
 				ok = false
 				break
 			}
 		}
 		if ok {
-			for i, l := range reg.Retire {
-				got := rest[len(reg.Barrier)+i]
-				if !got.Unstage || got.Line != l {
+			for i, id := range reg.Retire {
+				l, got := lines[id], rest[len(reg.Barrier)+i]
+				if !got.is(l, true) {
 					report(Finding{Kind: PlanMismatch, Level: LevelShared, Op: got.op, Region: g, Core: -1, Chip: -1, Line: l,
 						Detail: "retire entry is not the gap's trailing unstage"})
-					ok = false
 					break
 				}
 				if _, hit := col.touch[g][l]; hit {
@@ -155,8 +142,8 @@ func Plan(p *schedule.Program, plan *schedule.PipelinePlan, sharedCap int) []Fin
 			Detail: fmt.Sprintf("plan tail has %d ops, program tail has %d", len(plan.Tail), len(col.cur))})
 	} else {
 		for i, op := range plan.Tail {
-			if col.cur[i].PipelinedOp != op {
-				report(Finding{Kind: PlanMismatch, Level: LevelShared, Op: col.cur[i].op, Region: -1, Core: -1, Chip: -1, Line: op.Line,
+			if l := lines[op.Line]; !col.cur[i].is(l, op.Unstage) {
+				report(Finding{Kind: PlanMismatch, Level: LevelShared, Op: col.cur[i].op, Region: -1, Core: -1, Chip: -1, Line: l,
 					Detail: "tail op diverges from the serial order"})
 				break
 			}
@@ -165,7 +152,8 @@ func Plan(p *schedule.Program, plan *schedule.PipelinePlan, sharedCap int) []Fin
 
 	// Overlapped footprint: the serial residency profile per home chip,
 	// plus one slot for every claimed prefetch over its early-resident
-	// window, must fit sharedCap at every profile point.
+	// window — its region and its gap up to its serial position — must
+	// fit sharedCap at every profile point.
 	if sharedCap > 0 && R > 0 {
 		chips := p.Resources.ChipCount()
 		posRes := make([][][]int, chips)
@@ -183,10 +171,10 @@ func Plan(p *schedule.Program, plan *schedule.PipelinePlan, sharedCap int) []Fin
 				for ch := 0; ch < chips; ch++ {
 					posRes[ch][g][i] = res[ch]
 				}
-				if op.Unstage {
-					res[p.HomeOf(op.Line)]--
+				if op.unstage {
+					res[p.HomeOf(op.line)]--
 				} else {
-					res[p.HomeOf(op.Line)]++
+					res[p.HomeOf(op.line)]++
 				}
 			}
 			for ch := 0; ch < chips; ch++ {
@@ -204,16 +192,9 @@ func Plan(p *schedule.Program, plan *schedule.PipelinePlan, sharedCap int) []Fin
 		}
 		for _, c := range claims {
 			ch := p.HomeOf(c.line)
-			for r := c.h; r < c.g; r++ {
-				regionExtra[ch][r]++
-			}
-			for gp := c.h + 1; gp < c.g; gp++ {
-				for j := range gapExtra[ch][gp] {
-					gapExtra[ch][gp][j]++
-				}
-			}
-			for j := 0; j <= c.i && j < len(gapExtra[ch][c.g]); j++ {
-				gapExtra[ch][c.g][j]++
+			regionExtra[ch][c.h]++
+			for j := 0; j <= c.i; j++ {
+				gapExtra[ch][c.h+1][j]++
 			}
 		}
 		for ch := 0; ch < chips; ch++ {
@@ -237,11 +218,42 @@ func Plan(p *schedule.Program, plan *schedule.PipelinePlan, sharedCap int) []Fin
 	return fs
 }
 
+// unresolved reports every line ID in plan's lists that its line table
+// does not resolve.
+func unresolved(plan *schedule.PipelinePlan) []Finding {
+	var fs []Finding
+	check := func(r int, id schedule.LineID) {
+		if uint64(id) >= uint64(len(plan.Lines)) {
+			fs = append(fs, Finding{Kind: PlanMismatch, Level: LevelShared, Op: -1, Region: r, Core: -1, Chip: -1,
+				Detail: fmt.Sprintf("line ID %d outside the plan's %d-line table", id, len(plan.Lines))})
+		}
+	}
+	for r, reg := range plan.Regions {
+		for _, id := range reg.Prefetch {
+			check(r, id)
+		}
+		for _, op := range reg.Barrier {
+			check(r, op.Line)
+		}
+		for _, id := range reg.Retire {
+			check(r, id)
+		}
+	}
+	for _, op := range plan.Tail {
+		check(-1, op.Line)
+	}
+	return fs
+}
+
 // gapOp is one shared staging op of a gap, with its global op index.
 type gapOp struct {
-	schedule.PipelinedOp
-	op int
+	line    schedule.Line
+	unstage bool
+	op      int
 }
+
+// is reports whether o stages (or, with unstage, unstages) line l.
+func (o gapOp) is(l schedule.Line, unstage bool) bool { return o.line == l && o.unstage == unstage }
 
 // planCollector re-derives the planner's view of the program — gaps of
 // shared ops split at regions that carry work, and each region's
@@ -262,12 +274,12 @@ func newPlanCollector(p *schedule.Program) *planCollector {
 var _ schedule.Backend = (*planCollector)(nil)
 
 func (pc *planCollector) StageShared(l schedule.Line) {
-	pc.cur = append(pc.cur, gapOp{PipelinedOp: schedule.PipelinedOp{Line: l}, op: pc.op})
+	pc.cur = append(pc.cur, gapOp{line: l, op: pc.op})
 	pc.op++
 }
 
 func (pc *planCollector) UnstageShared(l schedule.Line) {
-	pc.cur = append(pc.cur, gapOp{PipelinedOp: schedule.PipelinedOp{Line: l, Unstage: true}, op: pc.op})
+	pc.cur = append(pc.cur, gapOp{line: l, unstage: true, op: pc.op})
 	pc.op++
 }
 

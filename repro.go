@@ -164,12 +164,13 @@ func NewTripleDims(rows, cols, inner, q int, seed uint64) (*Triple, error) {
 // maximum absolute deviation of C.
 func Verify(t *Triple) (float64, error) { return parallel.Verify(t) }
 
-// Tuning bundles the executor's settings: the pipeline lookahead depth
-// of ExecSharedPipelined and the schedule optimizer switch. The zero
-// value plans at depth 1 with the optimizer off. Lookahead stays for
-// the repository benchmark, which sets it explicitly; a caller plans
-// deeper only when it sets Lookahead above 1, and depth 1 is within
-// noise of every deeper depth measured (README). Neither setting can
-// change a result: the pipeline plan is re-verified at every depth and
-// the optimizer keeps results bitwise identical.
+// Tuning bundles the executor's settings: the pipeline lookahead of
+// ExecSharedPipelined and the schedule optimizer switch. The zero value
+// plans the depth-1 double buffer with the optimizer off. Depth 1 is
+// the only depth, because it measured within noise of every deeper one
+// (README): Lookahead accepts 0 or 1, both meaning depth 1, and any
+// other value fails an ExecSharedPipelined run before it executes
+// anything. Neither setting can change a result: the pipeline plan is
+// proved before it runs and the optimizer keeps results bitwise
+// identical.
 type Tuning = parallel.Tuning
