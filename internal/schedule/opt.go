@@ -28,15 +28,20 @@ package schedule
 // The capacity proof is a profile per cache: each chip's shared
 // residency before every trace step, and each core's residency before
 // every op of its stream. An elision keeps its line resident over a
-// window of that profile, so it fits when the window's maximum plus one
-// stays within the declared capacity, and committing it adds one over
+// window of that profile, so it fits when every point of the window
+// stays below the declared capacity, and committing it adds one over
 // the window. Candidates commit greedily in a fixed order — the shared
 // pass in unstage-step order, the core pass core by core and then by
 // (Matrix, Row, Col) — each checked against what earlier commits
-// already keep resident. The profile is a bucketed range max (see
-// rangeMax), so checking and booking a window costs about its length
-// over the bucket size instead of its length. All per-line state is
-// indexed by the trace's line IDs.
+// already keep resident. The profile is bucketed (see rangeMax): a
+// check stops at the first point or whole bucket already at capacity,
+// so a window that does not fit costs about the distance to that
+// bucket, and one that fits, like booking one, about its length over
+// the bucket size. All per-line state is indexed by the trace's line
+// IDs; the per-line lists the passes search (a line's shared events,
+// its region uses and each core's stage events on it) are counted
+// first and then filled in place, each kind cut from one exactly sized
+// array.
 //
 // The pass is conservative by construction — any stream it cannot
 // prove well-formed (the verifier's linear-staging, def-before-use and
@@ -51,6 +56,7 @@ package schedule
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -153,19 +159,19 @@ const (
 // — a shared gap may not contain any, and a core-reuse window may not
 // contain a conflicting one from another core.
 type optUse struct {
-	step  int
-	core  int
+	step  int32
+	core  int32
 	flags uint8
 }
 
-// optCoreEvent is one Stage/Unstage of a line by one core: its position
-// in that core's flattened op stream (for the capacity profile), the
-// step and op index (for drop marking), and — for unstages — whether
-// the hold being closed was dirty.
+// optCoreEvent is one Stage/Unstage of a line by one core, in 16 bytes:
+// its position in that core's flattened op stream (for the capacity
+// profile), the step and op index (for drop marking), and — for
+// unstages — whether the hold being closed was dirty.
 type optCoreEvent struct {
-	pos   int
-	step  int
-	opIdx int
+	pos   int32
+	step  int32
+	opIdx int32
 	stage bool
 	dirty bool
 }
@@ -197,7 +203,8 @@ type optAnalysis struct {
 
 	// Per-line indexes, by line ID: the driver steps of a line's
 	// shared events (alternating stage/unstage), its region uses, and —
-	// per core — its core events.
+	// per core — its core events. Each kind of list shares one backing
+	// array (optLists).
 	sharedEvents [][]int
 	lineUses     [][]optUse
 	coreEvents   [][][]optCoreEvent // [core][line]
@@ -222,8 +229,6 @@ func optAnalyze(p *Program, tr *Trace) (*optAnalysis, string) {
 		resBefore:      make([][]int, chips),
 		coreResBefore:  make([][]int, p.Cores),
 		sharedPeak:     make([]int, chips),
-		sharedEvents:   make([][]int, n),
-		lineUses:       make([][]optUse, n),
 		coreEvents:     make([][][]optCoreEvent, p.Cores),
 		sharedStages:   make([]uint64, chips),
 		sharedUnstages: make([]uint64, chips),
@@ -233,33 +238,65 @@ func optAnalyze(p *Program, tr *Trace) (*optAnalysis, string) {
 	for ch := range a.resBefore {
 		a.resBefore[ch] = make([]int, len(tr.Steps))
 	}
+
+	// Count every per-line list first, so each is cut from one exactly
+	// sized backing array. Uses are counted as addUse merges them: all
+	// of one core's uses of a line in one step are one use.
 	opsPerCore := make([]int, p.Cores)
+	nShared := make([]int, n)
+	nUses := make([]int, n)
+	nCore := make([]int, p.Cores*n) // by core, then line
+	lastUse := make([]int, n)       // the (step, core) block that last used the line, numbered from 1
+	block := 0
 	for i := range tr.Steps {
-		if tr.Steps[i].Cores == nil {
+		step := &tr.Steps[i]
+		if step.Cores == nil {
 			a.sharedProg = true
+			nShared[step.Shared.Line]++
 			continue
 		}
-		for c, ops := range tr.Steps[i].Cores {
+		for c, ops := range step.Cores {
 			opsPerCore[c] += len(ops)
+			block++
 			for j := range ops {
-				if ops[j].Kind == OpStage || ops[j].Kind == OpUnstage {
+				op := &ops[j]
+				if op.Kind == OpStage || op.Kind == OpUnstage {
 					a.coreProg = true
+					nCore[c*n+int(op.Line)]++
+				}
+				if op.Kind == OpApply {
+					for _, src := range op.Sources() {
+						if lastUse[src] != block {
+							lastUse[src] = block
+							nUses[src]++
+						}
+					}
+				}
+				if lastUse[op.Line] != block {
+					lastUse[op.Line] = block
+					nUses[op.Line]++
 				}
 			}
 		}
 	}
+	if len(tr.Steps) > math.MaxInt32 || slices.Max(opsPerCore) > math.MaxInt32 {
+		return nil, "trace too long for the pass's 32-bit step and op positions"
+	}
+	a.sharedEvents = optLists[int](nShared)
+	a.lineUses = optLists[optUse](nUses)
+	coreEvents := optLists[optCoreEvent](nCore)
 	for c := range a.coreResBefore {
 		a.coreResBefore[c] = make([]int, 0, opsPerCore[c])
-		a.coreEvents[c] = make([][]optCoreEvent, n)
+		a.coreEvents[c] = coreEvents[c*n : (c+1)*n]
 	}
 
 	addUse := func(step, core int, l LineID, flags uint8) {
 		us := a.lineUses[l]
-		if k := len(us); k > 0 && us[k-1].step == step && us[k-1].core == core {
+		if k := len(us); k > 0 && us[k-1].step == int32(step) && us[k-1].core == int32(core) {
 			us[k-1].flags |= flags
 			return
 		}
-		a.lineUses[l] = append(us, optUse{step: step, core: core, flags: flags})
+		a.lineUses[l] = append(us, optUse{step: int32(step), core: int32(core), flags: flags})
 	}
 
 	sharedRes := make([]bool, n)
@@ -333,7 +370,7 @@ func optAnalyze(p *Program, tr *Trace) (*optAnalysis, string) {
 					holders[op.Line]++
 					a.coreStages[chip]++
 					a.coreEvents[c][op.Line] = append(a.coreEvents[c][op.Line],
-						optCoreEvent{pos: pos, step: t, opIdx: oi, stage: true})
+						optCoreEvent{pos: int32(pos), step: int32(t), opIdx: int32(oi), stage: true})
 					addUse(t, c, op.Line, optUseRead)
 				case OpUnstage:
 					state := st[op.Line]
@@ -349,7 +386,7 @@ func optAnalyze(p *Program, tr *Trace) (*optAnalysis, string) {
 					}
 					a.coreUnstages[chip]++
 					a.coreEvents[c][op.Line] = append(a.coreEvents[c][op.Line],
-						optCoreEvent{pos: pos, step: t, opIdx: oi, stage: false, dirty: dirty})
+						optCoreEvent{pos: int32(pos), step: int32(t), opIdx: int32(oi), stage: false, dirty: dirty})
 					if dirty {
 						addUse(t, c, op.Line, optUseWrite)
 					} else {
@@ -405,6 +442,24 @@ func optAnalyze(p *Program, tr *Trace) (*optAnalysis, string) {
 	return a, ""
 }
 
+// optLists returns one empty list per count, each with exactly that
+// capacity, all cut from one backing array: appending up to the count
+// fills the list in place.
+func optLists[T any](counts []int) [][]T {
+	total := 0
+	for _, k := range counts {
+		total += k
+	}
+	backing := make([]T, total)
+	lists := make([][]T, len(counts))
+	off := 0
+	for i, k := range counts {
+		lists[i] = backing[off : off : off+k]
+		off += k
+	}
+	return lists
+}
+
 // workingSet assembles the baseline footprint the scan measured, in the
 // shape CheckCapacity expects.
 func (a *optAnalysis) workingSet() WorkingSet {
@@ -440,41 +495,42 @@ func optSharedPass(p *Program, tr *Trace, a *optAnalysis, d *optDrops) []uint64 
 	if cs <= 0 {
 		return elided
 	}
-	type cand struct {
-		line LineID
-		u, s int
-	}
-	var cands []cand
-	for l, evts := range a.sharedEvents {
-		// Events alternate stage/unstage starting with a stage, so
-		// odd indices are unstages; pair each with the stage after it.
-		for i := 1; i+1 < len(evts); i += 2 {
-			cands = append(cands, cand{line: LineID(l), u: evts[i], s: evts[i+1]})
-		}
-	}
-	// Step indices are unique across candidates, so ordering by the
-	// unstage's index is total: commit order is deterministic.
-	slices.SortFunc(cands, func(x, y cand) int { return x.u - y.u })
 	// The chip's profile over the steps: baseline residency before each
 	// step plus the lines commits keep resident there.
 	prof := make([]*rangeMax, a.chips)
 	for ch := range prof {
 		prof[ch] = newRangeMax(a.resBefore[ch])
 	}
-	for _, c := range cands {
-		us := a.lineUses[c.line]
-		i := sort.Search(len(us), func(i int) bool { return us[i].step > c.u })
-		if i < len(us) && us[i].step < c.s {
-			continue // the gap references l: the unstage is live
-		}
-		rm := prof[tr.Homes[c.line]]
-		if rm.maxOver(c.u+1, c.s)+1 > cs {
+	// Walk the driver steps in order, keeping a cursor into each line's
+	// events: the candidates come in unstage-step order without a sort.
+	// Events alternate stage/unstage starting with a stage, so each
+	// unstage pairs with the event after it, when there is one.
+	next := make([]int32, len(tr.Lines)) // per line: the index of its next event
+	for u := range tr.Steps {
+		st := &tr.Steps[u]
+		if st.Cores != nil {
 			continue
 		}
-		d.driver[c.u] = true
-		d.driver[c.s] = true
-		rm.inc(c.u+1, c.s)
-		elided[tr.Homes[c.line]]++
+		l := st.Shared.Line
+		next[l]++
+		evts := a.sharedEvents[l]
+		if !st.Shared.Unstage || int(next[l]) == len(evts) {
+			continue
+		}
+		s := evts[next[l]]
+		us := a.lineUses[l]
+		i := sort.Search(len(us), func(i int) bool { return int(us[i].step) > u })
+		if i < len(us) && int(us[i].step) < s {
+			continue // the gap references l: the unstage is live
+		}
+		rm := prof[tr.Homes[l]]
+		if !rm.fits(u+1, s, cs) {
+			continue
+		}
+		d.driver[u] = true
+		d.driver[s] = true
+		rm.inc(u+1, s)
+		elided[tr.Homes[l]]++
 	}
 	return elided
 }
@@ -514,28 +570,28 @@ func optCorePass(p *Program, tr *Trace, a *optAnalysis, d *optDrops) []uint64 {
 			if len(evts) == 0 {
 				continue
 			}
-			last := evts[len(evts)-1].step // the chain's final unstage, never dropped
-			carry := false                 // an elided merge is still pending
+			last := int(evts[len(evts)-1].step) // the chain's final unstage, never dropped
+			carry := false                      // an elided merge is still pending
 			for i := 1; i+1 < len(evts); i += 2 {
 				open, u, s := evts[i-1], evts[i], evts[i+1]
 				effDirty := u.dirty || carry
 				blocked := false
 				ds := a.sharedEvents[l]
-				for di := sort.SearchInts(ds, u.step+1); di < len(ds) && ds[di] < s.step; di++ {
+				for di := sort.SearchInts(ds, int(u.step)+1); di < len(ds) && ds[di] < int(s.step); di++ {
 					if !d.driver[ds[di]] {
 						blocked = true
 						break
 					}
 				}
 				if !blocked {
-					lo, hi, any := u.step, last, true
+					lo, hi, any := int(u.step), last, true
 					if !effDirty {
-						lo, hi, any = open.step, s.step, false
+						lo, hi, any = int(open.step), int(s.step), false
 					}
 					us := a.lineUses[l]
-					ui := sort.Search(len(us), func(i int) bool { return us[i].step >= lo })
-					for ; ui < len(us) && us[ui].step <= hi; ui++ {
-						if us[ui].core == core {
+					ui := sort.Search(len(us), func(i int) bool { return int(us[i].step) >= lo })
+					for ; ui < len(us) && int(us[ui].step) <= hi; ui++ {
+						if int(us[ui].core) == core {
 							continue
 						}
 						if any || us[ui].flags&optUseWrite != 0 {
@@ -548,7 +604,7 @@ func optCorePass(p *Program, tr *Trace, a *optAnalysis, d *optDrops) []uint64 {
 					if prof == nil {
 						prof = newRangeMax(a.coreResBefore[core])
 					}
-					blocked = prof.maxOver(u.pos+1, s.pos)+1 > cd
+					blocked = !prof.fits(int(u.pos)+1, int(s.pos), cd)
 				}
 				if blocked {
 					// The unstage survives; a pending merge lands here
@@ -556,9 +612,9 @@ func optCorePass(p *Program, tr *Trace, a *optAnalysis, d *optDrops) []uint64 {
 					carry = false
 					continue
 				}
-				d.dropCore(tr, u.step, core, u.opIdx)
-				d.dropCore(tr, s.step, core, s.opIdx)
-				prof.inc(u.pos+1, s.pos)
+				d.dropCore(tr, int(u.step), core, int(u.opIdx))
+				d.dropCore(tr, int(s.step), core, int(s.opIdx))
+				prof.inc(int(u.pos)+1, int(s.pos))
 				elided[p.ChipOfCore(core)]++
 				carry = effDirty
 			}

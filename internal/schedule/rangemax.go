@@ -4,16 +4,19 @@ package schedule
 // one bucket of a rangeMax.
 const rangeMaxBucket = 64
 
-// rangeMax is an increment-only bucketed range max over a profile of
-// counters: the optimizer's residency profile plus the extra lines its
-// committed elisions keep resident. Each point keeps its own counter;
-// each bucket of rangeMaxBucket consecutive points keeps the maximum of
-// its points' counters and an add that applies to the whole bucket. A
-// query or an increment over [lo, hi] touches at most two partial
-// buckets point by point and the buckets between them whole, so both
-// cost O(rangeMaxBucket + (hi−lo)/rangeMaxBucket). Counters only grow,
-// so a point increment raises its bucket's maximum in place and never
-// needs to rescan the bucket.
+// rangeMax is an increment-only bucketed profile of counters: the
+// optimizer's residency profile plus the extra lines its committed
+// elisions keep resident. Each point keeps its own counter; each bucket
+// of rangeMaxBucket consecutive points keeps the maximum of its points'
+// counters and an add that applies to the whole bucket. Counters only
+// grow, so a point increment raises its bucket's maximum in place and
+// never needs to rescan the bucket.
+//
+// The optimizer asks one question of a window: does every counter in it
+// stay below a limit? fits answers it bucket by bucket and stops at the
+// first point or whole bucket that has reached the limit, so a window
+// that fits costs O(rangeMaxBucket + (hi−lo)/rangeMaxBucket) and one
+// that does not costs about the distance to its first full bucket.
 type rangeMax struct {
 	point []int // per-point counter, excluding its bucket's add
 	max   []int // per-bucket maximum of point
@@ -33,23 +36,28 @@ func newRangeMax(profile []int) *rangeMax {
 	return r
 }
 
-// maxOver returns the largest counter over the points lo..hi
-// inclusive, which must be a non-empty range inside the profile.
-func (r *rangeMax) maxOver(lo, hi int) int {
-	m := r.point[lo] + r.add[lo/rangeMaxBucket]
+// fits reports whether every counter over the points lo..hi inclusive,
+// which must be a non-empty range inside the profile, is below limit.
+// A partial bucket is scanned point by point only when its maximum has
+// reached the limit.
+func (r *rangeMax) fits(lo, hi, limit int) bool {
 	for lo <= hi {
 		b := lo / rangeMaxBucket
 		end := min((b+1)*rangeMaxBucket-1, hi)
-		if lo == b*rangeMaxBucket && end == (b+1)*rangeMaxBucket-1 {
-			m = max(m, r.max[b]+r.add[b])
-		} else {
+		lim := limit - r.add[b]
+		if r.max[b] >= lim {
+			if lo == b*rangeMaxBucket && end == (b+1)*rangeMaxBucket-1 {
+				return false
+			}
 			for _, v := range r.point[lo : end+1] {
-				m = max(m, v+r.add[b])
+				if v >= lim {
+					return false
+				}
 			}
 		}
 		lo = end + 1
 	}
-	return m
+	return true
 }
 
 // inc adds one to every counter over the points lo..hi inclusive.
@@ -60,10 +68,13 @@ func (r *rangeMax) inc(lo, hi int) {
 		if lo == b*rangeMaxBucket && end == (b+1)*rangeMaxBucket-1 {
 			r.add[b]++
 		} else {
-			for i := lo; i <= end; i++ {
-				r.point[i]++
-				r.max[b] = max(r.max[b], r.point[i])
+			m := r.max[b]
+			ps := r.point[lo : end+1]
+			for i := range ps {
+				ps[i]++
+				m = max(m, ps[i])
 			}
+			r.max[b] = m
 		}
 		lo = end + 1
 	}

@@ -22,8 +22,9 @@ func (r refMax) inc(lo, hi int) {
 	}
 }
 
-// The bucketed range max must answer every query exactly as a plain
-// walk of the profile does, under increment-only adds: seeded random
+// The bucketed profile must answer every capacity check exactly as a
+// plain walk of the profile does, under increment-only adds, at limits
+// just below, at and just above each range's maximum: seeded random
 // ranges, plus the single point, the whole profile, ranges starting or
 // ending on a bucket boundary, and profiles shorter than one bucket.
 func TestRangeMaxMatchesPlainProfile(t *testing.T) {
@@ -53,8 +54,11 @@ func TestRangeMaxMatchesPlainProfile(t *testing.T) {
 		}
 		check := func(lo, hi int) {
 			t.Helper()
-			if got, want := rm.maxOver(lo, hi), ref.maxOver(lo, hi); got != want {
-				t.Fatalf("n=%d: max over [%d,%d] = %d, want %d", n, lo, hi, got, want)
+			m := ref.maxOver(lo, hi)
+			for _, limit := range []int{m - 1, m, m + 1} {
+				if got, want := rm.fits(lo, hi, limit), m < limit; got != want {
+					t.Fatalf("n=%d: fits [%d,%d] under %d = %t, want %t (max %d)", n, lo, hi, limit, got, want, m)
+				}
 			}
 		}
 		for i, r := range ranges {
