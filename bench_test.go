@@ -13,6 +13,7 @@ import (
 	"repro/internal/algo"
 	"repro/internal/experiments"
 	"repro/internal/lu"
+	"repro/internal/machine"
 	"repro/internal/schedule"
 )
 
@@ -145,37 +146,43 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkCompile times the compile passes an executor runs before a
-// program's first replay, one sub-benchmark per pass, on two programs:
-// blocked LU at n=1024, q=32 on two cores (the program every
-// lu.FactorParallelTuned call compiles), planned for the pipelined mode
-// at depth 1; and Shared Opt. on 48×48×48 blocks of q=16 on two cores
-// (about 110k block ops per replay), planned for the serial shared mode.
-// Optimize starts from the lowered program and Measure and the planner
-// from the optimized one, as in the executor.
+// program's first replay, one sub-benchmark per pass, on the programs of
+// the three executor workloads of perfbench, all on two cores: blocked
+// LU at n=1024, q=32 (the program every lu.FactorParallelTuned call
+// compiles) and Tradeoff on 32×32×32 blocks of q=32, both planned for
+// the pipelined mode at depth 1; and Shared Opt. on 48×48×48 blocks of
+// q=16 (about 110k block ops per replay), planned for the serial shared
+// mode. Optimize starts from the lowered program and Measure and the
+// planner from the optimized one, as in the executor.
 func BenchmarkCompile(b *testing.B) {
-	luProg, err := lu.Program(lu.MachineFor(2, 32), 32)
+	mach32, mach16 := lu.MachineFor(2, 32), lu.MachineFor(2, 16)
+	luProg, err := lu.Program(mach32, 32)
 	if err != nil {
 		b.Fatal(err)
 	}
-	gemmMach := lu.MachineFor(2, 16)
-	sharedOpt, err := algo.ByName("Shared Opt.")
-	if err != nil {
-		b.Fatal(err)
+	gemm := func(name string, m machine.Machine, blocks int) *schedule.Program {
+		a, err := algo.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := a.Schedule(m, algo.Square(blocks))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
 	}
-	gemmProg, err := sharedOpt.Schedule(gemmMach, algo.Square(48))
-	if err != nil {
-		b.Fatal(err)
+	pipelined := func(p *schedule.Program) (*schedule.PipelinePlan, error) {
+		return schedule.PlanPipelineDepth(p, mach32.CS, 1)
 	}
 	for _, c := range []struct {
 		name string
 		prog *schedule.Program
 		plan func(*schedule.Program) (*schedule.PipelinePlan, error)
 	}{
-		{"lu", luProg, func(p *schedule.Program) (*schedule.PipelinePlan, error) {
-			return schedule.PlanPipelineDepth(p, lu.MachineFor(2, 32).CS, 1)
-		}},
-		{"gemm-fine", gemmProg, func(p *schedule.Program) (*schedule.PipelinePlan, error) {
-			return schedule.PlanSerial(p, gemmMach.CS)
+		{"lu", luProg, pipelined},
+		{"gemm-replay", gemm("Tradeoff", mach32, 32), pipelined},
+		{"gemm-fine", gemm("Shared Opt.", mach16, 48), func(p *schedule.Program) (*schedule.PipelinePlan, error) {
+			return schedule.PlanSerial(p, mach16.CS)
 		}},
 	} {
 		lowered, err := c.prog.Lowered()
