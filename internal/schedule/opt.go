@@ -868,6 +868,10 @@ func Optimize(p *Program, opts OptimizeOptions) (*Program, OptimizeReport, error
 		return p, rep, nil
 	}
 
+	// Only the compute count of the analysis is needed from here on, so
+	// its lists and profiles are garbage before the compacted trace and
+	// its re-measurement are allocated.
+	computes := a.computes
 	q := p.withTrace(optCompact(tr, drops))
 	ws, err := Measure(q)
 	if err != nil {
@@ -877,10 +881,10 @@ func Optimize(p *Program, opts OptimizeOptions) (*Program, OptimizeReport, error
 		ws.Stages != rep.Core.KeptStages ||
 		ws.SharedUnstages != rep.Shared.BaselineStages-rep.Shared.ElidedStages ||
 		ws.Unstages != rep.Core.BaselineStages-rep.Core.ElidedStages ||
-		ws.Computes != a.computes {
+		ws.Computes != computes {
 		return nil, rep, fmt.Errorf("schedule: optimized program replays a different stream: measured %d/%d stages, %d/%d unstages, %d computes; ledger kept %d/%d, computes %d",
 			ws.SharedStages, ws.Stages, ws.SharedUnstages, ws.Unstages, ws.Computes,
-			rep.Shared.KeptStages, rep.Core.KeptStages, a.computes)
+			rep.Shared.KeptStages, rep.Core.KeptStages, computes)
 	}
 	if issues := CheckCapacity(ws, p.Resources); len(issues) > 0 {
 		return nil, rep, fmt.Errorf("schedule: optimized program violates capacity it was proven against: %+v", issues[0])
