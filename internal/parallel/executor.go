@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"slices"
@@ -299,8 +300,8 @@ func NewExecutorOperands(team *Team, operands *matrix.Operands, probe *schedule.
 // *RunError with full provenance), and any further Run or RunContext
 // fails fast without executing anything. Reset returns the executor to
 // clean (and with it Err to nil); a successful Run after Reset leaves
-// no trace of the previous failure. Pre-flight rejections — a
-// core-count mismatch, a stream that does not lower, a working set that
+// no trace of the previous failure. Pre-flight rejections — a nil
+// program, a core-count mismatch, a stream that does not lower, a working set that
 // overflows the declared resources, a phase plan that cannot prove
 // inclusion — are returned without entering quarantine: nothing
 // executed, so the executor stays clean.
@@ -868,6 +869,9 @@ func (ex *Executor) Run(prog *schedule.Program) error {
 func (ex *Executor) RunContext(ctx context.Context, prog *schedule.Program) (err error) {
 	if ex.err != nil {
 		return fmt.Errorf("parallel: executor quarantined by an earlier failure (%v); Reset it before running again", ex.err)
+	}
+	if prog == nil {
+		return errors.New("parallel: Run of a nil program")
 	}
 	ex.ctx = ctx
 	ex.algorithm = prog.Algorithm

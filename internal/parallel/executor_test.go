@@ -532,3 +532,35 @@ func TestSharedUnstageWhileCoreResidentFails(t *testing.T) {
 		t.Fatalf("rejected program moved data: %+v", got)
 	}
 }
+
+// A nil program is a pre-flight rejection in every mode: Run returns an
+// error instead of panicking, nothing runs, and the executor stays in
+// service.
+func TestRunNilProgramIsPreflight(t *testing.T) {
+	for _, mode := range []Mode{ModePacked, ModeView, ModeShared, ModeSharedPipelined} {
+		t.Run(mode.String(), func(t *testing.T) {
+			team, err := NewTeam(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer team.Close()
+			tr, err := matrix.NewTriple(1, 1, 1, 4, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex, err := NewExecutor(team, tr, nil, mode, 3, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ex.Run(nil); err == nil || !strings.Contains(err.Error(), "nil program") {
+				t.Fatalf("Run(nil) = %v, want a nil-program error", err)
+			}
+			if err := ex.Err(); err != nil {
+				t.Fatalf("Run(nil) quarantined the executor: %v", err)
+			}
+			if got := ex.Traffic(); got != (Traffic{}) {
+				t.Fatalf("Run(nil) moved data: %+v", got)
+			}
+		})
+	}
+}
