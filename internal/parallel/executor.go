@@ -184,13 +184,6 @@ type Executor struct {
 	inject    faultinject.Injector
 	integrity bool
 
-	// Chip topology of the current Run, derived from the program's
-	// declared Resources and its Home placement (single chip, everything
-	// homed on chip 0, when undeclared).
-	chips  int
-	chipOf []int // core → chip (blocked partition)
-	homes  []int // line ID → home chip (the trace's Homes); nil ⇒ chip 0
-
 	ms  LevelTraffic     // memory↔shared stream, stager/driving goroutine only
 	md  []LevelTraffic   // shared↔core (or memory↔core) stream, one per worker
 	icw [][]LevelTraffic // [core][home chip] inter-chip share of the MD stream
@@ -228,12 +221,20 @@ type Executor struct {
 // replay. staging records whether prog moves data in this mode, and
 // plan phases its memory↔shared stream (shared-level modes with staging
 // only; nil otherwise).
+//
+// chips, chipOf and homes are the chip topology the replay routes by:
+// the shared-level modes split their arena per declared chip, and every
+// line lives in its home chip's arena; the other modes have no shared
+// level, hence one flat chip.
 type compiled struct {
 	src, prog *schedule.Program
 	trace     *schedule.Trace
 	rep       schedule.OptimizeReport
 	staging   bool
 	plan      *schedule.PipelinePlan
+	chips     int
+	chipOf    []int // core → chip (blocked partition)
+	homes     []int // line ID → home chip (the trace's Homes)
 }
 
 // NewExecutor binds a backend to a team and a product triple. probe may
@@ -269,6 +270,7 @@ func NewExecutorOperands(team *Team, operands *matrix.Operands, probe *schedule.
 		arenaBlocks:  coreBlocks,
 		sharedBlocks: sharedBlocks,
 		finished:     make([]time.Time, team.Size()),
+		opIdx:        make([]int, team.Size()),
 		md:           make([]LevelTraffic, team.Size()),
 	}
 	switch mode {
@@ -301,10 +303,11 @@ func NewExecutorOperands(team *Team, operands *matrix.Operands, probe *schedule.
 // fails fast without executing anything. Reset returns the executor to
 // clean (and with it Err to nil); a successful Run after Reset leaves
 // no trace of the previous failure. Pre-flight rejections — a nil
-// program, a core-count mismatch, a stream that does not lower, a working set that
-// overflows the declared resources, a phase plan that cannot prove
-// inclusion — are returned without entering quarantine: nothing
-// executed, so the executor stays clean.
+// program, a core-count mismatch, a chip count that does not split the
+// team, a stream that does not lower, a working set that overflows the
+// declared resources, a phase plan that cannot prove inclusion — are
+// returned without entering quarantine: nothing executed, so the
+// executor stays clean.
 func (ex *Executor) Err() error { return ex.err }
 
 func (ex *Executor) fail(err error) {
@@ -335,13 +338,13 @@ func (ex *Executor) Traffic() Traffic {
 // counts correspond to StageBlocks).
 func (ex *Executor) CoreTraffic(c int) LevelTraffic { return ex.md[c] }
 
-// Chips returns the chip count of the most recently Run program's
-// topology (1 until a program has run).
+// Chips returns the chip count of the most recently compiled program's
+// topology (1 until a program has compiled).
 func (ex *Executor) Chips() int {
-	if ex.chips < 1 {
+	if ex.comp == nil {
 		return 1
 	}
-	return ex.chips
+	return ex.comp.chips
 }
 
 // InterChipPairs returns the most recent Run's inter-chip traffic as a
@@ -355,13 +358,12 @@ func (ex *Executor) InterChipPairs() [][]LevelTraffic {
 	for h := range pairs {
 		pairs[h] = make([]LevelTraffic, chips)
 	}
+	if ex.comp == nil {
+		return pairs
+	}
 	for c := range ex.icw {
-		user := 0
-		if c < len(ex.chipOf) {
-			user = ex.chipOf[c]
-		}
 		for h := range ex.icw[c] {
-			pairs[h][user].add(ex.icw[c][h])
+			pairs[h][ex.comp.chipOf[c]].add(ex.icw[c][h])
 		}
 	}
 	return pairs
@@ -406,96 +408,69 @@ func (ex *Executor) OptimizeReport() schedule.OptimizeReport {
 	return ex.comp.rep
 }
 
-// home resolves the home chip of line ID id under the current Run's
-// placement.
-func (ex *Executor) home(id schedule.LineID) int {
-	if ex.homes == nil {
-		return 0
-	}
-	return ex.homes[id]
-}
-
-// stageShared performs the physical memory→shared transfer of line ID
-// id into its home chip's arena and counts it on the MS stream. It runs on the
-// driving goroutine, between regions or — a pipelined prefetch — while
-// the workers compute. It is a cancellation point (the context is
-// polled before the transfer, so staging loops unwind promptly) and an
-// injection point; failures — organic, injected, or a panic recovered
-// right here — carry the driver op's provenance.
-func (ex *Executor) stageShared(id schedule.LineID) (err error) {
+// driverOp performs one memory↔shared transfer of the phase plan on the
+// driving goroutine, between regions or — a pipelined prefetch or
+// retire — while the workers compute. A stage packs line op.Line from
+// the operand matrices into its home chip's shared arena; an unstage
+// releases it there, writing a dirty copy back to memory. Both count on
+// the MS stream. An unstage does not re-check core-arena residency — a
+// pipelined retire runs concurrently with the workers, so the check
+// would race them — but relies on the phase planner having proven
+// inclusion statically for every plan. Every driver op is a
+// cancellation point (the context is polled before the transfer, so
+// staging loops unwind promptly) and an injection point; failures —
+// organic, injected, or a panic recovered right here — carry the driver
+// op's provenance, with the zero kernel, since a transfer applies none.
+func (ex *Executor) driverOp(op schedule.SharedOp) (err error) {
 	if err := ex.ctxErr(); err != nil {
 		return err
 	}
-	l := ex.comp.trace.Lines[id]
+	l := ex.comp.trace.Lines[op.Line]
 	ref := schedule.OpRef{Region: ex.region, Core: schedule.DriverCore, Index: ex.drvIdx}
 	ex.drvIdx++
+	site := faultinject.StageShared
+	if op.Unstage {
+		site = faultinject.UnstageShared
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = &RunError{
 				Algorithm: ex.algorithm, Op: ref,
-				Site: faultinject.StageShared, Line: l, HasOp: true,
+				Site: site, Line: l, HasOp: true,
 				Panicked: true, PanicValue: r, Stack: debug.Stack(),
 			}
+		} else if err != nil {
+			err = ex.opError(ref, site, 0, l, err)
 		}
 	}()
-	act, err := ex.injectAt(faultinject.Point{Op: ref, Kind: faultinject.StageShared, Line: l})
+	act, err := ex.injectAt(faultinject.Point{Op: ref, Kind: site, Line: l})
 	if err != nil {
-		return ex.driverError(ref, faultinject.StageShared, l, err)
+		return err
 	}
-	src, err := ex.block(l)
+	mem, err := ex.operands.Block(l)
 	if err != nil {
-		return ex.driverError(ref, faultinject.StageShared, l, err)
+		return err
 	}
-	home := ex.home(id)
-	values, err := ex.shared[home].stage(idKey(id, l), src)
+	k := idKey(op.Line, l)
+	sa := ex.shared[ex.comp.homes[op.Line]]
+	if op.Unstage {
+		values, dirty, err := sa.unstage(k, mem)
+		if err != nil {
+			return err
+		}
+		if dirty {
+			ex.ms.writeBack(values)
+		}
+		return nil
+	}
+	values, err := sa.stage(k, mem)
 	if err != nil {
-		return ex.driverError(ref, faultinject.StageShared, l, err)
+		return err
 	}
 	if act.Kind == faultinject.ActCorrupt {
-		ex.shared[home].corrupt(idKey(id, l), act.Bit)
+		sa.corrupt(k, act.Bit)
 	}
 	ex.ms.stage(values)
-	return nil
-}
-
-// unstageShared performs the physical shared→memory release of line ID
-// id,
-// counting a dirty write-back on the MS stream. It does not re-check
-// core-arena residency — a pipelined retire runs concurrently with the
-// workers, so the check would race them — but relies on the phase
-// planner having proven inclusion statically for every plan. Like
-// stageShared it is a cancellation and injection point with full
-// driver-op provenance.
-func (ex *Executor) unstageShared(id schedule.LineID) (err error) {
-	if err := ex.ctxErr(); err != nil {
-		return err
-	}
-	l := ex.comp.trace.Lines[id]
-	ref := schedule.OpRef{Region: ex.region, Core: schedule.DriverCore, Index: ex.drvIdx}
-	ex.drvIdx++
-	defer func() {
-		if r := recover(); r != nil {
-			err = &RunError{
-				Algorithm: ex.algorithm, Op: ref,
-				Site: faultinject.UnstageShared, Line: l, HasOp: true,
-				Panicked: true, PanicValue: r, Stack: debug.Stack(),
-			}
-		}
-	}()
-	if _, err := ex.injectAt(faultinject.Point{Op: ref, Kind: faultinject.UnstageShared, Line: l}); err != nil {
-		return ex.driverError(ref, faultinject.UnstageShared, l, err)
-	}
-	dst, err := ex.block(l)
-	if err != nil {
-		return ex.driverError(ref, faultinject.UnstageShared, l, err)
-	}
-	values, dirty, err := ex.shared[ex.home(id)].unstage(idKey(id, l), dst)
-	if err != nil {
-		return ex.driverError(ref, faultinject.UnstageShared, l, err)
-	}
-	if dirty {
-		ex.ms.writeBack(values)
-	}
 	return nil
 }
 
@@ -684,67 +659,42 @@ func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op *schedule.O
 			// allocates arenas for every program that stages.
 			return fmt.Errorf("parallel: staging op %v outside a validated Run", l)
 		}
-		if op.Kind == schedule.OpStage {
-			if ex.mode.SharedLevel() {
-				// The core arena fills from the block's home chip's
-				// shared arena, never from the matrices. A foreign home
-				// makes the same transfer an inter-chip one: counted on
-				// MD as always, plus the interconnect stream.
-				home := ex.home(op.Line)
-				values, err := ex.shared[home].refill(ar, k)
-				if err != nil {
-					return err
-				}
-				md.stage(values)
-				if home != ex.chipOf[c] {
-					ex.icw[c][home].stage(values)
-				}
-			} else {
-				src, err := ex.block(l)
-				if err != nil {
-					return err
-				}
-				if err := ar.stage(k, src); err != nil {
-					return err
-				}
-				md.stage(src.Rows() * src.Cols())
-			}
-			if act.Kind == faultinject.ActCorrupt {
-				if slot := ar.tileKey(k); slot != nil {
-					corruptData(slot.data, act.Bit)
-				}
-			}
-			return nil
-		}
-		rows, cols, data, dirty, err := ar.releaseKey(k)
-		if err != nil {
-			return err
-		}
-		if !dirty {
-			return nil
-		}
-		if ex.mode.SharedLevel() {
-			// Dirty tiles merge upward into the home chip's shared
-			// copy, as EvictDistributed merges under IDEAL; the shared
-			// level owns the eventual write-back to memory. A foreign
-			// home sends the merge over the interconnect.
-			home := ex.home(op.Line)
-			if err := ex.shared[home].absorb(k, rows, cols, data); err != nil {
+		if op.Kind == schedule.OpUnstage {
+			rows, cols, data, dirty, err := ar.releaseKey(k)
+			if err != nil || !dirty {
 				return err
 			}
-			if home != ex.chipOf[c] {
-				ex.icw[c][home].writeBack(rows * cols)
-			}
-		} else {
-			dst, err := ex.block(l)
+			return ex.mergeUp(c, k, rows, cols, data)
+		}
+		if ex.mode.SharedLevel() {
+			// The core arena fills from the block's home chip's shared
+			// arena, never from the matrices. A foreign home makes the
+			// same transfer an inter-chip one: counted on MD as always,
+			// plus the interconnect stream.
+			home := ex.comp.homes[op.Line]
+			values, err := ex.shared[home].refill(ar, k)
 			if err != nil {
 				return err
 			}
-			if err := matrix.Unpack(dst, data); err != nil {
+			md.stage(values)
+			if home != ex.comp.chipOf[c] {
+				ex.icw[c][home].stage(values)
+			}
+		} else {
+			src, err := ex.operands.Block(l)
+			if err != nil {
 				return err
 			}
+			if err := ar.stage(k, src); err != nil {
+				return err
+			}
+			md.stage(src.Rows() * src.Cols())
 		}
-		md.writeBack(rows * cols)
+		if act.Kind == faultinject.ActCorrupt {
+			if slot := ar.tileKey(k); slot != nil {
+				corruptData(slot.data, act.Bit)
+			}
+		}
 		return nil
 	case schedule.OpApply:
 		if err := ex.apply(ar, op); err != nil {
@@ -760,9 +710,38 @@ func (ex *Executor) replayOne(c int, ar *Arena, md *LevelTraffic, op *schedule.O
 	return nil
 }
 
-// block resolves a line to its tile view in the operand matrices.
-func (ex *Executor) block(l schedule.Line) (*matrix.Dense, error) {
-	return ex.operands.Block(l)
+// mergeUp moves a dirty rows×cols tile that core c's arena released
+// under k one level up — the one path for a tile an Unstage released
+// and for one the end-of-run drain found still resident. In the
+// shared-level modes it merges into the home chip's shared copy, as
+// EvictDistributed merges under IDEAL, and the shared level owns the
+// eventual write-back to memory; a foreign home sends the merge over
+// the interconnect. In ModePacked it writes the tile back to the
+// operand matrices. Either way it is one MD write-back.
+func (ex *Executor) mergeUp(c int, k slotKey, rows, cols int, data []float64) error {
+	if ex.mode.SharedLevel() {
+		home := ex.comp.homes[k.id]
+		if err := ex.shared[home].absorb(k, rows, cols, data); err != nil {
+			return err
+		}
+		if home != ex.comp.chipOf[c] {
+			ex.icw[c][home].writeBack(rows * cols)
+		}
+	} else if err := ex.unpack(k.line, data); err != nil {
+		return err
+	}
+	ex.md[c].writeBack(rows * cols)
+	return nil
+}
+
+// unpack writes a packed image of line l back to its tile in the
+// operand matrices.
+func (ex *Executor) unpack(l schedule.Line, data []float64) error {
+	dst, err := ex.operands.Block(l)
+	if err != nil {
+		return err
+	}
+	return matrix.Unpack(dst, data)
 }
 
 // apply dispatches one typed kernel application. With an arena present
@@ -794,11 +773,11 @@ func (ex *Executor) apply(ar *Arena, op *schedule.Op) error {
 		}
 	} else {
 		var err error
-		if dest, err = ex.block(lines[op.Line]); err != nil {
+		if dest, err = ex.operands.Block(lines[op.Line]); err != nil {
 			return err
 		}
 		for i, src := range op.Sources() {
-			if srcs[i], err = ex.block(lines[src]); err != nil {
+			if srcs[i], err = ex.operands.Block(lines[src]); err != nil {
 				return err
 			}
 		}
@@ -876,20 +855,15 @@ func (ex *Executor) RunContext(ctx context.Context, prog *schedule.Program) (err
 	ex.ctx = ctx
 	ex.algorithm = prog.Algorithm
 	ex.region = -1
-	if len(ex.opIdx) != ex.team.Size() {
-		ex.opIdx = make([]int, ex.team.Size())
-	}
-	for i := range ex.opIdx {
-		ex.opIdx[i] = 0
-	}
+	clear(ex.opIdx)
 	ex.drvIdx = 0
 	defer func() {
 		ex.ctx = nil
 		if r := recover(); r != nil {
 			// Backstop for panics outside op replay (the emitter's Body,
 			// validation plumbing): the op-level recovers in replayOps and
-			// the staging helpers carry precise provenance and never
-			// re-panic, so all that is known here is the region.
+			// driverOp carry precise provenance and never re-panic, so all
+			// that is known here is the region.
 			ex.fail(&RunError{
 				Algorithm:  ex.algorithm,
 				Op:         schedule.OpRef{Region: ex.region, Core: schedule.DriverCore, Index: -1},
@@ -904,8 +878,10 @@ func (ex *Executor) RunContext(ctx context.Context, prog *schedule.Program) (err
 }
 
 // compile derives src's compiled form, or returns the cached one when
-// src is the program compiled last. In order: the one lowering of src —
-// a stream that does not lower is rejected here — then the optimizer
+// src is the program compiled last. In order: the chip topology, which
+// in the shared-level modes follows src's declared resources and must
+// split the team evenly; the one lowering of src — a stream that does
+// not lower is rejected here — then the optimizer
 // rewrite of its trace (staged programs, with the Optimize tunable on),
 // so strict verification, validation, planning and replay all see the
 // stream that actually runs; then the strict verifier gate; then, for
@@ -923,6 +899,17 @@ func (ex *Executor) compile(src *schedule.Program) (*compiled, error) {
 		return ex.comp, nil
 	}
 	ex.comp = nil
+	c := &compiled{src: src, chips: 1, chipOf: make([]int, ex.team.Size())}
+	if ex.mode.SharedLevel() {
+		c.chips = src.Resources.ChipCount()
+		if c.chips > ex.team.Size() || ex.team.Size()%c.chips != 0 {
+			return nil, fmt.Errorf("parallel: program %q declares %d chips, which cannot split %d cores evenly",
+				src.Algorithm, c.chips, ex.team.Size())
+		}
+		for core := range c.chipOf {
+			c.chipOf[core] = src.ChipOfCore(core)
+		}
+	}
 	if ex.mode == ModeSharedPipelined && ex.tun.Lookahead != 0 && ex.tun.Lookahead != 1 {
 		return nil, fmt.Errorf("parallel: %v plans lookahead depth 1 only, got Tuning.Lookahead %d", ex.mode, ex.tun.Lookahead)
 	}
@@ -930,7 +917,6 @@ func (ex *Executor) compile(src *schedule.Program) (*compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &compiled{src: src}
 	staged := ex.mode != ModeView && !src.DemandDriven
 	if staged && ex.tun.Optimize {
 		opt, rep, err := schedule.Optimize(prog, schedule.OptimizeOptions{})
@@ -943,6 +929,7 @@ func (ex *Executor) compile(src *schedule.Program) (*compiled, error) {
 	if c.trace, err = prog.Lower(); err != nil {
 		return nil, err
 	}
+	c.homes = c.trace.Homes
 	if err := ex.strictVerifyCheck(prog); err != nil {
 		return nil, err
 	}
@@ -984,59 +971,29 @@ func (ex *Executor) compile(src *schedule.Program) (*compiled, error) {
 }
 
 // execute is the body of RunContext: compilation, arena setup, replay
-// and the end-of-run drains.
+// and the end-of-run drain. The counters are zeroed before compile, so a
+// pre-flight rejection reports no traffic.
 func (ex *Executor) execute(src *schedule.Program) error {
 	if src.Cores != ex.team.Size() {
 		return fmt.Errorf("parallel: program %q wants %d cores, team has %d",
 			src.Algorithm, src.Cores, ex.team.Size())
 	}
 	ex.ms = LevelTraffic{}
-	for i := range ex.md {
-		ex.md[i] = LevelTraffic{}
+	clear(ex.md)
+	for c := range ex.icw {
+		clear(ex.icw[c])
 	}
 	ex.stageWait = 0
 	ex.computeTime = 0
-	// Chip topology follows the program (the optimizer's rewrite keeps
-	// its resources and placement): the shared-level modes split their
-	// arena per declared chip and route every line by its home; the
-	// other modes have no shared level, hence a single flat chip.
-	ex.chips = 1
-	ex.homes = nil
-	if len(ex.chipOf) != ex.team.Size() {
-		ex.chipOf = make([]int, ex.team.Size())
-	}
-	if ex.mode.SharedLevel() {
-		ex.chips = src.Resources.ChipCount()
-		if ex.chips > ex.team.Size() || ex.team.Size()%ex.chips != 0 {
-			return fmt.Errorf("parallel: program %q declares %d chips, which cannot split %d cores evenly",
-				src.Algorithm, ex.chips, ex.team.Size())
-		}
-		for c := range ex.chipOf {
-			ex.chipOf[c] = src.ChipOfCore(c)
-		}
-	} else {
-		for c := range ex.chipOf {
-			ex.chipOf[c] = 0
-		}
-	}
-	if len(ex.icw) != ex.team.Size() || (len(ex.icw) > 0 && len(ex.icw[0]) != ex.chips) {
-		ex.icw = make([][]LevelTraffic, ex.team.Size())
-		for c := range ex.icw {
-			ex.icw[c] = make([]LevelTraffic, ex.chips)
-		}
-	} else {
-		for c := range ex.icw {
-			for h := range ex.icw[c] {
-				ex.icw[c][h] = LevelTraffic{}
-			}
-		}
-	}
 	comp, err := ex.compile(src)
 	if err != nil {
 		return err
 	}
-	if ex.mode.SharedLevel() {
-		ex.homes = comp.trace.Homes
+	if len(ex.icw) == 0 || len(ex.icw[0]) != comp.chips {
+		ex.icw = make([][]LevelTraffic, ex.team.Size())
+		for c := range ex.icw {
+			ex.icw[c] = make([]LevelTraffic, comp.chips)
+		}
 	}
 	if comp.staging {
 		if ex.arenas == nil {
@@ -1049,11 +1006,11 @@ func (ex *Executor) execute(src *schedule.Program) error {
 				ex.arenas[c] = a
 			}
 		}
-		if ex.mode.SharedLevel() && len(ex.shared) != ex.chips {
+		if ex.mode.SharedLevel() && len(ex.shared) != comp.chips {
 			// One CS-sized arena per chip. A reused executor whose new
 			// program declares a different topology reallocates; the old
 			// arenas were drained empty at the end of their last Run.
-			shared := make([]*SharedArena, ex.chips)
+			shared := make([]*SharedArena, comp.chips)
 			for i := range shared {
 				sa, err := NewSharedArena(ex.sharedBlocks, ex.operands.Q())
 				if err != nil {
@@ -1067,9 +1024,9 @@ func (ex *Executor) execute(src *schedule.Program) error {
 			// chip touch its chip's arena before any staging, so on a real
 			// multi-socket host (workers pinned per chip) every arena's
 			// pages land on the socket whose cores refill from it.
-			per := ex.team.Size() / ex.chips
+			per := ex.team.Size() / comp.chips
 			if err := ex.team.Run(func(c int) error {
-				if c%per == 0 && c/per < ex.chips {
+				if c%per == 0 && c/per < comp.chips {
 					ex.shared[c/per].FirstTouch()
 				}
 				return nil
@@ -1092,63 +1049,28 @@ func (ex *Executor) execute(src *schedule.Program) error {
 		sa.bind(len(comp.trace.Lines))
 	}
 	ex.replay(comp)
-	if ex.err == nil && ex.mode == ModePacked {
-		for c, ar := range ex.arenas {
-			_, err := ar.Drain(func(l schedule.Line, rows, cols int, data []float64) error {
-				dst, err := ex.block(l)
-				if err != nil {
-					return err
-				}
-				if err := matrix.Unpack(dst, data); err != nil {
-					return err
-				}
-				ex.md[c].writeBack(rows * cols)
-				return nil
-			})
-			if err != nil {
-				ex.fail(err)
-				break
-			}
+	// Top-down: every dirty core tile merges up first, then the shared
+	// arenas write to memory — the reverse order would let a stale
+	// shared copy overwrite a fresher core result.
+	for c, ar := range ex.arenas {
+		if ex.err != nil {
+			break
 		}
+		_, err := ar.drain(func(s *arenaSlot) error { return ex.mergeUp(c, s.key, s.rows, s.cols, s.data) })
+		ex.fail(err)
 	}
-	if ex.err == nil && ex.mode.SharedLevel() {
-		// Top-down: dirty core tiles merge into the shared copies first,
-		// then the shared arena writes to memory — the reverse order
-		// would let a stale shared copy overwrite a fresher core result.
-		for c, ar := range ex.arenas {
-			_, err := ar.drain(func(s *arenaSlot) error {
-				home := ex.home(schedule.LineID(s.key.id))
-				if err := ex.shared[home].absorb(s.key, s.rows, s.cols, s.data); err != nil {
-					return err
-				}
-				ex.md[c].writeBack(s.rows * s.cols)
-				if home != ex.chipOf[c] {
-					ex.icw[c][home].writeBack(s.rows * s.cols)
-				}
-				return nil
-			})
-			if err != nil {
-				ex.fail(err)
-				break
-			}
+	for _, sa := range ex.shared {
+		if ex.err != nil {
+			break
 		}
-		for _, sa := range ex.shared {
-			if ex.err != nil {
-				break
+		_, err := sa.Drain(func(l schedule.Line, rows, cols int, data []float64) error {
+			if err := ex.unpack(l, data); err != nil {
+				return err
 			}
-			_, err := sa.Drain(func(l schedule.Line, rows, cols int, data []float64) error {
-				dst, err := ex.block(l)
-				if err != nil {
-					return err
-				}
-				if err := matrix.Unpack(dst, data); err != nil {
-					return err
-				}
-				ex.ms.writeBack(rows * cols)
-				return nil
-			})
-			ex.fail(err)
-		}
+			ex.ms.writeBack(rows * cols)
+			return nil
+		})
+		ex.fail(err)
 	}
 	return ex.err
 }

@@ -90,8 +90,9 @@ func checksum(data []float64) uint64 {
 	return h
 }
 
-// opError wraps a worker-op failure with its full provenance. Errors
-// that are already RunErrors pass through untouched.
+// opError wraps an op failure — a worker's, or a driver transfer's with
+// the zero kernel — with its full provenance. Errors that are already
+// RunErrors pass through untouched.
 func (ex *Executor) opError(ref schedule.OpRef, site faultinject.OpKind, k schedule.Kernel, l schedule.Line, err error) error {
 	var re *RunError
 	if errors.As(err, &re) {
@@ -102,23 +103,6 @@ func (ex *Executor) opError(ref schedule.OpRef, site faultinject.OpKind, k sched
 		Op:        ref,
 		Site:      site,
 		Kernel:    k,
-		Line:      l,
-		HasOp:     true,
-		Err:       err,
-	}
-}
-
-// driverError wraps a failure of one of the driver's shared staging
-// transfers with its provenance, like opError for worker ops.
-func (ex *Executor) driverError(ref schedule.OpRef, site faultinject.OpKind, l schedule.Line, err error) error {
-	var re *RunError
-	if errors.As(err, &re) {
-		return err
-	}
-	return &RunError{
-		Algorithm: ex.algorithm,
-		Op:        ref,
-		Site:      site,
 		Line:      l,
 		HasOp:     true,
 		Err:       err,

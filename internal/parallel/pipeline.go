@@ -73,13 +73,13 @@ func (ex *Executor) phasedRegion(reg *schedule.PipelineRegion, cores [][]schedul
 	// short-circuit the join — the workers still hold the region.
 	var stageErr error
 	for _, id := range reg.Retire {
-		if stageErr = ex.unstageShared(id); stageErr != nil {
+		if stageErr = ex.driverOp(schedule.SharedOp{Line: id, Unstage: true}); stageErr != nil {
 			break
 		}
 	}
 	if stageErr == nil {
 		for _, id := range reg.Prefetch {
-			if stageErr = ex.stageShared(id); stageErr != nil {
+			if stageErr = ex.driverOp(schedule.SharedOp{Line: id}); stageErr != nil {
 				break
 			}
 		}
@@ -125,13 +125,7 @@ func (ex *Executor) runTail(plan *schedule.PipelinePlan) {
 // goroutine, stopping at the first failure.
 func (ex *Executor) driverOps(ops []schedule.SharedOp) error {
 	for _, op := range ops {
-		var err error
-		if op.Unstage {
-			err = ex.unstageShared(op.Line)
-		} else {
-			err = ex.stageShared(op.Line)
-		}
-		if err != nil {
+		if err := ex.driverOp(op); err != nil {
 			return err
 		}
 	}
