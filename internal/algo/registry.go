@@ -25,21 +25,9 @@ var evaluated = []Algorithm{
 	DistributedEqual{},
 }
 
-// extras lists registered comparators beyond the paper's evaluated set.
+// extras lists the comparators beyond the paper's evaluated set.
 var extras = []Algorithm{
 	CacheOblivious{},
-}
-
-// Register adds a comparator to the extended set. It rejects duplicate
-// display names, which would make ByName ambiguous.
-func Register(a Algorithm) error {
-	for _, have := range Extended() {
-		if have.Name() == a.Name() {
-			return fmt.Errorf("algo: algorithm %q already registered", a.Name())
-		}
-	}
-	extras = append(extras, a)
-	return nil
 }
 
 // All returns the six algorithms of the paper's evaluation.
@@ -47,8 +35,8 @@ func All() []Algorithm {
 	return append([]Algorithm(nil), evaluated...)
 }
 
-// Extended returns the paper's six algorithms plus the registered
-// comparators (the cache-oblivious recursion by default).
+// Extended returns the paper's six algorithms plus the comparators (the
+// cache-oblivious recursion).
 func Extended() []Algorithm {
 	return append(All(), extras...)
 }

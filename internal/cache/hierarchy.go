@@ -422,9 +422,6 @@ func (h *IdealHierarchy) Flush() uint64 {
 // Shared exposes chip 0's shared cache.
 func (h *IdealHierarchy) Shared() *Ideal { return h.shared[0] }
 
-// SharedChip exposes chip's shared cache.
-func (h *IdealHierarchy) SharedChip(chip int) *Ideal { return h.shared[chip] }
-
 // Distributed exposes core c's private cache.
 func (h *IdealHierarchy) Distributed(core int) *Ideal { return h.dist[core] }
 

@@ -43,20 +43,6 @@ func NewOperands(ms ...*Blocked) (*Operands, error) {
 // Q returns the common tile size of the bound operands.
 func (o *Operands) Q() int { return o.q }
 
-// Has reports whether the slot for id is bound.
-func (o *Operands) Has(id MatrixID) bool {
-	return id < numMatrices && o.mats[id] != nil
-}
-
-// Get returns the blocked matrix bound to id, or nil if the slot is
-// unbound.
-func (o *Operands) Get(id MatrixID) *Blocked {
-	if id >= numMatrices {
-		return nil
-	}
-	return o.mats[id]
-}
-
 // Block resolves a block coordinate to its tile view. Referencing an
 // unbound operand or an out-of-range block is an error — a schedule
 // touching data its workload does not declare is a bug, the executor's

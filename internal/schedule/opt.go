@@ -61,15 +61,10 @@ import (
 	"sort"
 )
 
-// OptimizeOptions selects which elision passes run. The zero value
-// enables everything.
-type OptimizeOptions struct {
-	// NoSharedResidency disables the shared keep-resident pass (and
-	// with it the writeback sinking it implies).
-	NoSharedResidency bool
-	// NoCoreReuse disables the per-core refill-elision pass.
-	NoCoreReuse bool
-}
+// OptimizeOptions is Optimize's option set. It has no fields: both
+// elision passes always run. The type keeps Optimize's signature, which
+// callers such as the repository benchmark compile against.
+type OptimizeOptions struct{}
 
 // OptimizeCounts is the stage/writeback ledger of one cache level (or
 // one chip's slice of it): every baseline operation is either elided
@@ -781,7 +776,7 @@ func (d *optDrops) keep(t int, cores [][]Op) [][]Op {
 // returned only when the pass's own output fails its re-measurement
 // (a bug in the pass, never a property of the input), in which case
 // the returned program is nil.
-func Optimize(p *Program, opts OptimizeOptions) (*Program, OptimizeReport, error) {
+func Optimize(p *Program, _ OptimizeOptions) (*Program, OptimizeReport, error) {
 	var rep OptimizeReport
 	if p == nil {
 		return nil, rep, fmt.Errorf("schedule: Optimize of nil program")
@@ -817,14 +812,8 @@ func Optimize(p *Program, opts OptimizeOptions) (*Program, OptimizeReport, error
 	}
 
 	drops := &optDrops{driver: make([]bool, len(tr.Steps)), core: make([][][]bool, len(tr.Steps))}
-	elidedShared := make([]uint64, chips)
-	elidedCore := make([]uint64, chips)
-	if !opts.NoSharedResidency {
-		elidedShared = optSharedPass(p, tr, a, drops)
-	}
-	if !opts.NoCoreReuse {
-		elidedCore = optCorePass(p, tr, a, drops)
-	}
+	elidedShared := optSharedPass(p, tr, a, drops)
+	elidedCore := optCorePass(p, tr, a, drops)
 
 	base := optModel(p, tr, a, nil)
 	after := optModel(p, tr, a, drops)

@@ -94,7 +94,7 @@ func TestOptimizeRespectsSharedCapacity(t *testing.T) {
 		})
 		b.UnstageShared(a00)
 	})
-	q, rep := mustOptimize(t, p, schedule.OptimizeOptions{NoCoreReuse: true})
+	q, rep := mustOptimize(t, p, schedule.OptimizeOptions{})
 	if rep.Changed || q != p {
 		t.Fatalf("expected the identical program back, got Changed=%v elided=%d", rep.Changed, rep.TotalElided())
 	}
@@ -258,7 +258,11 @@ func TestOptimizePerChipLedger(t *testing.T) {
 	verifyClean(t, q)
 }
 
-func TestOptimizeOptionsDisablePasses(t *testing.T) {
+// The shared pass drops the driver pair between two regions, which
+// frees the gap the core pass needs to keep the refilled tile: without
+// the shared elision the surviving driver unstage would block the core
+// one.
+func TestOptimizeSharedElisionUnlocksCoreRefill(t *testing.T) {
 	a00 := schedule.LineA(0, 0)
 	body := func(b schedule.Backend) {
 		for range 2 {
@@ -271,22 +275,7 @@ func TestOptimizeOptionsDisablePasses(t *testing.T) {
 		}
 	}
 	r := schedule.Resources{SharedBlocks: 1, CoreBlocks: 1}
-
-	// Shared-only: the driver pair elides; the core refill cannot,
-	// because its gap still holds the (now dead, but kept) driver ops…
-	_, rep := mustOptimize(t, optProg(1, r, nil, body), schedule.OptimizeOptions{NoCoreReuse: true})
-	if rep.Shared.ElidedStages != 1 || rep.Core.ElidedStages != 0 {
-		t.Fatalf("NoCoreReuse ledger = %+v / %+v", rep.Shared, rep.Core)
-	}
-	// …core-only: the surviving driver unstage in the gap blocks the
-	// core elision too, so nothing changes at all.
-	q, rep := mustOptimize(t, optProg(1, r, nil, body), schedule.OptimizeOptions{NoSharedResidency: true})
-	if rep.Changed || rep.TotalElided() != 0 {
-		t.Fatalf("NoSharedResidency expected no elisions, got %+v / %+v", rep.Shared, rep.Core)
-	}
-	_ = q
-	// Both passes: the shared elision unlocks the core one.
-	q, rep = mustOptimize(t, optProg(1, r, nil, body), schedule.OptimizeOptions{})
+	q, rep := mustOptimize(t, optProg(1, r, nil, body), schedule.OptimizeOptions{})
 	if rep.Shared.ElidedStages != 1 || rep.Core.ElidedStages != 1 {
 		t.Fatalf("combined ledger = %+v / %+v, want 1 elision each", rep.Shared, rep.Core)
 	}
