@@ -881,10 +881,10 @@ func (ex *Executor) RunContext(ctx context.Context, prog *schedule.Program) (err
 // src is the program compiled last. In order: the chip topology, which
 // in the shared-level modes follows src's declared resources and must
 // split the team evenly; the one lowering of src — a stream that does
-// not lower is rejected here — then the optimizer
-// rewrite of its trace (staged programs, with the Optimize tunable on),
-// so strict verification, validation, planning and replay all see the
-// stream that actually runs; then the strict verifier gate; then, for
+// not lower is rejected here — then the optimizer rewrite of its trace
+// (staged programs, with the Optimize tunable on), so strict
+// verification, validation, planning and replay all see the stream
+// that actually runs; then the strict verifier gate; then, for
 // staged programs, the measured working set validated against the
 // resources the program declares and the executor's arena capacities,
 // and in the shared-level modes the phase plan: the depth-1

@@ -155,9 +155,7 @@ func (ex *Executor) Reset() {
 			sa.Discard()
 		}
 	}
-	for i := range ex.opIdx {
-		ex.opIdx[i] = 0
-	}
+	clear(ex.opIdx)
 	ex.drvIdx = 0
 	ex.region = -1
 	ex.algorithm = ""
