@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -136,6 +138,35 @@ func TestBenchSmoke(t *testing.T) {
 	if sharedMS["shared"] != sharedMS["shared-pipelined"] {
 		t.Fatalf("pipelined MS bytes %d differ from serial %d", sharedMS["shared-pipelined"], sharedMS["shared"])
 	}
+	// Which runs the record holds, in order, and every count they carry.
+	if got, want := recordHash(t, raw), "cdf7251730b68483"; got != want {
+		t.Fatalf("record hash %s, want %s", got, want)
+	}
+}
+
+// recordHash returns the FNV-64a hash of a bench record's runs in
+// record order, each with every field but its five timings (seconds,
+// gflops, stage_wait_seconds, compute_seconds, overlap_efficiency).
+func recordHash(t *testing.T, raw []byte) string {
+	t.Helper()
+	var rec struct {
+		Runs []map[string]any `json:"runs"`
+	}
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, r := range rec.Runs {
+		for _, f := range []string{"seconds", "gflops", "stage_wait_seconds", "compute_seconds", "overlap_efficiency"} {
+			delete(r, f)
+		}
+		b, err := json.Marshal(r) // sorts the keys
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s\n", b)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // TestBenchModeFlags drives the command line into benchmark mode with
