@@ -174,15 +174,18 @@ func TestBenchModeFlags(t *testing.T) {
 	}
 }
 
-// TestChaosRecovers runs CI's LU chaos smoke case in process, with the
-// CLI's default tuning (optimizer on): the injected fault must surface
-// as a RunError, and the Reset executor must re-run bitwise clean.
+// TestChaosRecovers runs CI's LU chaos smoke cases in process, one per
+// physical mode, with the CLI's default tuning (optimizer on): each
+// injected fault must surface as a RunError, and the Reset executor
+// must re-run bitwise clean.
 func TestChaosRecovers(t *testing.T) {
 	for _, tc := range []struct {
 		spec string
 		mode parallel.Mode
 	}{
+		{"panic@1:*", parallel.ModePacked},
 		{"panic@0:*", parallel.ModeShared},
+		{"corrupt@*:9", parallel.ModeSharedPipelined},
 	} {
 		out, err := captureStdout(t, func() error {
 			return chaos(tc.spec, 64, 8, 2, 1, 1, tc.mode, parallel.Tuning{Optimize: true})
