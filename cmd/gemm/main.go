@@ -26,7 +26,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -35,6 +34,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/cmd/internal/execcli"
 	"repro/internal/algo"
 	"repro/internal/faultinject"
 	"repro/internal/lu"
@@ -75,12 +75,7 @@ func cli(args []string, stderr io.Writer) error {
 	_ = fs.Parse(args) // ExitOnError: Parse exits instead of returning an error
 
 	if *benchJSON != "" {
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "p", "chips", "verify", "mode", "faults":
-				fmt.Fprintf(stderr, "gemm: -%s is ignored in benchmark mode (it configures a single run; -bench-cores and -bench-chips set the measured grid)\n", f.Name)
-			}
-		})
+		execcli.WarnIgnored(fs, stderr, "-bench-cores and -bench-chips set the measured grid", "p", "chips", "verify", "mode", "faults")
 		coreList, err := report.ParseCores("bench-cores", *benchCores)
 		if err != nil {
 			return err
@@ -102,29 +97,19 @@ func cli(args []string, stderr io.Writer) error {
 	return run(*algoName, *order, *q, *cores, *chips, *verify, *seed, mode, tun)
 }
 
-// chaos is the -faults path: run one algorithm under an injected fault
-// plan with the integrity tripwire armed, and prove the failure model
-// end to end. The faulted run must either complete clean (the plan
-// never fired — possible for probabilistic rules) or fail with a
-// structured *parallel.RunError carrying op provenance; anything else —
-// a bare error, a crash, a deadlock — is a harness failure and exits
-// non-zero. After the fault the executor is Reset, the inputs restored,
-// and the very same executor re-runs the program clean, verified
-// against the sequential reference: run-after-fault, demonstrated on
-// every invocation.
+// chaos is the -faults path: execcli.Chaos on one algorithm's executor,
+// whose clean re-run after the fault is verified against the sequential
+// reference.
 func chaos(algoName, spec string, order, q, cores, chips int, seed uint64, mode parallel.Mode, tun parallel.Tuning) error {
 	plan, err := faultinject.ParseSpec(spec)
 	if err != nil {
 		return err
 	}
-	names, err := selectAlgos(algoName)
+	algos, err := selectAlgos(algoName)
 	if err != nil {
 		return err
 	}
-	a, err := algo.ByName(names[0])
-	if err != nil {
-		return err
-	}
+	a := algos[0]
 	mach := lu.MachineFor(cores, q)
 	mach.Chips = chips
 	if err := mach.Validate(); err != nil {
@@ -149,86 +134,43 @@ func chaos(algoName, spec string, order, q, cores, chips int, seed uint64, mode 
 		return err
 	}
 	ex.SetTuning(tun)
-	ex.SetFaultInjector(plan)
-	ex.SetIntegrityChecks(true)
 
-	fmt.Printf("chaos: %q under plan %q (mode %v, p=%d)\n", names[0], plan, mode, cores)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := ex.RunContext(ctx, prog); err != nil {
-		var re *parallel.RunError
-		if !errors.As(err, &re) {
-			return fmt.Errorf("chaos: fault surfaced without RunError provenance: %w", err)
-		}
-		fmt.Printf("chaos: faulted as expected: %v\n", re)
-		ex.Reset()
-	} else {
-		fmt.Println("chaos: no injected fault fired; run completed clean")
-	}
-
-	// Recovery: restore the inputs, drop the injector, and prove the same
-	// executor replays the program clean after the failure.
-	ex.SetFaultInjector(nil)
-	fresh, err := matrix.NewTriple(order, order, order, q, seed)
-	if err != nil {
-		return err
-	}
-	for _, mats := range [][2]*matrix.Dense{
-		{tr.A.Dense(), fresh.A.Dense()},
-		{tr.B.Dense(), fresh.B.Dense()},
-		{tr.C.Dense(), fresh.C.Dense()},
-	} {
-		if err := mats[0].CopyFrom(mats[1]); err != nil {
+	fmt.Printf("chaos: %q under plan %q (mode %v, p=%d)\n", a.Name(), plan, mode, cores)
+	restore := func() error {
+		fresh, err := matrix.NewTriple(order, order, order, q, seed)
+		if err != nil {
 			return err
 		}
+		return errors.Join(tr.A.Dense().CopyFrom(fresh.A.Dense()),
+			tr.B.Dense().CopyFrom(fresh.B.Dense()), tr.C.Dense().CopyFrom(fresh.C.Dense()))
 	}
-	if err := ex.Run(prog); err != nil {
-		return fmt.Errorf("chaos: clean re-run after Reset failed: %w", err)
-	}
-	diff, err := parallel.Verify(tr)
-	if err != nil {
-		return err
-	}
-	if diff > 1e-9 {
-		return fmt.Errorf("chaos: clean re-run deviates from the sequential reference by %g", diff)
-	}
-	fmt.Printf("chaos: recovered; clean re-run verified against the sequential reference (max |err| %.2e)\n", diff)
-	return nil
+	return execcli.Chaos(ex, prog, plan, restore, func() (string, error) {
+		diff, err := parallel.Verify(tr)
+		if err != nil {
+			return "", err
+		}
+		if diff > 1e-9 {
+			return "", fmt.Errorf("chaos: clean re-run deviates from the sequential reference by %g", diff)
+		}
+		return fmt.Sprintf("clean re-run verified against the sequential reference (max |err| %.2e)", diff), nil
+	})
 }
 
-// optSettings returns the optimizer settings measured for one mode:
-// staged modes get a baseline/optimized pair when the optimizer is
-// enabled, so every record carries its own control. View staging moves
-// no counted bytes, so it stays baseline-only.
-func optSettings(mode parallel.Mode, optimize bool) []bool {
-	if !optimize || mode == parallel.ModeView {
-		return []bool{false}
-	}
-	return []bool{false, true}
-}
-
-// speedupSuffix marks ratios whose both sides ran the optimizer.
-func speedupSuffix(sp report.BenchSpeedup) string {
-	if sp.Optimized {
-		return "+opt"
-	}
-	return ""
-}
-
-// selectAlgos resolves -algo to the measured name list, failing fast on
-// unknown names (before any work runs).
-func selectAlgos(algoName string) ([]string, error) {
+// selectAlgos resolves -algo to the measured algorithms, failing fast
+// on unknown names (before any work runs).
+func selectAlgos(algoName string) ([]algo.Algorithm, error) {
 	if algoName == "" {
-		return algo.Names(), nil
+		return algo.Extended(), nil
 	}
-	if _, err := algo.ByName(algoName); err != nil {
+	a, err := algo.ByName(algoName)
+	if err != nil {
 		return nil, err
 	}
-	return []string{algoName}, nil
+	return []algo.Algorithm{a}, nil
 }
 
 func run(algoName string, order, q, cores, chips int, verify bool, seed uint64, mode parallel.Mode, tun parallel.Tuning) error {
-	names, err := selectAlgos(algoName)
+	algos, err := selectAlgos(algoName)
 	if err != nil {
 		return err
 	}
@@ -243,7 +185,8 @@ func run(algoName string, order, q, cores, chips int, verify bool, seed uint64, 
 
 	flops := 2 * float64(order*q) * float64(order*q) * float64(order*q)
 	tbl := report.NewTable("algorithm", "time", "GFLOP/s", "max |err|")
-	for _, name := range names {
+	for _, a := range algos {
+		name := a.Name()
 		tr, err := matrix.NewTriple(order, order, order, q, seed)
 		if err != nil {
 			return err
@@ -297,39 +240,19 @@ func measureSequential(order, q int, seed uint64) (time.Duration, error) {
 // and writes the JSON record, including the executor's per-level
 // traffic byte counts and, for the shared-level modes, the stage-wait
 // versus compute wall-time split. Every configuration runs reps times
-// and the fastest repetition is recorded — the standard
-// minimum-wall-time estimator, least sensitive to scheduler noise on
-// shared machines (the traffic counts are deterministic, identical in
-// every repetition; the overlap split is taken from the same fastest
-// repetition).
+// and the fastest repetition is recorded (execcli.Fastest).
 func bench(path, algoName string, order, q int, coreList, chipList []int, reps int, seed uint64, optimize bool) error {
-	if reps < 1 {
-		reps = 1
-	}
+	reps = max(reps, 1)
 	if len(chipList) == 0 {
 		chipList = []int{1}
 	}
-	names, err := selectAlgos(algoName)
+	algos, err := selectAlgos(algoName)
 	if err != nil {
 		return err
 	}
 	rec := report.NewBench("gemm")
 	fmt.Printf("benchmark: n=%d (order %d blocks of %d×%d), cores %v, chips %v, best of %d\n\n",
 		order*q, order, q, q, coreList, chipList, reps)
-
-	best := func(f func() (time.Duration, error)) (time.Duration, error) {
-		var min time.Duration
-		for i := 0; i < reps; i++ {
-			d, err := f()
-			if err != nil {
-				return 0, err
-			}
-			if min == 0 || d < min {
-				min = d
-			}
-		}
-		return min, nil
-	}
 
 	// Operands are allocated once and C re-zeroed between repetitions —
 	// A and B are deterministic from the seed, so re-filling them per
@@ -339,19 +262,16 @@ func bench(path, algoName string, order, q int, coreList, chipList []int, reps i
 		return err
 	}
 	out := matrix.New(tr.C.Dense().Rows(), tr.C.Dense().Cols())
-	elapsed, err := best(func() (time.Duration, error) {
+	naive, err := execcli.Fastest(reps, func() (execcli.Sample, error) {
 		out.Zero()
 		start := time.Now()
-		if err := matrix.MulBlocked(out, tr.A.Dense(), tr.B.Dense(), q); err != nil {
-			return 0, err
-		}
-		return time.Since(start), nil
+		err := matrix.MulBlocked(out, tr.A.Dense(), tr.B.Dense(), q)
+		return execcli.Sample{Elapsed: time.Since(start)}, err
 	})
 	if err != nil {
 		return err
 	}
-	naive := rec.Add("sequential blocked", "naive", 1, order, q, elapsed)
-	fmt.Printf("%-20s %-7s p=%d  %8.2f GFLOP/s\n", naive.Algorithm, naive.Mode, naive.Cores, naive.GFlops)
+	execcli.Naive(rec.Add("sequential blocked", "naive", 1, order, q, naive.Elapsed))
 
 	for _, p := range coreList {
 		team, err := parallel.NewTeam(p)
@@ -376,109 +296,42 @@ func bench(path, algoName string, order, q int, coreList, chipList []int, reps i
 			if nchips > 1 {
 				modes = []parallel.Mode{parallel.ModeShared, parallel.ModeSharedPipelined}
 			}
-			for _, name := range names {
-				a, err := algo.ByName(name)
-				if err != nil {
-					team.Close()
-					return err
-				}
+			for _, a := range algos {
 				// Prepare once per configuration: program and executor live
 				// across repetitions, so the timed region is the executed
-				// schedule itself (validation is cached after the first run).
+				// schedule itself (the compile is cached by the first run).
 				prog, err := a.Schedule(mach, algo.Workload{M: order, N: order, Z: order})
 				if err != nil {
 					team.Close()
 					return err
 				}
 				for _, mode := range modes {
-					// Staged modes are measured as a baseline/optimized
-					// pair over the same operands and program, so the
-					// record carries the optimizer's measured MS savings
-					// cell by cell.
-					var baseMSBytes uint64
-					for _, opt := range optSettings(mode, optimize) {
+					var cell execcli.Cell
+					for _, opt := range execcli.OptSettings(mode, optimize) {
 						ex, err := parallel.NewExecutor(team, tr, nil, mode, mach.CD, mach.CS)
 						if err != nil {
 							team.Close()
 							return err
 						}
 						ex.SetTuning(parallel.Tuning{Optimize: opt})
-						var elapsed, stageWait, compute time.Duration
-						for i := 0; i < reps; i++ {
+						s, err := execcli.Fastest(reps, func() (execcli.Sample, error) {
 							tr.C.Dense().Zero()
 							start := time.Now()
 							if err := ex.Run(prog); err != nil {
-								team.Close()
-								return fmt.Errorf("%s (%v, p=%d, chips=%d): %w", name, mode, p, nchips, err)
+								return execcli.Sample{}, fmt.Errorf("%s (%v, p=%d, chips=%d): %w", a.Name(), mode, p, nchips, err)
 							}
-							if d := time.Since(start); elapsed == 0 || d < elapsed {
-								elapsed = d
-								stageWait = ex.StageWait()
-								compute = ex.ComputeTime()
-							}
+							return execcli.Sample{Elapsed: time.Since(start), Traffic: ex.Traffic(), StageWait: ex.StageWait(), Compute: ex.ComputeTime()}, nil
+						})
+						if err != nil {
+							team.Close()
+							return err
 						}
-						r := rec.Add(name, mode.String(), p, order, q, elapsed)
-						r.SetTopology(nchips, p)
-						tra := ex.Traffic()
-						r.MSStageBytes = tra.MS.StageBytes
-						r.MSWriteBackBytes = tra.MS.WriteBackBytes
-						r.MDStageBytes = tra.MD.StageBytes
-						r.MDWriteBackBytes = tra.MD.WriteBackBytes
-						r.ICStageBytes = tra.IC.StageBytes
-						r.ICWriteBackBytes = tra.IC.WriteBackBytes
-						if opt {
-							r.Optimized = true
-							if ms := tra.MS.Bytes(); baseMSBytes >= ms {
-								r.MSElidedBytes = baseMSBytes - ms
-							}
-						} else {
-							baseMSBytes = tra.MS.Bytes()
-						}
-						label := fmt.Sprintf("p=%d", p)
-						if nchips > 1 {
-							label += fmt.Sprintf(" chips=%d", nchips)
-						}
-						modeLabel := r.Mode
-						if opt {
-							modeLabel += "+opt"
-						}
-						if mode.SharedLevel() {
-							r.SetOverlap(stageWait, compute)
-							extra := ""
-							if nchips > 1 {
-								extra = fmt.Sprintf(" IC=%s", report.FormatBytes(tra.IC.Bytes()))
-							}
-							fmt.Printf("%-20s %-17s %-13s %8.2f GFLOP/s  MS=%s MD=%s%s  stage-wait=%v overlap=%.2f\n",
-								r.Algorithm, modeLabel, label, r.GFlops,
-								report.FormatBytes(tra.MS.Bytes()), report.FormatBytes(tra.MD.Bytes()), extra,
-								stageWait.Round(time.Microsecond), r.OverlapEfficiency)
-						} else {
-							fmt.Printf("%-20s %-17s %-13s %8.2f GFLOP/s  MS=%s MD=%s\n",
-								r.Algorithm, modeLabel, label, r.GFlops,
-								report.FormatBytes(tra.MS.Bytes()), report.FormatBytes(tra.MD.Bytes()))
-						}
+						cell.Record(rec.Add(a.Name(), mode.String(), p, order, q, s.Elapsed), s, mode, nchips, opt)
 					}
 				}
 			}
 		}
 		team.Close()
 	}
-
-	fmt.Println("\npacked over view:")
-	for _, sp := range rec.Speedup(parallel.ModePacked.String(), parallel.ModeView.String()) {
-		fmt.Printf("%-20s p=%d%s  %5.2fx\n", sp.Algorithm, sp.Cores, speedupSuffix(sp), sp.Ratio)
-	}
-	fmt.Println("\npipelined over shared:")
-	for _, sp := range rec.Speedup(parallel.ModeSharedPipelined.String(), parallel.ModeShared.String()) {
-		label := fmt.Sprintf("p=%d%s", sp.Cores, speedupSuffix(sp))
-		if sp.Chips > 1 {
-			label += fmt.Sprintf(" chips=%d", sp.Chips)
-		}
-		fmt.Printf("%-20s %-13s %5.2fx\n", sp.Algorithm, label, sp.Ratio)
-	}
-	if err := rec.WriteJSONFile(path); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s (%d runs)\n", path, len(rec.Runs))
-	return nil
+	return execcli.Summarize(rec, path)
 }

@@ -28,8 +28,6 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,6 +35,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/cmd/internal/execcli"
 	"repro/internal/faultinject"
 	"repro/internal/lu"
 	"repro/internal/matrix"
@@ -82,12 +81,7 @@ func cli(args []string, stderr io.Writer) error {
 	_ = fs.Parse(args) // ExitOnError: Parse exits instead of returning an error
 
 	if *benchJSON != "" {
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "p", "chips", "verify", "mode", "faults", "singular-at":
-				fmt.Fprintf(stderr, "lufact: -%s is ignored in benchmark mode (it configures a single run; -bench-cores sets the measured grid)\n", f.Name)
-			}
-		})
+		execcli.WarnIgnored(fs, stderr, "-bench-cores sets the measured grid", "p", "chips", "verify", "mode", "faults", "singular-at")
 		coreList, err := report.ParseCores("bench-cores", *benchCores)
 		if err != nil {
 			return err
@@ -109,11 +103,9 @@ func cli(args []string, stderr io.Writer) error {
 	}
 }
 
-// chaos is the -faults path: factor under an injected fault plan with
-// the integrity tripwire armed, expecting a structured failure, then
-// Reset, restore the input, and prove the same executor re-runs clean —
-// bitwise identical to the sequential factorisation. See cmd/gemm's
-// chaos mode; this is its LU counterpart, built on lu.NewRun.
+// chaos is the -faults path: execcli.Chaos on the LU executor, whose
+// clean re-run after the fault must be bitwise identical to the
+// sequential factorisation.
 func chaos(spec string, n, q, cores, chips int, seed uint64, mode parallel.Mode, tun parallel.Tuning) error {
 	plan, err := faultinject.ParseSpec(spec)
 	if err != nil {
@@ -138,41 +130,18 @@ func chaos(spec string, n, q, cores, chips int, seed uint64, mode parallel.Mode,
 	if err != nil {
 		return err
 	}
-	fr.Ex.SetFaultInjector(plan)
-	fr.Ex.SetIntegrityChecks(true)
-
 	fmt.Printf("chaos: LU of %d×%d under plan %q (mode %v, p=%d)\n", n, n, plan, mode, cores)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := fr.Ex.RunContext(ctx, fr.Prog); err != nil {
-		var re *parallel.RunError
-		if !errors.As(err, &re) {
-			return fmt.Errorf("chaos: fault surfaced without RunError provenance: %w", err)
+	restore := func() error { return work.CopyFrom(orig) }
+	return execcli.Chaos(fr.Ex, fr.Prog, plan, restore, func() (string, error) {
+		seq := orig.Clone()
+		if err := lu.Factor(seq, q); err != nil {
+			return "", err
 		}
-		fmt.Printf("chaos: faulted as expected: %v\n", re)
-		fr.Ex.Reset()
-	} else {
-		fmt.Println("chaos: no injected fault fired; run completed clean")
-	}
-
-	// Recovery: restore the input, drop the injector, and prove the same
-	// executor factors clean after the failure.
-	fr.Ex.SetFaultInjector(nil)
-	if err := work.CopyFrom(orig); err != nil {
-		return err
-	}
-	if err := fr.Ex.Run(fr.Prog); err != nil {
-		return fmt.Errorf("chaos: clean re-run after Reset failed: %w", err)
-	}
-	seq := orig.Clone()
-	if err := lu.Factor(seq, q); err != nil {
-		return err
-	}
-	if !work.Equal(seq) {
-		return fmt.Errorf("chaos: re-run factors deviate from the sequential ones by %g", work.MaxAbsDiff(seq))
-	}
-	fmt.Println("chaos: recovered; clean re-run bitwise identical to the sequential factorisation")
-	return nil
+		if !work.Equal(seq) {
+			return "", fmt.Errorf("chaos: re-run factors deviate from the sequential ones by %g", work.MaxAbsDiff(seq))
+		}
+		return "clean re-run bitwise identical to the sequential factorisation", nil
+	})
 }
 
 // singularRun is the -singular-at path: factor lu.SingularInput — a
@@ -204,25 +173,6 @@ func singularRun(n, q, cores, chips int, seed uint64, mode parallel.Mode, tun pa
 		return err
 	}
 	return fmt.Errorf("singular input factored without error; the failure path is broken")
-}
-
-// optSettings returns the optimizer settings measured for one mode:
-// staged modes get a baseline/optimized pair when the optimizer is
-// enabled, so every record carries its own control. View staging moves
-// no counted bytes, so it stays baseline-only.
-func optSettings(mode parallel.Mode, optimize bool) []bool {
-	if !optimize || mode == parallel.ModeView {
-		return []bool{false}
-	}
-	return []bool{false, true}
-}
-
-// optSuffix marks ratios whose both sides ran the optimizer.
-func optSuffix(sp report.BenchSpeedup) string {
-	if sp.Optimized {
-		return "+opt"
-	}
-	return ""
 }
 
 // luFlops is the classical flop count of an unpivoted n×n LU, 2n³/3.
@@ -291,18 +241,17 @@ func run(n, q, cores, chips int, verify bool, seed uint64, mode parallel.Mode, t
 	return nil
 }
 
-// bench measures sequential vs view vs packed vs shared and writes the
-// JSON record, including the executor's per-level traffic byte counts.
-// Every configuration runs reps times and the fastest repetition is
-// recorded (the traffic counts are deterministic, identical in every
-// repetition).
+// bench measures sequential vs view vs packed vs shared vs
+// shared-pipelined and writes the JSON record, including the executor's
+// per-level traffic byte counts and, for the shared-level modes, the
+// stage-wait versus compute split. Every configuration runs reps times
+// and the fastest repetition is recorded (execcli.Fastest); each
+// repetition is a whole lu.FactorParallelTuned call, compile included.
 func bench(path string, n, q int, coreList []int, reps int, seed uint64, optimize bool) error {
 	if n <= 0 || q <= 0 {
 		return fmt.Errorf("need positive -n and -q, got n=%d q=%d", n, q)
 	}
-	if reps < 1 {
-		reps = 1
-	}
+	reps = max(reps, 1)
 	orderBlocks := (n + q - 1) / q
 	rec := report.NewBench("lu")
 	fmt.Printf("benchmark: LU of n=%d (%d tiles of %d×%d), cores %v, best of %d\n\n",
@@ -310,37 +259,20 @@ func bench(path string, n, q int, coreList []int, reps int, seed uint64, optimiz
 
 	orig := lu.RandomDominant(n, seed)
 	work := matrix.New(n, n)
-
-	best := func(f func() (time.Duration, error)) (time.Duration, error) {
-		var min time.Duration
-		for i := 0; i < reps; i++ {
-			if err := work.CopyFrom(orig); err != nil {
-				return 0, err
-			}
-			d, err := f()
-			if err != nil {
-				return 0, err
-			}
-			if min == 0 || d < min {
-				min = d
-			}
+	naive, err := execcli.Fastest(reps, func() (execcli.Sample, error) {
+		if err := work.CopyFrom(orig); err != nil {
+			return execcli.Sample{}, err
 		}
-		return min, nil
-	}
-
-	elapsed, err := best(func() (time.Duration, error) {
 		start := time.Now()
-		if err := lu.Factor(work, q); err != nil {
-			return 0, err
-		}
-		return time.Since(start), nil
+		err := lu.Factor(work, q)
+		return execcli.Sample{Elapsed: time.Since(start)}, err
 	})
 	if err != nil {
 		return err
 	}
-	naive := rec.AddOp("sequential tiled LU", "naive", 1, orderBlocks, q, luFlops(n), elapsed)
-	naive.N = n
-	fmt.Printf("%-20s %-7s p=%d  %8.2f GFLOP/s\n", naive.Algorithm, naive.Mode, naive.Cores, naive.GFlops)
+	r := rec.AddOp("sequential tiled LU", "naive", 1, orderBlocks, q, luFlops(n), naive.Elapsed)
+	r.N = n
+	execcli.Naive(r)
 
 	for _, p := range coreList {
 		mach := lu.MachineFor(p, q)
@@ -349,73 +281,29 @@ func bench(path string, n, q int, coreList []int, reps int, seed uint64, optimiz
 			return err
 		}
 		for _, mode := range []parallel.Mode{parallel.ModeView, parallel.ModePacked, parallel.ModeShared, parallel.ModeSharedPipelined} {
-			// Staged modes are measured as a baseline/optimized pair over
-			// the same input, so the record carries the optimizer's
-			// measured MS savings cell by cell.
-			var baseMSBytes uint64
-			for _, opt := range optSettings(mode, optimize) {
-				// The traffic is deterministic across repetitions; the overlap
-				// split is taken from the same fastest repetition as the time.
-				var stats lu.Stats
-				var elapsed time.Duration
-				for i := 0; i < reps; i++ {
+			var cell execcli.Cell
+			for _, opt := range execcli.OptSettings(mode, optimize) {
+				s, err := execcli.Fastest(reps, func() (execcli.Sample, error) {
 					if err := work.CopyFrom(orig); err != nil {
-						team.Close()
-						return err
+						return execcli.Sample{}, err
 					}
 					start := time.Now()
-					s, err := lu.FactorParallelTuned(work, q, team, mode, mach, parallel.Tuning{Optimize: opt})
+					st, err := lu.FactorParallelTuned(work, q, team, mode, mach, parallel.Tuning{Optimize: opt})
 					if err != nil {
-						team.Close()
-						return fmt.Errorf("LU (%v, p=%d): %w", mode, p, err)
+						return execcli.Sample{}, fmt.Errorf("LU (%v, p=%d): %w", mode, p, err)
 					}
-					if d := time.Since(start); elapsed == 0 || d < elapsed {
-						elapsed = d
-						stats = s
-					}
+					return execcli.Sample{Elapsed: time.Since(start), Traffic: st.Traffic, StageWait: st.StageWait, Compute: st.Compute}, nil
+				})
+				if err != nil {
+					team.Close()
+					return err
 				}
-				tra := stats.Traffic
-				r := rec.AddOp("LU", mode.String(), p, orderBlocks, q, luFlops(n), elapsed)
+				r := rec.AddOp("LU", mode.String(), p, orderBlocks, q, luFlops(n), s.Elapsed)
 				r.N = n
-				r.MSStageBytes = tra.MS.StageBytes
-				r.MSWriteBackBytes = tra.MS.WriteBackBytes
-				r.MDStageBytes = tra.MD.StageBytes
-				r.MDWriteBackBytes = tra.MD.WriteBackBytes
-				modeLabel := r.Mode
-				if opt {
-					r.Optimized = true
-					if ms := tra.MS.Bytes(); baseMSBytes >= ms {
-						r.MSElidedBytes = baseMSBytes - ms
-					}
-					modeLabel += "+opt"
-				} else {
-					baseMSBytes = tra.MS.Bytes()
-				}
-				if mode.SharedLevel() {
-					r.SetOverlap(stats.StageWait, stats.Compute)
-					fmt.Printf("%-20s %-17s p=%d  %8.2f GFLOP/s  MS=%s MD=%s  stage-wait=%v overlap=%.2f\n",
-						r.Algorithm, modeLabel, r.Cores, r.GFlops, report.FormatBytes(tra.MS.Bytes()), report.FormatBytes(tra.MD.Bytes()),
-						stats.StageWait.Round(time.Microsecond), r.OverlapEfficiency)
-				} else {
-					fmt.Printf("%-20s %-17s p=%d  %8.2f GFLOP/s  MS=%s MD=%s\n",
-						r.Algorithm, modeLabel, r.Cores, r.GFlops, report.FormatBytes(tra.MS.Bytes()), report.FormatBytes(tra.MD.Bytes()))
-				}
+				cell.Record(r, s, mode, 1, opt)
 			}
 		}
 		team.Close()
 	}
-
-	fmt.Println("\npacked over view:")
-	for _, sp := range rec.Speedup(parallel.ModePacked.String(), parallel.ModeView.String()) {
-		fmt.Printf("%-20s p=%d%s  %5.2fx\n", sp.Algorithm, sp.Cores, optSuffix(sp), sp.Ratio)
-	}
-	fmt.Println("\npipelined over shared:")
-	for _, sp := range rec.Speedup(parallel.ModeSharedPipelined.String(), parallel.ModeShared.String()) {
-		fmt.Printf("%-20s p=%d%s  %5.2fx\n", sp.Algorithm, sp.Cores, optSuffix(sp), sp.Ratio)
-	}
-	if err := rec.WriteJSONFile(path); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s (%d runs)\n", path, len(rec.Runs))
-	return nil
+	return execcli.Summarize(rec, path)
 }
