@@ -46,9 +46,9 @@ func (m Machine) CoresPerChip() int { return m.P / m.ChipCount() }
 
 // ChipOf returns the chip owning core c under the blocked partition:
 // chip 0 owns cores [0, p/chips), chip 1 the next block, and so on. The
-// contiguous split keeps a chip's cores adjacent, which is both what
+// contiguous split keeps a chip's cores adjacent, which is what
 // DistributedOpt's 2-D cyclic grid maps onto (consecutive cores form
-// grid columns) and what NUMA first-touch placement wants.
+// grid columns).
 func (m Machine) ChipOf(c int) int { return ChipOfCore(c, m.P, m.ChipCount()) }
 
 // ChipCores returns the half-open core range [lo, hi) owned by chip.
@@ -58,9 +58,9 @@ func (m Machine) ChipCores(chip int) (lo, hi int) {
 }
 
 // ChipOfCore is the blocked core→chip partition as a free function, for
-// packages that carry the topology as plain integers (the cache
-// simulator, the executor): core c of p cores on chips chips lives on
-// chip c/(p/chips).
+// packages that carry the topology as plain integers (the schedule IR,
+// the cache simulator, DistributedOpt's home policy): core c of p cores
+// on chips chips lives on chip c/(p/chips).
 func ChipOfCore(c, p, chips int) int {
 	if chips <= 1 {
 		return 0

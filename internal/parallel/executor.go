@@ -1019,20 +1019,6 @@ func (ex *Executor) execute(src *schedule.Program) error {
 				shared[i] = sa
 			}
 			ex.shared = shared
-			// NUMA first-touch: Go zeroes pages lazily, so the first write
-			// decides which node backs them. Have the first worker of each
-			// chip touch its chip's arena before any staging, so on a real
-			// multi-socket host (workers pinned per chip) every arena's
-			// pages land on the socket whose cores refill from it.
-			per := ex.team.Size() / comp.chips
-			if err := ex.team.Run(func(c int) error {
-				if c%per == 0 && c/per < comp.chips {
-					ex.shared[c/per].FirstTouch()
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
 		}
 	}
 	// Arm (or disarm) the checksum tripwire on every arena the run will

@@ -97,19 +97,6 @@ func (sa *SharedArena) Discard() {
 	sa.arena.Discard()
 }
 
-// FirstTouch writes one value per page of the arena's backing buffer.
-// Go zeroes heap pages lazily, so the first write decides which NUMA
-// node backs them; the executor has a worker of the owning chip call
-// this right after allocation, before any tile is staged, so the
-// arena's memory is local to the cores that refill from it. Writing
-// zero keeps the buffer's logical contents untouched.
-func (sa *SharedArena) FirstTouch() {
-	const pageFloats = 4096 / 8
-	for i := 0; i < len(sa.arena.buf); i += pageFloats {
-		sa.arena.buf[i] = 0
-	}
-}
-
 // Resident returns the number of currently staged tiles.
 func (sa *SharedArena) Resident() int {
 	sa.mu.RLock()
