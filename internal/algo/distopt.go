@@ -72,7 +72,7 @@ func (a DistributedOpt) Schedule(declared machine.Machine, w Workload) (*schedul
 
 				// Each core stages its private µ×µ sub-block of C.
 				b.Parallel(func(c int, ops schedule.CoreSink) {
-					rlo, rhi, clo, chi := a.coreRegion(c, gr, gc, mu, ilen, jlen)
+					rlo, rhi, clo, chi := cyclicRegion(c, gr, mu, ilen, jlen)
 					for bi := rlo; bi < rhi; bi++ {
 						for bj := clo; bj < chi; bj++ {
 							ops.Stage(lineC(i0+bi, j0+bj))
@@ -87,7 +87,7 @@ func (a DistributedOpt) Schedule(declared machine.Machine, w Workload) (*schedul
 						b.StageShared(lineB(k, j0+bj))
 					}
 					b.Parallel(func(c int, ops schedule.CoreSink) {
-						_, _, clo, chi := a.coreRegion(c, gr, gc, mu, ilen, jlen)
+						_, _, clo, chi := cyclicRegion(c, gr, mu, ilen, jlen)
 						for bj := clo; bj < chi; bj++ {
 							ops.Stage(lineB(k, j0+bj))
 						}
@@ -103,7 +103,7 @@ func (a DistributedOpt) Schedule(declared machine.Machine, w Workload) (*schedul
 							}
 						}
 						b.Parallel(func(c int, ops schedule.CoreSink) {
-							rlo, rhi, clo, chi := a.coreRegion(c, gr, gc, mu, ilen, jlen)
+							rlo, rhi, clo, chi := cyclicRegion(c, gr, mu, ilen, jlen)
 							row := rlo + ii
 							if row >= rhi || clo >= chi {
 								return
@@ -123,7 +123,7 @@ func (a DistributedOpt) Schedule(declared machine.Machine, w Workload) (*schedul
 					}
 
 					b.Parallel(func(c int, ops schedule.CoreSink) {
-						_, _, clo, chi := a.coreRegion(c, gr, gc, mu, ilen, jlen)
+						_, _, clo, chi := cyclicRegion(c, gr, mu, ilen, jlen)
 						for bj := clo; bj < chi; bj++ {
 							ops.Unstage(lineB(k, j0+bj))
 						}
@@ -136,7 +136,7 @@ func (a DistributedOpt) Schedule(declared machine.Machine, w Workload) (*schedul
 				// Cores write their finished sub-blocks back to the shared
 				// cache, then the super-tile returns to main memory.
 				b.Parallel(func(c int, ops schedule.CoreSink) {
-					rlo, rhi, clo, chi := a.coreRegion(c, gr, gc, mu, ilen, jlen)
+					rlo, rhi, clo, chi := cyclicRegion(c, gr, mu, ilen, jlen)
 					for bi := rlo; bi < rhi; bi++ {
 						for bj := clo; bj < chi; bj++ {
 							ops.Unstage(lineC(i0+bi, j0+bj))
@@ -201,18 +201,4 @@ func (DistributedOpt) homePolicy(declared machine.Machine, mu, gr, gc int) func(
 			return chipOfCore(offI)
 		}
 	}
-}
-
-// coreRegion returns core c's sub-block bounds [rlo,rhi)×[clo,chi) inside
-// the current super-tile, clamped to the tile's actual (possibly ragged)
-// extent. Core c sits at grid position (c mod gr, c div gr), matching the
-// paper's offseti/offsetj definitions.
-func (DistributedOpt) coreRegion(c, gr, gc, mu, ilen, jlen int) (rlo, rhi, clo, chi int) {
-	offI := c % gr
-	offJ := c / gr
-	rlo = min(offI*mu, ilen)
-	rhi = min(rlo+mu, ilen)
-	clo = min(offJ*mu, jlen)
-	chi = min(clo+mu, jlen)
-	return rlo, rhi, clo, chi
 }

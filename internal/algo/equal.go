@@ -202,7 +202,7 @@ func (a DistributedEqual) Schedule(declared machine.Machine, w Workload) (*sched
 					}
 				}
 				b.Parallel(func(c int, ops schedule.CoreSink) {
-					rlo, rhi, clo, chi := cyclicRegion(c, gr, gc, d, ilen, jlen)
+					rlo, rhi, clo, chi := cyclicRegion(c, gr, d, ilen, jlen)
 					for bi := rlo; bi < rhi; bi++ {
 						for bj := clo; bj < chi; bj++ {
 							ops.Stage(lineC(i0+bi, j0+bj))
@@ -226,7 +226,7 @@ func (a DistributedEqual) Schedule(declared machine.Machine, w Workload) (*sched
 					}
 
 					b.Parallel(func(c int, ops schedule.CoreSink) {
-						rlo, rhi, clo, chi := cyclicRegion(c, gr, gc, d, ilen, jlen)
+						rlo, rhi, clo, chi := cyclicRegion(c, gr, d, ilen, jlen)
 						if rlo >= rhi || clo >= chi {
 							return
 						}
@@ -274,7 +274,7 @@ func (a DistributedEqual) Schedule(declared machine.Machine, w Workload) (*sched
 				}
 
 				b.Parallel(func(c int, ops schedule.CoreSink) {
-					rlo, rhi, clo, chi := cyclicRegion(c, gr, gc, d, ilen, jlen)
+					rlo, rhi, clo, chi := cyclicRegion(c, gr, d, ilen, jlen)
 					for bi := rlo; bi < rhi; bi++ {
 						for bj := clo; bj < chi; bj++ {
 							ops.Unstage(lineC(i0+bi, j0+bj))
@@ -298,9 +298,12 @@ func (a DistributedEqual) Schedule(declared machine.Machine, w Workload) (*sched
 	}, nil
 }
 
-// cyclicRegion returns core c's d×d tile bounds inside a (gr·d)×(gc·d)
-// round, clamped to the round's ragged extent.
-func cyclicRegion(c, gr, gc, d, ilen, jlen int) (rlo, rhi, clo, chi int) {
+// cyclicRegion returns core c's d×d tile bounds [rlo,rhi)×[clo,chi)
+// inside one round of a 2-D cyclic core grid of gr rows, clamped to the
+// round's (possibly ragged) extent ilen×jlen. Core c sits at grid
+// position (c mod gr, c div gr), the paper's offseti/offsetj. Distributed
+// Equal and Distributed Opt. (d = µ) both partition their rounds by it.
+func cyclicRegion(c, gr, d, ilen, jlen int) (rlo, rhi, clo, chi int) {
 	offI := c % gr
 	offJ := c / gr
 	rlo = min(offI*d, ilen)

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 
+	"repro/internal/machine"
 	"repro/internal/matrix"
 )
 
@@ -269,11 +270,9 @@ func (h *IdealHierarchy) Cores() int { return len(h.dist) }
 // Chips returns the number of shared caches.
 func (h *IdealHierarchy) Chips() int { return h.chips }
 
-// ChipOf returns the chip owning core (blocked partition).
-func (h *IdealHierarchy) ChipOf(core int) int {
-	per := len(h.dist) / h.chips
-	return core / per
-}
+// ChipOf returns the chip owning core (machine.ChipOfCore's blocked
+// partition).
+func (h *IdealHierarchy) ChipOf(core int) int { return machine.ChipOfCore(core, len(h.dist), h.chips) }
 
 // LoadShared brings l from memory into chip 0's shared cache.
 func (h *IdealHierarchy) LoadShared(l Line) error { return h.LoadSharedChip(0, l) }

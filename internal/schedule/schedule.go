@@ -38,6 +38,7 @@ package schedule
 import (
 	"fmt"
 
+	"repro/internal/machine"
 	"repro/internal/matrix"
 )
 
@@ -198,21 +199,9 @@ func (p *Program) HomeOf(l Line) int {
 }
 
 // ChipOfCore returns the chip owning core c under this program's
-// declared topology (blocked partition, mirroring machine.ChipOf).
+// declared topology (machine.ChipOfCore's blocked partition).
 func (p *Program) ChipOfCore(c int) int {
-	chips := p.Resources.ChipCount()
-	if chips <= 1 {
-		return 0
-	}
-	per := p.Cores / chips
-	if per < 1 {
-		per = 1
-	}
-	chip := c / per
-	if chip >= chips {
-		chip = chips - 1
-	}
-	return chip
+	return machine.ChipOfCore(c, p.Cores, p.Resources.ChipCount())
 }
 
 // Emit drives backend b through the program's operation stream: it
