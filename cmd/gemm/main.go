@@ -298,8 +298,8 @@ func bench(path, algoName string, order, q int, coreList, chipList []int, reps i
 			}
 			for _, a := range algos {
 				// Prepare once per configuration: program and executor live
-				// across repetitions, so the timed region is the executed
-				// schedule itself (the compile is cached by the first run).
+				// across repetitions, so only the first repetition compiles;
+				// the later ones time the executed schedule alone.
 				prog, err := a.Schedule(mach, algo.Workload{M: order, N: order, Z: order})
 				if err != nil {
 					team.Close()

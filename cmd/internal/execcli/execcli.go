@@ -75,8 +75,9 @@ func OptSettings(mode parallel.Mode, optimize bool) []bool {
 	return []bool{false, true}
 }
 
-// Cell carries one benchmark cell's baseline MS bytes, a mode at one
-// configuration, from its baseline run to its optimized one.
+// Cell is one benchmark cell: a mode at one configuration, recorded in
+// OptSettings order. It carries the baseline run's MS bytes to the
+// optimized run.
 type Cell struct{ baseMS uint64 }
 
 // Record fills r, the cell's run for one optimizer setting, from its
