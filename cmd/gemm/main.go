@@ -271,7 +271,7 @@ func bench(path, algoName string, order, q int, coreList, chipList []int, reps i
 	if err != nil {
 		return err
 	}
-	execcli.Naive(rec.Add("sequential blocked", "naive", 1, order, q, naive.Elapsed))
+	execcli.PrintNaive(rec.Add("sequential blocked", "naive", 1, order, q, naive.Elapsed))
 
 	for _, p := range coreList {
 		team, err := parallel.NewTeam(p)

@@ -59,8 +59,8 @@ func Fastest(reps int, rep func() (Sample, error)) (Sample, error) {
 	return best, nil
 }
 
-// Naive prints the console line of a sequential baseline run.
-func Naive(r *report.BenchRun) {
+// PrintNaive prints the console line of a sequential baseline run.
+func PrintNaive(r *report.BenchRun) {
 	fmt.Printf("%-20s %-7s p=%d  %8.2f GFLOP/s\n", r.Algorithm, r.Mode, r.Cores, r.GFlops)
 }
 

@@ -272,7 +272,7 @@ func bench(path string, n, q int, coreList []int, reps int, seed uint64, optimiz
 	}
 	r := rec.AddOp("sequential tiled LU", "naive", 1, orderBlocks, q, luFlops(n), naive.Elapsed)
 	r.N = n
-	execcli.Naive(r)
+	execcli.PrintNaive(r)
 
 	for _, p := range coreList {
 		mach := lu.MachineFor(p, q)
