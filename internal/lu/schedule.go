@@ -240,15 +240,58 @@ type Stats struct {
 // MachineFor(team.Size(), q) is the default host model. The factors
 // are bitwise equal to the sequential Factor's in every mode and at
 // every tuning; only the profile changes.
+//
+// The team keeps the Run of the last shape it factored (Team.Keep): the
+// program and its executor, which holds the compiled trace, optimizer
+// ledger, phase plan, chip topology and arenas. A later call with the
+// same n, q, mode, machine and tuning rebinds that executor to its own
+// matrix and replays, so it compiles and allocates nothing; only a
+// team's first call of a shape pays the compile. A call with another
+// shape replaces the kept Run, a failed call drops it (the next call
+// compiles afresh), and Team.Close releases it. A call takes the Run
+// off the team while it runs, so concurrent calls on one team never
+// share an executor, and the kept Run holds no caller's matrix. Every
+// call checks its arguments as NewRun does.
 func FactorParallelTuned(a *matrix.Dense, q int, team *parallel.Team, mode parallel.Mode, mach machine.Machine, tun parallel.Tuning) (Stats, error) {
-	run, err := NewRun(a, q, team, mode, mach, tun)
+	operands, err := bind(a, q, team, mach)
 	if err != nil {
 		return Stats{}, err
 	}
-	if err := run.Ex.Run(run.Prog); err != nil {
+	key := runKey{n: a.Rows(), q: q, mode: mode, mach: mach, tun: tun}
+	k, _ := team.Take().(*keptRun)
+	if k != nil && k.key == key {
+		err = k.run.Ex.Rebind(operands)
+	} else {
+		k = &keptRun{key: key}
+		k.run, err = NewRun(a, q, team, mode, mach, tun)
+	}
+	if err != nil {
 		return Stats{}, err
 	}
-	return run.Stats(), nil
+	if err := k.run.Ex.Run(k.run.Prog); err != nil {
+		return Stats{}, err
+	}
+	st := k.run.Stats()
+	// Unbinding a clean executor cannot fail.
+	_ = k.run.Ex.Rebind(nil)
+	team.Keep(k)
+	return st, nil
+}
+
+// runKey is everything a factorisation's compiled Run depends on
+// besides the team: two calls with equal keys on one team replay the
+// same program.
+type runKey struct {
+	n, q int
+	mode parallel.Mode
+	mach machine.Machine
+	tun  parallel.Tuning
+}
+
+// keptRun is the Run FactorParallelTuned keeps on a team, with its key.
+type keptRun struct {
+	key runKey
+	run *Run
 }
 
 // Run bundles a compiled blocked-LU program with the executor that will
@@ -257,17 +300,38 @@ func FactorParallelTuned(a *matrix.Dense, q int, team *parallel.Team, mode paral
 // replay: installing a fault injector or the integrity tripwire,
 // running under a context (Ex.RunContext), inspecting a *parallel.
 // RunError's provenance, and Resetting the executor after a failure.
-// cmd/lufact's chaos path is the canonical consumer.
+// cmd/lufact's chaos path is the canonical consumer. A Run from NewRun
+// is the caller's own: it never enters the team's kept slot.
 type Run struct {
 	Prog *schedule.Program
 	Ex   *parallel.Executor
 }
 
-// NewRun compiles the blocked-LU program for a and binds an executor to
-// it, performing all of FactorParallelTuned's validation but stopping
-// short of the replay. The caller owns the run: typically configure
-// Ex, then Ex.Run(Prog) (or Ex.RunContext), and read Stats.
+// NewRun builds the blocked-LU program for a and binds a fresh executor
+// to it, performing all of FactorParallelTuned's validation but
+// stopping short of the replay; the executor compiles the program on
+// its first Run. The caller owns the run: typically configure Ex, then
+// Ex.Run(Prog) (or Ex.RunContext), and read Stats.
 func NewRun(a *matrix.Dense, q int, team *parallel.Team, mode parallel.Mode, mach machine.Machine, tun parallel.Tuning) (*Run, error) {
+	operands, err := bind(a, q, team, mach)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := Program(mach, (a.Rows()+q-1)/q)
+	if err != nil {
+		return nil, err
+	}
+	ex, err := parallel.NewExecutorOperands(team, operands, nil, mode, mach.CD, mach.CS)
+	if err != nil {
+		return nil, err
+	}
+	ex.SetTuning(tun)
+	return &Run{Prog: prog, Ex: ex}, nil
+}
+
+// bind checks a factorisation's arguments — a square a, a positive q, a
+// team whose size is mach.P — and binds a as its single operand.
+func bind(a *matrix.Dense, q int, team *parallel.Team, mach machine.Machine) (*matrix.Operands, error) {
 	if err := check(a, q); err != nil {
 		return nil, err
 	}
@@ -281,20 +345,7 @@ func NewRun(a *matrix.Dense, q int, team *parallel.Team, mode parallel.Mode, mac
 	if err != nil {
 		return nil, err
 	}
-	operands, err := matrix.NewOperands(blocked)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := Program(mach, blocked.BlockRows())
-	if err != nil {
-		return nil, err
-	}
-	ex, err := parallel.NewExecutorOperands(team, operands, nil, mode, mach.CD, mach.CS)
-	if err != nil {
-		return nil, err
-	}
-	ex.SetTuning(tun)
-	return &Run{Prog: prog, Ex: ex}, nil
+	return matrix.NewOperands(blocked)
 }
 
 // Stats reads the executor's measured profile of the most recent replay.

@@ -157,7 +157,8 @@ type Traffic struct {
 // staging is probe-only, as it was before packed storage existed.
 type Executor struct {
 	team         *Team
-	operands     *matrix.Operands
+	operands     *matrix.Operands // nil while unbound (Rebind)
+	q            int              // the tile size of every binding and arena
 	probe        *schedule.Probe
 	mode         Mode
 	arenaBlocks  int
@@ -262,9 +263,13 @@ func NewExecutor(team *Team, t *matrix.Triple, probe *schedule.Probe, mode Mode,
 // unbound operand fails at execution, exactly as an out-of-discipline
 // access does.
 func NewExecutorOperands(team *Team, operands *matrix.Operands, probe *schedule.Probe, mode Mode, coreBlocks, sharedBlocks int) (*Executor, error) {
+	if operands == nil {
+		return nil, errors.New("parallel: nil operand binding")
+	}
 	ex := &Executor{
 		team:         team,
 		operands:     operands,
+		q:            operands.Q(),
 		probe:        probe,
 		mode:         mode,
 		arenaBlocks:  coreBlocks,
@@ -288,6 +293,25 @@ func NewExecutorOperands(team *Team, operands *matrix.Operands, probe *schedule.
 	return ex, nil
 }
 
+// Rebind swaps the executor's operand binding for ops and keeps
+// everything else: the compiled program, the phase plan and the
+// arenas. The next Run of the program compiled last replays over the
+// new matrices without compiling or allocating anything. ops must have
+// the tile size the executor was built with. nil unbinds, so an
+// executor kept between runs does not keep its last matrices
+// reachable; a Run with nothing bound is rejected before it executes.
+// A quarantined executor refuses to rebind: Reset it first.
+func (ex *Executor) Rebind(ops *matrix.Operands) error {
+	if ex.err != nil {
+		return fmt.Errorf("parallel: executor quarantined by an earlier failure (%v); Reset it before rebinding", ex.err)
+	}
+	if ops != nil && ops.Q() != ex.q {
+		return fmt.Errorf("parallel: cannot rebind an executor of tile size %d to operands of tile size %d", ex.q, ops.Q())
+	}
+	ex.operands = ops
+	return nil
+}
+
 // Err returns the first execution error, if any.
 //
 // The executor's error state machine has three states:
@@ -303,8 +327,8 @@ func NewExecutorOperands(team *Team, operands *matrix.Operands, probe *schedule.
 // fails fast without executing anything. Reset returns the executor to
 // clean (and with it Err to nil); a successful Run after Reset leaves
 // no trace of the previous failure. Pre-flight rejections — a nil
-// program, a core-count mismatch, a chip count that does not split the
-// team, a stream that does not lower, a working set that overflows the
+// program, a core-count mismatch, no operands bound, a chip count that
+// does not split the team, a stream that does not lower, a working set that overflows the
 // declared resources, a phase plan that cannot prove inclusion — are
 // returned without entering quarantine: nothing executed, so the
 // executor stays clean.
@@ -978,6 +1002,9 @@ func (ex *Executor) execute(src *schedule.Program) error {
 		return fmt.Errorf("parallel: program %q wants %d cores, team has %d",
 			src.Algorithm, src.Cores, ex.team.Size())
 	}
+	if ex.operands == nil {
+		return fmt.Errorf("parallel: program %q run with no operands bound", src.Algorithm)
+	}
 	ex.ms = LevelTraffic{}
 	clear(ex.md)
 	for c := range ex.icw {
@@ -999,7 +1026,7 @@ func (ex *Executor) execute(src *schedule.Program) error {
 		if ex.arenas == nil {
 			ex.arenas = make([]*Arena, ex.team.Size())
 			for c := range ex.arenas {
-				a, err := NewArena(ex.arenaBlocks, ex.operands.Q())
+				a, err := NewArena(ex.arenaBlocks, ex.q)
 				if err != nil {
 					return err
 				}
@@ -1012,7 +1039,7 @@ func (ex *Executor) execute(src *schedule.Program) error {
 			// arenas were drained empty at the end of their last Run.
 			shared := make([]*SharedArena, comp.chips)
 			for i := range shared {
-				sa, err := NewSharedArena(ex.sharedBlocks, ex.operands.Q())
+				sa, err := NewSharedArena(ex.sharedBlocks, ex.q)
 				if err != nil {
 					return err
 				}

@@ -37,9 +37,10 @@ import (
 type Team struct {
 	p      int
 	jobs   []chan func()
-	mu     sync.Mutex
+	mu     sync.Mutex // guards closed and kept
 	closed bool
 	close  sync.Once
+	kept   any // the value Keep parked on the team, until Take or Close
 }
 
 // NewTeam starts p workers.
@@ -134,14 +135,38 @@ func isolated(core int, body func(core int) error) (err error) {
 	return body(core)
 }
 
-// Close terminates the workers. The Team is unusable afterwards: Run
-// and Launch return errors rather than panicking. Close must not be
-// called concurrently with Launch (callers own the Team's lifecycle);
-// calling it twice is safe.
+// Keep parks v on the team, replacing whatever was parked there; a
+// closed team drops it. With Take it lets a caller that runs the same
+// work on a team again keep state exactly as long as the team lives:
+// lu.FactorParallelTuned parks its compiled executor here.
+func (t *Team) Keep(v any) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.closed {
+		t.kept = v
+	}
+}
+
+// Take removes the value parked on the team and returns it, or nil if
+// there is none. A taken value is its taker's alone until it is kept
+// again, so two goroutines never hold it at once.
+func (t *Team) Take() any {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v := t.kept
+	t.kept = nil
+	return v
+}
+
+// Close terminates the workers and drops the parked value. The Team is
+// unusable afterwards: Run and Launch return errors rather than
+// panicking. Close must not be called concurrently with Launch
+// (callers own the Team's lifecycle); calling it twice is safe.
 func (t *Team) Close() {
 	t.close.Do(func() {
 		t.mu.Lock()
 		t.closed = true
+		t.kept = nil
 		t.mu.Unlock()
 		for _, ch := range t.jobs {
 			close(ch)
