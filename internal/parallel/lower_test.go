@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/algo"
+	"repro/internal/faultinject"
 	"repro/internal/matrix"
 	"repro/internal/schedule"
 )
@@ -159,6 +160,102 @@ func TestRunCallsBodyOnce(t *testing.T) {
 						mode, optimize, run+1, calls, want)
 				}
 			}
+		}
+	}
+}
+
+// TestRebindReplaysWithoutCompiling: in every mode, an executor rebound
+// to a second triple of the same shape replays its compiled program
+// over the new operands without calling the Body again, and leaves the
+// first triple alone. nil unbinds, and a Run with nothing bound is a
+// pre-flight rejection. A binding of another tile size, and any
+// binding while the executor is quarantined, are refused.
+func TestRebindReplaysWithoutCompiling(t *testing.T) {
+	mach := testMachine(2)
+	a, err := algo.ByName("Tradeoff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := a.Schedule(mach, algo.Square(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	triple := func(q int, seed uint64) (*matrix.Triple, *matrix.Operands) {
+		tr, err := matrix.NewTriple(6, 6, 6, q, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops, err := tr.Operands()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, ops
+	}
+	for _, mode := range []Mode{ModePacked, ModeView, ModeShared, ModeSharedPipelined} {
+		calls := 0
+		prog := *src
+		prog.Body = func(b schedule.Backend) {
+			calls++
+			src.Body(b)
+		}
+		team, err := NewTeam(mach.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(team.Close)
+		tr1, _ := triple(mach.Q, 3)
+		ex, err := NewExecutor(team, tr1, nil, mode, mach.CD, mach.CS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex.SetTuning(Tuning{Optimize: true})
+		if err := ex.Run(&prog); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		c1 := tr1.C.Dense().Clone()
+		tr2, ops2 := triple(mach.Q, 4)
+		if err := ex.Rebind(ops2); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if err := ex.Run(&prog); err != nil {
+			t.Fatalf("%v: rebound run: %v", mode, err)
+		}
+		if calls != 1 {
+			t.Fatalf("%v: the Body was called %d times over two runs, want 1", mode, calls)
+		}
+		if diff, err := Verify(tr2); err != nil || diff > 1e-9 {
+			t.Fatalf("%v: rebound run's product deviates by %g (%v)", mode, diff, err)
+		}
+		if !tr1.C.Dense().Equal(c1) {
+			t.Fatalf("%v: the rebound run wrote to the first binding", mode)
+		}
+
+		if err := ex.Rebind(nil); err != nil {
+			t.Fatalf("%v: unbind: %v", mode, err)
+		}
+		if err := ex.Run(&prog); err == nil || !strings.Contains(err.Error(), "no operands bound") {
+			t.Fatalf("%v: Run with nothing bound = %v, want a pre-flight rejection", mode, err)
+		}
+		if _, ops := triple(mach.Q/2, 4); ex.Rebind(ops) == nil {
+			t.Fatalf("%v: a binding of another tile size must be refused", mode)
+		}
+
+		if err := ex.Rebind(ops2); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		ex.SetFaultInjector(&faultinject.Plan{Rules: []faultinject.Rule{{
+			Core: -1, OpIndex: -1, Ops: faultinject.ApplyOnly,
+			Action: faultinject.Action{Kind: faultinject.ActPanic},
+		}}})
+		if err := ex.Run(&prog); err == nil {
+			t.Fatalf("%v: injected panic did not fail the run", mode)
+		}
+		if err := ex.Rebind(ops2); err == nil || !strings.Contains(err.Error(), "quarantined") {
+			t.Fatalf("%v: Rebind of a quarantined executor = %v, want a refusal", mode, err)
+		}
+		ex.Reset()
+		if err := ex.Rebind(ops2); err != nil {
+			t.Fatalf("%v: Rebind after Reset: %v", mode, err)
 		}
 	}
 }

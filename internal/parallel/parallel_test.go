@@ -68,6 +68,35 @@ func TestTeamCloseIdempotent(t *testing.T) {
 	team.Close() // must not panic
 }
 
+// A team parks at most one value: Keep replaces it, Take removes it,
+// and Close drops it, after which the team keeps nothing.
+func TestTeamKeepsOneValue(t *testing.T) {
+	team, err := NewTeam(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := team.Take(); v != nil {
+		t.Fatalf("a new team holds %v", v)
+	}
+	team.Keep(1)
+	team.Keep(2)
+	if v := team.Take(); v != 2 {
+		t.Fatalf("Take = %v, want the last value kept, 2", v)
+	}
+	if v := team.Take(); v != nil {
+		t.Fatalf("a second Take = %v, want nil", v)
+	}
+	team.Keep(3)
+	team.Close()
+	if v := team.Take(); v != nil {
+		t.Fatalf("Close left %v on the team", v)
+	}
+	team.Keep(4)
+	if v := team.Take(); v != nil {
+		t.Fatalf("a closed team kept %v", v)
+	}
+}
+
 // algorithms returns every registered display name: the real executor
 // must be able to run the whole extended set, so the registry itself is
 // the test fixture (no second hand-maintained name list).
