@@ -240,7 +240,8 @@ func measureSequential(order, q int, seed uint64) (time.Duration, error) {
 // and writes the JSON record, including the executor's per-level
 // traffic byte counts and, for the shared-level modes, the stage-wait
 // versus compute wall-time split. Every configuration runs reps times
-// and the fastest repetition is recorded (execcli.Fastest).
+// after an untimed warm-up and the fastest repetition is recorded
+// (execcli.Fastest).
 func bench(path, algoName string, order, q int, coreList, chipList []int, reps int, seed uint64, optimize bool) error {
 	reps = max(reps, 1)
 	if len(chipList) == 0 {
@@ -298,8 +299,8 @@ func bench(path, algoName string, order, q int, coreList, chipList []int, reps i
 			}
 			for _, a := range algos {
 				// Prepare once per configuration: program and executor live
-				// across repetitions, so only the first repetition compiles;
-				// the later ones time the executed schedule alone.
+				// across repetitions, so only the untimed warm-up compiles
+				// and every timed repetition replays.
 				prog, err := a.Schedule(mach, algo.Workload{M: order, N: order, Z: order})
 				if err != nil {
 					team.Close()

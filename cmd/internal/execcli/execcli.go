@@ -41,11 +41,18 @@ type Sample struct {
 	Compute   time.Duration
 }
 
-// Fastest runs rep reps times (at least once) and returns the fastest
-// sample: the minimum-wall-time estimator, the least sensitive to
-// scheduler noise on a shared machine. The traffic counts are the same
-// in every repetition; the overlap split comes from the fastest one.
+// Fastest runs rep once untimed as a warm-up, then reps times (at
+// least once), and returns the fastest timed sample: the
+// minimum-wall-time estimator, the least sensitive to scheduler noise
+// on a shared machine. The warm-up takes the compile out of the timed
+// reps: a gemm cell's executor and an LU cell's team compile on their
+// first call, so every timed rep is a replay. The traffic counts are
+// the same in every repetition; the overlap split comes from the
+// fastest one.
 func Fastest(reps int, rep func() (Sample, error)) (Sample, error) {
+	if _, err := rep(); err != nil {
+		return Sample{}, err
+	}
 	var best Sample
 	for i := range max(reps, 1) {
 		s, err := rep()

@@ -245,8 +245,10 @@ func run(n, q, cores, chips int, verify bool, seed uint64, mode parallel.Mode, t
 // shared-pipelined and writes the JSON record, including the executor's
 // per-level traffic byte counts and, for the shared-level modes, the
 // stage-wait versus compute split. Every configuration runs reps times
-// and the fastest repetition is recorded (execcli.Fastest); each
-// repetition is a whole lu.FactorParallelTuned call, compile included.
+// after an untimed warm-up and the fastest repetition is recorded
+// (execcli.Fastest). Each repetition is a whole lu.FactorParallelTuned
+// call on the cell's team: the warm-up compiles the run the team keeps,
+// and every timed call rebinds and replays it.
 func bench(path string, n, q int, coreList []int, reps int, seed uint64, optimize bool) error {
 	if n <= 0 || q <= 0 {
 		return fmt.Errorf("need positive -n and -q, got n=%d q=%d", n, q)
