@@ -14,6 +14,8 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/lu"
 	"repro/internal/machine"
+	"repro/internal/matrix"
+	"repro/internal/parallel"
 	"repro/internal/schedule"
 )
 
@@ -148,8 +150,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // BenchmarkCompile times the compile passes an executor runs before a
 // program's first replay, one sub-benchmark per pass, on the programs of
 // the three executor workloads of perfbench, all on two cores: blocked
-// LU at n=1024, q=32 (the program every lu.FactorParallelTuned call
-// compiles) and Tradeoff on 32×32×32 blocks of q=32, both planned for
+// LU at n=1024, q=32 (the program a team's first lu.FactorParallelTuned
+// call of that shape compiles; see BenchmarkFactorParallelTuned) and
+// Tradeoff on 32×32×32 blocks of q=32, both planned for
 // the pipelined mode at depth 1; and Shared Opt. on 48×48×48 blocks of
 // q=16 (about 110k block ops per replay), planned for the serial shared
 // mode. Optimize starts from the lowered program and Measure and the
@@ -213,4 +216,57 @@ func BenchmarkCompile(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkFactorParallelTuned times one lu.FactorParallelTuned call at
+// perfbench lu-oneshot's shape: n=1024, q=32, two cores, the pipelined
+// shared mode, optimizer on. cold calls on a fresh team each time, so
+// every call compiles its program and allocates its arenas; warm calls
+// on one team, whose untimed first call compiled the run the team
+// keeps, so every timed call rebinds and replays. Copying the input
+// back and starting or closing a team are untimed.
+func BenchmarkFactorParallelTuned(b *testing.B) {
+	const n, q, p = 1024, 32, 2
+	mach := lu.MachineFor(p, q)
+	tun := parallel.Tuning{Lookahead: 1, Optimize: true}
+	orig := lu.RandomDominant(n, 1)
+	a := matrix.New(n, n)
+	factor := func(b *testing.B, team *parallel.Team) {
+		if err := a.CopyFrom(orig); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		_, err := lu.FactorParallelTuned(a, q, team, parallel.ModeSharedPipelined, mach, tun)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	newTeam := func(b *testing.B) *parallel.Team {
+		team, err := parallel.NewTeam(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return team
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		b.StopTimer()
+		for i := 0; i < b.N; i++ {
+			team := newTeam(b)
+			factor(b, team)
+			team.Close()
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		b.StopTimer()
+		team := newTeam(b)
+		defer team.Close()
+		factor(b, team)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			factor(b, team)
+		}
+	})
 }
