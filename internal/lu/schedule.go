@@ -300,8 +300,8 @@ type keptRun struct {
 // replay: installing a fault injector or the integrity tripwire,
 // running under a context (Ex.RunContext), inspecting a *parallel.
 // RunError's provenance, and Resetting the executor after a failure.
-// cmd/lufact's chaos path is the canonical consumer. A Run from NewRun
-// is the caller's own: it never enters the team's kept slot.
+// cmd/lufact's chaos path is the canonical consumer. A Run that NewRun
+// returns stays its caller's: the team never keeps it.
 type Run struct {
 	Prog *schedule.Program
 	Ex   *parallel.Executor

@@ -328,10 +328,10 @@ func (ex *Executor) Rebind(ops *matrix.Operands) error {
 // clean (and with it Err to nil); a successful Run after Reset leaves
 // no trace of the previous failure. Pre-flight rejections — a nil
 // program, a core-count mismatch, no operands bound, a chip count that
-// does not split the team, a stream that does not lower, a working set that overflows the
-// declared resources, a phase plan that cannot prove inclusion — are
-// returned without entering quarantine: nothing executed, so the
-// executor stays clean.
+// does not split the team, a stream that does not lower, a working set
+// that overflows the declared resources, a phase plan that cannot
+// prove inclusion — are returned without entering quarantine: nothing
+// executed, so the executor stays clean.
 func (ex *Executor) Err() error { return ex.err }
 
 func (ex *Executor) fail(err error) {
